@@ -25,8 +25,11 @@ from .errors import (
     UnsupportedArgumentError,
 )
 from .quadrature import (
+    Envelopes,
     IntegralResult,
     QuadratureSpec,
+    Tolerance,
+    integrate_rows,
     integrate_semi_infinite,
     truncation_point,
 )
@@ -62,6 +65,7 @@ __all__ = [
     "AccuracyError",
     "ClosedForm",
     "DivergentIntegralError",
+    "Envelopes",
     "EvaluationError",
     "FactorIndex",
     "IntegralResult",
@@ -74,10 +78,12 @@ __all__ = [
     "QuadratureSpec",
     "ScanRow",
     "SpherePoint",
+    "Tolerance",
     "UnsupportedArgumentError",
     "closed_form_p4",
     "eval_u",
     "integrand_direct",
+    "integrate_rows",
     "integrate_semi_infinite",
     "logdet",
     "logdet_chebyshev",

@@ -31,11 +31,12 @@ def integrand_reference(d: int, k: int, x) -> mp.mpf:
 
 
 def main() -> None:
-    for d, k in [(3, 1), (5, 2), (7, 2), (35, 17)]:
+    for d, k in [(3, 1), (5, 2), (7, 2), (35, 17), (1025, 512)]:
         print(f"logdet({d},{k}) = {mp.nstr(logdet_reference(d, k), 17)}")
     print(f"integrand(5,2,x=1) = {mp.nstr(integrand_reference(5, 2, 1), 17)}")
-    for n in (3, 5, 7):
-        print(f"zeta({n}) = {mp.nstr(mp.zeta(n), 17)}")
+    for n in range(3, 32, 2):
+        # the correctly rounded binary64 value
+        print(f"zeta({n}) = {float(mp.zeta(n))!r}")
     f = lambda x: mp.exp(-x) / (x * x + mp.pi ** 2)
     print(f"int_0^inf exp(-x)/(x^2+pi^2) = {mp.nstr(mp.quad(f, [0, 10, 60, 200]), 17)}")
 

@@ -61,6 +61,24 @@ class TestEval:
         assert code == 0
         assert abs(float(out.strip().split("\n")[1].split()[1]) - 0.104642) < 5e-6
 
+    def test_past_binary64_envelope_d1025(self, capsys):
+        # the envelope constant 2^1024 pi overflows binary64; frozen
+        # reference from tests/_oracles.py
+        code, out, _ = run(
+            ["eval", "--d", "1025", "--k", "512", "--method", "direct"], capsys
+        )
+        assert code == 0
+        value = float(out.strip().split("\n")[1].split()[1])
+        assert abs(value - 0.002184270753602174) < 1e-9
+
+    def test_overflowing_integral_is_numerical_failure(self, capsys):
+        # at d = 1035 the integral itself, about 2^1034 log det, overflows
+        code, _, err = run(
+            ["eval", "--d", "1035", "--k", "517", "--method", "direct"], capsys
+        )
+        assert code == 3
+        assert "overflowed" in err
+
 
 class TestScanK:
     def test_stdout_csv(self, capsys):

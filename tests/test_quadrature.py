@@ -8,10 +8,13 @@ import pytest
 from gjmsdet import (
     AccuracyError,
     DivergentIntegralError,
+    Envelopes,
     EvaluationError,
     IntegralResult,
     ParameterError,
     QuadratureSpec,
+    Tolerance,
+    integrate_rows,
     integrate_semi_infinite,
     truncation_point,
 )
@@ -168,6 +171,101 @@ class TestIntegrate:
         assert res.value == 0.0
 
 
+    def test_panel_sum_overflow_is_evaluation_error(self):
+        # every sample is finite (below e^709.78), but the Gauss sums of the
+        # panels near 0 pass the binary64 range
+        f = lambda x: (709.7 - x, 1.0)
+        spec = QuadratureSpec(decay_rate=1.0, env_log_const=709.7)
+        with pytest.raises(EvaluationError, match="overflowed"):
+            integrate_semi_infinite(f, spec)
+
+    def test_log_envelope_beyond_binary64(self):
+        # e^800 is past the binary64 range, so only env_log_const can state
+        # the (valid, loose) envelope e^800 e^(-x); the truncation point then
+        # moves out by 800 and the value stays put
+        f = lambda x: (-x - np.log1p(x * x), 1.0)
+        near = integrate_semi_infinite(f, QuadratureSpec(decay_rate=1.0, env_log_const=0.0))
+        far = integrate_semi_infinite(f, QuadratureSpec(decay_rate=1.0, env_log_const=800.0))
+        assert far.truncation_point == pytest.approx(near.truncation_point + 800.0)
+        assert abs(far.value - near.value) <= near.err_estimate + far.err_estimate
+
+
+def _row_integrand(shift, rate):
+    # e^(shift_r - rate_r x) / (1 + x^2) <= e^(shift_r) e^(-rate_r x)
+    shift, rate = np.asarray(shift, dtype=float), np.asarray(rate, dtype=float)
+    return lambda x, row: (shift[row] - rate[row] * x - np.log1p(x * x), 1.0)
+
+
+class TestIntegrateRows:
+    SHIFT = (0.0, 3.0, -2.0, 700.0, 1.5)
+    RATE = (1.0, 0.5, 3.0, 2.0, 7.5)
+    # envelope constants differ from the integrands' own where they are
+    # looser bounds, which is allowed and moves the truncation point
+    LOG_CONST = (0.0, 3.0, 1.0, 705.0, 1.5)
+
+    def test_rows_match_lone_calls_bit_for_bit(self):
+        tol = Tolerance()
+        f = _row_integrand(self.SHIFT, self.RATE)
+        batch = integrate_rows(f, Envelopes(self.LOG_CONST, self.RATE), tol)
+        assert len(batch) == len(self.RATE)
+        for shift, rate, log_c, res in zip(self.SHIFT, self.RATE, self.LOG_CONST, batch):
+            g = _row_integrand([shift], [rate])
+            alone = integrate_rows(g, Envelopes(log_c, rate), tol)[0]
+            assert res.value == alone.value
+            assert res.panels_used == alone.panels_used
+            assert res.truncation_point == alone.truncation_point
+            assert res.err_estimate == alone.err_estimate
+            spec = QuadratureSpec(decay_rate=rate, env_log_const=log_c)
+            lone = integrate_semi_infinite(lambda x: g(x, 0), spec)
+            assert lone.value == res.value
+            assert lone.panels_used == res.panels_used
+
+    def test_rows_are_accurate(self):
+        # row r integrates to e^(shift_r) * int_0^inf e^(-L x)/(1+x^2) dx;
+        # compare the rows against the unshifted lone integrals
+        f = _row_integrand(self.SHIFT, self.RATE)
+        batch = integrate_rows(f, Envelopes(self.LOG_CONST, self.RATE), Tolerance())
+        for shift, rate, res in zip(self.SHIFT, self.RATE, batch):
+            base = integrate_semi_infinite(
+                lambda x: (-rate * x - np.log1p(x * x), 1.0), QuadratureSpec(decay_rate=rate)
+            )
+            assert res.value / math.exp(shift) == pytest.approx(base.value, rel=1e-12)
+
+    def test_budget_exhaustion_reports_lowest_failing_row(self):
+        # row 0 is e^(-10 x), done in 15 panels; rows 1 and 2 hold
+        # width-0.05 spikes that 16 panels cannot resolve
+        centers = np.array([0.0, 2.0, 3.0])
+        f = lambda x, row: (
+            np.where(row == 0, -10.0 * x, -400.0 * (x - centers[row]) ** 2), 1.0
+        )
+        env = Envelopes([0.0, 3.001, 4.001], [10.0, 1.0, 1.0])
+        tol = Tolerance(max_panels=16)
+        with pytest.raises(AccuracyError) as batch_info:
+            integrate_rows(f, env, tol)
+        g = lambda x, row: (-400.0 * (x - 2.0) ** 2, 1.0)
+        with pytest.raises(AccuracyError) as lone_info:
+            integrate_rows(g, Envelopes(3.001, 1.0), tol)
+        got, want = batch_info.value, lone_info.value
+        assert (got.value, got.err_estimate, got.panels_used) == (
+            want.value, want.err_estimate, want.panels_used
+        )
+        assert math.isfinite(got.value) and got.panels_used <= 16
+
+    def test_many_rows_chunked_evaluation(self):
+        # enough rows that a sweep spans several integrand calls
+        rates = np.linspace(0.5, 40.0, 300)
+        calls = []
+
+        def f(x, row):
+            calls.append(x.size)
+            return -rates[row] * x, 1.0
+
+        batch = integrate_rows(f, Envelopes(0.0, rates), Tolerance())
+        assert max(calls) <= 128 * 32 and len(calls) > 3
+        for rate, res in zip(rates, batch):
+            assert abs(res.value - 1.0 / rate) <= 10.0 * res.err_estimate + 1e-15
+
+
 class TestSpecValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(DivergentIntegralError):
@@ -182,6 +280,21 @@ class TestSpecValidation:
             QuadratureSpec(decay_rate=1.0, env_start=-1.0)
         with pytest.raises(ParameterError):
             QuadratureSpec(decay_rate=1.0, max_panels=2)
+        with pytest.raises(ParameterError):
+            QuadratureSpec(decay_rate=1.0, env_log_const=math.inf)
+
+    def test_envelopes_validation(self):
+        with pytest.raises(DivergentIntegralError):
+            Envelopes(0.0, [1.0, 0.0])
+        with pytest.raises(ParameterError):
+            Envelopes([0.0, 1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(ParameterError):
+            Envelopes(math.inf, 1.0)
+        with pytest.raises(ParameterError):
+            Envelopes(0.0, 1.0, -1.0)
+        with pytest.raises(ParameterError):
+            Envelopes([], [])
+        assert len(Envelopes([0.0, 1.0, 2.0], 1.0)) == 3
 
     def test_defaults(self):
         spec = QuadratureSpec(decay_rate=2.0)

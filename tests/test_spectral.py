@@ -12,6 +12,7 @@ import pytest
 
 from gjmsdet import (
     DivergentIntegralError,
+    EvaluationError,
     FactorIndex,
     ParameterError,
     QuadratureSpec,
@@ -33,6 +34,7 @@ REF_D5K2 = 0.1046421441058079165
 REF_D7K2 = -0.008296659616355104616
 REF_D3K1 = 0.12761410955239642118
 REF_D35K17 = 0.027271788068007605
+REF_D1025K512 = 0.002184270753602174
 REF_INTEGRAND_D5K2_X1 = 0.26570133120189691
 
 # decimals quoted for the closed forms
@@ -227,6 +229,27 @@ class TestLogdetProductRule:
         assert abs(logdet_product_rule(p).value - logdet_direct(p).value) < 1e-9
 
 
+class TestPastBinary64Envelope:
+    """At d >= 1025 the envelope constant 2^(d-1) pi is not a binary64
+    number; it is carried as a logarithm."""
+
+    @pytest.mark.parametrize("method", ["direct", "sum", "chebyshev"])
+    def test_d1025k512(self, method):
+        res = logdet(SpherePoint(1025, 512), method)
+        assert abs(res.value - REF_D1025K512) < 1e-12
+        assert abs(res.value - REF_D1025K512) <= 10.0 * res.err_estimate
+
+    def test_product_rule_runs_at_d1025(self):
+        # its value is lost to cancellation along the diagonal, but the base
+        # integrals no longer fail
+        assert math.isfinite(logdet_product_rule(SpherePoint(1025, 512)).value)
+
+    @pytest.mark.parametrize("method", ["direct", "sum", "chebyshev"])
+    def test_overflowing_integral_raises_evaluation_error(self, method):
+        with pytest.raises(EvaluationError, match="overflowed"):
+            logdet(SpherePoint(1035, 517), method)
+
+
 class TestSignLaw:
     @pytest.mark.parametrize("d", [3, 7, 13, 21])
     def test_sign_matches_parity(self, d):
@@ -257,6 +280,19 @@ class TestZetaOdd:
 
     def test_zeta7(self):
         assert abs(zeta_odd(7) - 1.0083492773819228268) < 1e-13
+
+    @pytest.mark.parametrize("n,ref", [
+        # correctly rounded mpmath values, from tests/_oracles.py
+        (3, 1.2020569031595942), (5, 1.03692775514337), (7, 1.008349277381923),
+        (9, 1.0020083928260821), (11, 1.0004941886041194),
+        (13, 1.0001227133475785), (15, 1.000030588236307),
+        (17, 1.0000076371976379), (19, 1.0000019082127165),
+        (21, 1.0000004769329869), (23, 1.000000119219926),
+        (25, 1.0000000298035034), (27, 1.0000000074507118),
+        (29, 1.0000000018626598), (31, 1.0000000004656628),
+    ])
+    def test_within_one_ulp_of_mpmath(self, n, ref):
+        assert abs(zeta_odd(n) - ref) <= math.ulp(ref)
 
     def test_zeta31_bracket(self):
         # 0 < zeta(n) - 1 < 2^(1-n) for n >= 3
