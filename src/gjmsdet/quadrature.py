@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Tuple, Union
 
 import numpy as np
 
@@ -131,10 +131,8 @@ class QuadratureSpec:
     """Tolerances, budget and decay envelope for one semi-infinite integral.
 
     ``decay_rate`` is the exponent L of the envelope |f(x)| <= env_const *
-    e^(-L x), valid for x >= env_start.  ``env_log_const``, when given, is
-    log(env_const) and takes its place, for constants beyond the binary64
-    range.  ``rel_tol``, ``abs_tol`` and ``max_panels`` are as in
-    ``Tolerance``.
+    e^(-L x), valid for x >= env_start.  ``rel_tol``, ``abs_tol`` and
+    ``max_panels`` are as in ``Tolerance``.
     """
 
     decay_rate: float
@@ -143,7 +141,6 @@ class QuadratureSpec:
     max_panels: int = 4096
     env_const: float = 1.0
     env_start: float = 0.0
-    env_log_const: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.decay_rate <= 0:
@@ -153,8 +150,6 @@ class QuadratureSpec:
             raise ParameterError("env_const must be positive")
         if self.env_start < 0:
             raise ParameterError("env_start must be non-negative")
-        if self.env_log_const is not None and not math.isfinite(self.env_log_const):
-            raise ParameterError("env_log_const must be finite")
 
     @property
     def tolerance(self) -> Tolerance:
@@ -163,10 +158,7 @@ class QuadratureSpec:
     @property
     def envelope(self) -> Envelopes:
         """The one-row envelope of this spec."""
-        log_const = self.env_log_const
-        if log_const is None:
-            log_const = math.log(self.env_const)
-        return Envelopes(log_const, self.decay_rate, self.env_start)
+        return Envelopes(math.log(self.env_const), self.decay_rate, self.env_start)
 
 
 @dataclass(frozen=True)
@@ -264,6 +256,23 @@ def _initial_panels(x_max: np.ndarray):
     return lo, hi, row, counts
 
 
+def _row_sums(vals: np.ndarray, counts: np.ndarray):
+    """Sum and largest magnitude of each row's initial panel values, summed
+    as a lone integral sums them: rows with equal panel counts share one 2-D
+    sum, which adds each row in the same order as a 1-D sum of that row."""
+    if counts.size == 1:
+        return vals.sum(keepdims=True), np.abs(vals).max(keepdims=True)
+    starts = counts.cumsum() - counts
+    rough = np.empty(counts.size)
+    peak = np.empty(counts.size)
+    for n in set(counts.tolist()):
+        rows = np.flatnonzero(counts == n)
+        seg = vals[starts[rows, None] + np.arange(n)]
+        rough[rows] = seg.sum(axis=1)
+        peak[rows] = np.abs(seg).max(axis=1)
+    return rough, peak
+
+
 def _fsum(values: List[float], at: float) -> float:
     try:
         return math.fsum(values)
@@ -306,17 +315,7 @@ def _integrate_rows(
     vals, _ = _eval_panels(f, lo, hi, row)
     panels = counts.copy()
 
-    # Each row's target comes from its own initial panels, summed as a lone
-    # integral sums them; rows with equal panel counts share one 2-D sum,
-    # which adds each row in the same order as a 1-D sum of that row.
-    starts = counts.cumsum() - counts
-    rough = np.empty(n_rows)
-    peak = np.empty(n_rows)
-    for n in set(counts.tolist()):
-        rows = np.flatnonzero(counts == n)
-        seg = vals[starts[rows, None] + np.arange(n)]
-        rough[rows] = seg.sum(axis=1)
-        peak[rows] = np.abs(seg).max(axis=1)
+    rough, peak = _row_sums(vals, counts)
     target = np.maximum(
         tolerance.abs_tol, tolerance.rel_tol * np.maximum(np.abs(rough), peak)
     )
@@ -376,9 +375,13 @@ def _integrate_rows(
     if failures:
         raise failures[min(failures)]
 
-    all_rows = np.concatenate(accepted_rows)
-    leaves = np.bincount(all_rows, minlength=n_rows)
-    by_row = np.concatenate(accepted_vals)[np.argsort(all_rows, kind="stable")]
+    by_row = np.concatenate(accepted_vals)
+    if n_rows == 1:
+        leaves = np.array([by_row.size])
+    else:
+        all_rows = np.concatenate(accepted_rows)
+        leaves = np.bincount(all_rows, minlength=n_rows)
+        by_row = by_row[np.argsort(all_rows, kind="stable")]
     ends = leaves.cumsum().tolist()
     err = accepted_err + tail + 8.0 * _EPS * accepted_mass
     return [

@@ -40,6 +40,7 @@ parameter grid may be evaluated concurrently without coordination.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,13 +55,11 @@ from .errors import (
     ParameterError,
     UnsupportedArgumentError,
 )
-from .quadrature import (
-    Envelopes,
-    QuadratureSpec,
-    Tolerance,
-    integrate_rows,
-    integrate_semi_infinite,
-)
+from .quadrature import Envelopes, QuadratureSpec, Tolerance, integrate_rows
+
+# Not called here (every route calls integrate_rows), but perfbench/spans.py
+# reads and rebinds spectral.integrate_semi_infinite, so the name stays.
+from .quadrature import integrate_semi_infinite  # noqa: F401
 
 __all__ = [
     "SpherePoint",
@@ -210,25 +209,27 @@ def _tolerance(spec: Optional[QuadratureSpec]) -> Tolerance:
     return Tolerance() if spec is None else spec.tolerance
 
 
+def _scaled(value: float, err: float, shift: int) -> Tuple[float, float]:
+    """value * 2^shift and err * 2^shift.  Exact while both stay normal;
+    below 2^-1022 ldexp rounds each to the subnormal spacing 2^-1074 (a
+    value may round to 0), so the estimate is then widened to cover both
+    roundings and is never lost to underflow."""
+    v, e = math.ldexp(value, shift), math.ldexp(err, shift)
+    if abs(v) < sys.float_info.min or e < sys.float_info.min:
+        e = math.nextafter(e + math.ulp(0.0), math.inf)
+    return v, e
+
+
 def _single_route(point: SpherePoint, method: str, integrand, spec) -> LogDetResult:
     """One integral with the direct integrand's envelope (a = k, p = d+1),
     scaled by 2^-(d-1); the caller's spec contributes only its tolerance."""
     log_const, rate = _envelope(point.k, point.d + 1)
-    tol = _tolerance(spec)
-    q = QuadratureSpec(
-        decay_rate=rate,
-        rel_tol=tol.rel_tol,
-        abs_tol=tol.abs_tol,
-        max_panels=tol.max_panels,
-        env_log_const=log_const,
-    )
-    res = integrate_semi_infinite(integrand, q)
-    shift = 1 - point.d
+    res = integrate_rows(
+        lambda xs, row: integrand(xs), Envelopes(log_const, rate), _tolerance(spec)
+    )[0]
+    value, err = _scaled(res.value, res.err_estimate, 1 - point.d)
     return LogDetResult(
-        value=point.sign * math.ldexp(res.value, shift),
-        err_estimate=math.ldexp(res.err_estimate, shift),
-        method=method,
-        point=point,
+        value=point.sign * value, err_estimate=err, method=method, point=point
     )
 
 
@@ -258,7 +259,7 @@ def _integrals(a, p, spec: Optional[QuadratureSpec]) -> List[Tuple[float, float]
         _tolerance(spec),
     )
     return [
-        (math.ldexp(res.value, 2 - pr), math.ldexp(res.err_estimate, 2 - pr))
+        _scaled(res.value, res.err_estimate, 2 - pr)
         for res, pr in zip(results, p.astype(int).tolist())
     ]
 

@@ -31,7 +31,7 @@ def integrand_reference(d: int, k: int, x) -> mp.mpf:
 
 
 def main() -> None:
-    for d, k in [(3, 1), (5, 2), (7, 2), (35, 17), (1025, 512)]:
+    for d, k in [(3, 1), (5, 2), (7, 2), (35, 17), (1025, 512), (1025, 1), (1075, 1)]:
         print(f"logdet({d},{k}) = {mp.nstr(logdet_reference(d, k), 17)}")
     print(f"integrand(5,2,x=1) = {mp.nstr(integrand_reference(5, 2, 1), 17)}")
     for n in range(3, 32, 2):

@@ -170,24 +170,13 @@ class TestIntegrate:
         res = integrate_semi_infinite(f, QuadratureSpec(decay_rate=1.0))
         assert res.value == 0.0
 
-
     def test_panel_sum_overflow_is_evaluation_error(self):
         # every sample is finite (below e^709.78), but the Gauss sums of the
         # panels near 0 pass the binary64 range
         f = lambda x: (709.7 - x, 1.0)
-        spec = QuadratureSpec(decay_rate=1.0, env_log_const=709.7)
+        spec = QuadratureSpec(decay_rate=1.0, env_const=math.exp(709.7))
         with pytest.raises(EvaluationError, match="overflowed"):
             integrate_semi_infinite(f, spec)
-
-    def test_log_envelope_beyond_binary64(self):
-        # e^800 is past the binary64 range, so only env_log_const can state
-        # the (valid, loose) envelope e^800 e^(-x); the truncation point then
-        # moves out by 800 and the value stays put
-        f = lambda x: (-x - np.log1p(x * x), 1.0)
-        near = integrate_semi_infinite(f, QuadratureSpec(decay_rate=1.0, env_log_const=0.0))
-        far = integrate_semi_infinite(f, QuadratureSpec(decay_rate=1.0, env_log_const=800.0))
-        assert far.truncation_point == pytest.approx(near.truncation_point + 800.0)
-        assert abs(far.value - near.value) <= near.err_estimate + far.err_estimate
 
 
 def _row_integrand(shift, rate):
@@ -215,7 +204,8 @@ class TestIntegrateRows:
             assert res.panels_used == alone.panels_used
             assert res.truncation_point == alone.truncation_point
             assert res.err_estimate == alone.err_estimate
-            spec = QuadratureSpec(decay_rate=rate, env_log_const=log_c)
+            # every LOG_CONST survives log(exp(c)) exactly
+            spec = QuadratureSpec(decay_rate=rate, env_const=math.exp(log_c))
             lone = integrate_semi_infinite(lambda x: g(x, 0), spec)
             assert lone.value == res.value
             assert lone.panels_used == res.panels_used
@@ -230,6 +220,16 @@ class TestIntegrateRows:
                 lambda x: (-rate * x - np.log1p(x * x), 1.0), QuadratureSpec(decay_rate=rate)
             )
             assert res.value / math.exp(shift) == pytest.approx(base.value, rel=1e-12)
+
+    def test_log_envelope_beyond_binary64(self):
+        # e^800 is past the binary64 range, so only a log constant can state
+        # the (valid, loose) envelope e^800 e^(-x); the truncation point then
+        # moves out by 800 and the value stays put
+        f = lambda x, row: (-x - np.log1p(x * x), 1.0)
+        near = integrate_rows(f, Envelopes(0.0, 1.0), Tolerance())[0]
+        far = integrate_rows(f, Envelopes(800.0, 1.0), Tolerance())[0]
+        assert far.truncation_point == pytest.approx(near.truncation_point + 800.0)
+        assert abs(far.value - near.value) <= near.err_estimate + far.err_estimate
 
     def test_budget_exhaustion_reports_lowest_failing_row(self):
         # row 0 is e^(-10 x), done in 15 panels; rows 1 and 2 hold
@@ -280,8 +280,6 @@ class TestSpecValidation:
             QuadratureSpec(decay_rate=1.0, env_start=-1.0)
         with pytest.raises(ParameterError):
             QuadratureSpec(decay_rate=1.0, max_panels=2)
-        with pytest.raises(ParameterError):
-            QuadratureSpec(decay_rate=1.0, env_log_const=math.inf)
 
     def test_envelopes_validation(self):
         with pytest.raises(DivergentIntegralError):

@@ -6,6 +6,7 @@ at 40 digits, independent of this package's Gauss-Legendre pipeline).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from gjmsdet import (
     DivergentIntegralError,
     EvaluationError,
+    METHODS,
     FactorIndex,
     ParameterError,
     QuadratureSpec,
@@ -248,6 +250,22 @@ class TestPastBinary64Envelope:
     def test_overflowing_integral_raises_evaluation_error(self, method):
         with pytest.raises(EvaluationError, match="overflowed"):
             logdet(SpherePoint(1035, 517), method)
+
+
+class TestSubnormalScale:
+    """At k = 1 past d = 1024 the factor 2^-(d-1) takes the value below the
+    normal binary64 range; the rounding it then suffers stays inside the
+    reported estimate.  Frozen references from tests/_oracles.py."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("d,ref", [
+        # exact rationals, since binary64 cannot hold these references
+        (1025, "-2.7077417173330749e-313"), (1075, "2.2390311786057083e-328"),
+    ])
+    def test_estimate_covers_underflow(self, method, d, ref):
+        res = logdet(SpherePoint(d, 1), method)
+        assert res.err_estimate > 0.0
+        assert abs(Fraction(res.value) - Fraction(ref)) <= Fraction(res.err_estimate)
 
 
 class TestSignLaw:
