@@ -21,6 +21,7 @@ from .errors import (
     DivergentIntegralError,
     EvaluationError,
     InternalConsistencyError,
+    MethodDisagreementError,
     ParameterError,
     UnsupportedArgumentError,
 )
@@ -72,6 +73,7 @@ __all__ = [
     "InternalConsistencyError",
     "LogDetResult",
     "METHODS",
+    "MethodDisagreementError",
     "OddChebyshev",
     "ParameterError",
     "ProductRule",

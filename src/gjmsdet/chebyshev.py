@@ -20,10 +20,16 @@ gives positive integers: the exponents of the determinant product rule
 
     det P_2k(d) = prod_{j<k} det P_2(d - 2j) ^ v_j(k).
 
-All coefficients are produced by the three-term recurrence
-U_{n+1}(x) = 2x U_n(x) - U_{n-1}(x) in exact integer arithmetic, so there
-is no order cap and no overflow.  All functions are pure and the returned
-values immutable, safe to share between threads.
+The v_j have the closed form v_j(k) = C(k+j, 2j+1) = C(k+j, k-1-j)
+(Abramowitz & Stegun 22.3.7).  They are built in O(k) exact integer steps
+from v_0 = k and the ratio
+
+    v_{j+1} / v_j = (k+j+1)(k-1-j) / ((2j+2)(2j+3)),
+
+and the u_j follow by restoring sign and power of two,
+u_j = (-1)^(k-1-j) 2^(2j+1) v_j.  Python integers have no order cap and no
+overflow.  All functions are pure and the returned values immutable, safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -101,23 +107,37 @@ def _check_order(k) -> int:
 
 
 @lru_cache(maxsize=None)
-def u_coefficients(k: int) -> OddChebyshev:
-    """Exact odd-power coefficients of U_{2k-1}.
+def v_coefficients(k: int) -> ProductRule:
+    """Determinant product-rule powers v_j(k) = C(k+j, 2j+1), j < k.
 
-    Runs the recurrence U_{n+1} = 2x U_n - U_{n-1} from U_0 = 1, U_1 = 2x
-    up to n = 2k-1 on dense integer coefficient lists and keeps the odd rows.
+    Each power follows from the one before by the exact ratio
+    (k+j+1)(k-1-j) / ((2j+2)(2j+3)); a division that leaves a remainder
+    means the construction is broken and raises InternalConsistencyError.
     """
     _check_order(k)
-    prev = [1]      # U_0
-    cur = [0, 2]    # U_1
-    for _ in range(2 * k - 2):
-        nxt = [0] + [2 * c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    if any(cur[i] != 0 for i in range(0, len(cur), 2)):
-        raise InternalConsistencyError("U_{2k-1} produced even-power terms")
-    return OddChebyshev(k=k, u=tuple(cur[1::2]))
+    powers = [k]
+    for j in range(k - 1):
+        q, r = divmod(
+            powers[-1] * (k + j + 1) * (k - 1 - j), (2 * j + 2) * (2 * j + 3)
+        )
+        if r != 0:
+            raise InternalConsistencyError(
+                f"v[{j + 1}] of k = {k} is not an integer: remainder {r}"
+            )
+        powers.append(q)
+    return ProductRule(k=k, v=tuple(powers))
+
+
+@lru_cache(maxsize=None)
+def u_coefficients(k: int) -> OddChebyshev:
+    """Exact odd-power coefficients of U_{2k-1},
+    u_j = (-1)^(k-1-j) 2^(2j+1) v_j(k)."""
+    _check_order(k)
+    coeffs = []
+    for j, v in enumerate(v_coefficients(k).v):
+        c = v << (2 * j + 1)
+        coeffs.append(-c if (k - 1 - j) % 2 else c)
+    return OddChebyshev(k=k, u=tuple(coeffs))
 
 
 def eval_u(k: int, y: float) -> float:
@@ -147,24 +167,3 @@ def eval_u(k: int, y: float) -> float:
         return float(result)
     except OverflowError:
         return math.inf if result > 0 else -math.inf
-
-
-@lru_cache(maxsize=None)
-def v_coefficients(k: int) -> ProductRule:
-    """Determinant product-rule powers v_j(k) = (-1)^(k-1)(-1)^j u_j / 2^(2j+1).
-
-    The division must be exact and every power positive; anything else means
-    the u table is broken and raises InternalConsistencyError.
-    """
-    coeffs = u_coefficients(k).u
-    sign_k = 1 if (k - 1) % 2 == 0 else -1
-    powers = []
-    for j, c in enumerate(coeffs):
-        t = sign_k * c if j % 2 == 0 else -sign_k * c
-        q, r = divmod(t, 1 << (2 * j + 1))
-        if r != 0 or q <= 0:
-            raise InternalConsistencyError(
-                f"u[{j}] = {c} does not reduce to a positive integer power"
-            )
-        powers.append(q)
-    return ProductRule(k=k, v=tuple(powers))

@@ -28,10 +28,11 @@ from .scans import (
     scan_k,
     scan_limiting,
     scan_paneitz,
+    select_methods,
     write_csv,
     write_svg,
 )
-from .spectral import METHODS, SpherePoint, closed_form_p4, logdet
+from .spectral import SpherePoint, closed_form_p4, logdet
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,20 +50,12 @@ def _spec_from(tol: Optional[float]) -> Optional[QuadratureSpec]:
     return QuadratureSpec(decay_rate=1.0, rel_tol=tol)
 
 
-def _canon_methods(selector: str) -> tuple[str, ...]:
-    if selector == "all":
-        return METHODS
-    if selector == "product":
-        return ("product_rule",)
-    return (selector,)
-
-
 def _cmd_eval(args) -> int:
     point = SpherePoint(args.d, args.k)
     spec = _spec_from(args.tol)
     print(f"d={point.d} k={point.k}")
     values = []
-    for tag in _canon_methods(args.method):
+    for tag in select_methods(args.method):
         res = logdet(point, tag, spec)
         values.append(res.value)
         print(f"{res.method:<13} {res.value:.17g}   err {res.err_estimate:.3g}")

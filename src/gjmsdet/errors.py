@@ -39,3 +39,30 @@ class AccuracyError(RuntimeError):
         self.value = value
         self.err_estimate = err_estimate
         self.panels_used = panels_used
+
+
+class MethodDisagreementError(AccuracyError):
+    """Routes evaluated at one point disagree by more than the agreement
+    tolerance.  Carries the point (``d``, ``k``), the ``spread`` between
+    the routes, the ``allowed`` spread and each route's value as
+    ``(method, value)`` pairs in ``values``.  As an AccuracyError its
+    ``value`` is the midpoint of the routes' range and its ``err_estimate``
+    half that range, so the pair brackets every route; ``panels_used`` is
+    0, as no quadrature budget ran out."""
+
+    def __init__(self, d: int, k: int, spread: float, allowed: float, values):
+        self.values = tuple(values)
+        RuntimeError.__init__(
+            self,
+            f"method disagreement at d={d}, k={k}: spread {spread:.3e} exceeds "
+            f"the allowed {allowed:.3e}; "
+            + ", ".join(f"{method} {value!r}" for method, value in self.values),
+        )
+        self.d = d
+        self.k = k
+        self.spread = spread
+        self.allowed = allowed
+        route_values = [value for _, value in self.values]
+        self.value = 0.5 * min(route_values) + 0.5 * max(route_values)
+        self.err_estimate = 0.5 * spread
+        self.panels_used = 0

@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import AccuracyError, ParameterError
+from .errors import MethodDisagreementError, ParameterError
 from .quadrature import QuadratureSpec
 from .spectral import METHODS, SpherePoint, logdet
 
 __all__ = [
     "ScanRow",
     "CSV_HEADER",
+    "select_methods",
     "compute_rows",
     "scan_k",
     "scan_limiting",
@@ -48,7 +49,9 @@ class ScanRow:
     err_estimate: float
 
 
-def _methods_for(selector: str) -> tuple[str, ...]:
+def select_methods(selector: str) -> tuple[str, ...]:
+    """The routes a method selector names: one route tag, ``product`` for
+    ``product_rule``, or ``all`` for every route."""
     if selector == "all":
         return METHODS
     if selector == "product":
@@ -66,21 +69,18 @@ def max_pairwise_discrepancy(values: Sequence[float]) -> float:
 
 
 def check_method_agreement(rows: Sequence[ScanRow]) -> None:
-    """Guard scans that computed several methods per point: raise if any
-    point's pairwise spread exceeds the agreement tolerance."""
-    by_point: dict[tuple[int, int], list[float]] = {}
+    """Guard scans that computed several methods per point: raise
+    MethodDisagreementError if any point's pairwise spread exceeds the
+    agreement tolerance."""
+    by_point: dict[tuple[int, int], list[tuple[str, float]]] = {}
     for row in rows:
-        by_point.setdefault((row.d, row.k), []).append(row.value)
-    for (d, k), values in by_point.items():
+        by_point.setdefault((row.d, row.k), []).append((row.method, row.value))
+    for (d, k), pairs in by_point.items():
+        values = [v for _, v in pairs]
         disc = max_pairwise_discrepancy(values)
         allowed = max(_AGREE_ABS, _AGREE_REL * max(abs(v) for v in values))
         if disc > allowed:
-            raise AccuracyError(
-                f"method disagreement at d={d}, k={k}",
-                value=disc,
-                err_estimate=allowed,
-                panels_used=0,
-            )
+            raise MethodDisagreementError(d, k, disc, allowed, pairs)
 
 
 def compute_rows(
@@ -89,7 +89,7 @@ def compute_rows(
     spec: Optional[QuadratureSpec] = None,
 ) -> list[ScanRow]:
     """Evaluate the requested method(s) at each point, in (d, k) order."""
-    methods = _methods_for(method)
+    methods = select_methods(method)
     rows = []
     for point in sorted(points, key=lambda p: (p.d, p.k)):
         for tag in methods:

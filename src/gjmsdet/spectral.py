@@ -338,7 +338,9 @@ def logdet_product_rule(
     values = []
     errors = []
     for power, dj, (v, e) in zip(rule.v, dims, parts):
-        values.append(power * (SpherePoint(dj, 1).sign * v))
+        # sign of log det P_2(dj): (-1)^((dj-1)/2 + 1) = (-1)^((dj+1)/2)
+        sign = -1 if (dj + 1) // 2 % 2 else 1
+        values.append(power * (sign * v))
         errors.append(power * e)
     return LogDetResult(
         value=math.fsum(values),

@@ -14,9 +14,36 @@ from gjmsdet import (
 )
 
 
+def u_recurrence_oracle(k: int) -> list[int]:
+    """Odd-power coefficients of U_{2k-1} from the dense three-term
+    recurrence U_{n+1} = 2x U_n - U_{n-1}, U_0 = 1, U_1 = 2x, in exact
+    integers: O(k^2) steps, and no use of the binomial closed form."""
+    prev, cur = [1], [0, 2]
+    for _ in range(2 * k - 2):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    assert all(c == 0 for c in cur[0::2])
+    return cur[1::2]
+
+
+def v_recurrence_oracle(k: int) -> list[int]:
+    """Product-rule powers (-1)^(k-1-j) u_j / 2^(2j+1) from the recurrence."""
+    powers = []
+    for j, c in enumerate(u_recurrence_oracle(k)):
+        q, r = divmod((-1) ** (k - 1 - j) * c, 2 ** (2 * j + 1))
+        assert r == 0 and q > 0
+        powers.append(q)
+    return powers
+
+
+RECURRENCE_ORDERS = list(range(1, 41)) + [64, 255, 511]
+
+
 def u_binomial_oracle(k: int) -> list[int]:
-    """Closed-form coefficients u_j = (-1)^(k-1-j) 2^(2j+1) C(k+j, k-1-j),
-    an independent route that never touches the recurrence."""
+    """Closed-form coefficients u_j = (-1)^(k-1-j) 2^(2j+1) C(k+j, k-1-j)
+    with math.comb, not the package's ratio construction."""
     return [
         (-1) ** (k - 1 - j) * 2 ** (2 * j + 1) * math.comb(k + j, k - 1 - j)
         for j in range(k)
@@ -47,6 +74,10 @@ class TestUCoefficients:
             assert (c > 0) == ((k - 1 - j) % 2 == 0)
         # evaluation at x = 1: U_{2k-1}(1) = 2k
         assert sum(oc.u) == 2 * k
+
+    @pytest.mark.parametrize("k", RECURRENCE_ORDERS)
+    def test_matches_recurrence_oracle(self, k):
+        assert u_coefficients(k).u == tuple(u_recurrence_oracle(k))
 
     @pytest.mark.parametrize("bad", [0, -1, -7])
     def test_rejects_nonpositive_order(self, bad):
@@ -122,16 +153,26 @@ class TestVCoefficients:
         assert rule.v[0] == k
         assert rule.v[-1] == 1
 
-    @pytest.mark.parametrize("k", range(1, 13))
+    # k = 511 is the table `gjmsdet rules --k 511` prints
+    @pytest.mark.parametrize("k", [*range(1, 13), 511])
     def test_binomial_oracle(self, k):
-        # v_j(k) = C(k+j, k-1-j), independently of the u route
+        # v_j(k) = C(k+j, k-1-j), with math.comb, not the ratio construction
         assert list(v_coefficients(k).v) == [
             math.comb(k + j, k - 1 - j) for j in range(k)
         ]
 
+    @pytest.mark.parametrize("k", RECURRENCE_ORDERS)
+    def test_matches_recurrence_oracle(self, k):
+        assert v_coefficients(k).v == tuple(v_recurrence_oracle(k))
+
     def test_rejects_bad_order(self):
         with pytest.raises(ParameterError):
             v_coefficients(0)
+
+    @pytest.mark.parametrize("bad", [True, 2.5])
+    def test_rejects_non_integer_order(self, bad):
+        with pytest.raises(ParameterError):
+            v_coefficients(bad)
 
 
 def test_broken_u_table_is_detected():
@@ -141,3 +182,14 @@ def test_broken_u_table_is_detected():
         OddChebyshev(k=2, u=(4, 8))  # sign pattern broken
     with pytest.raises(InternalConsistencyError):
         OddChebyshev(k=2, u=(-4, 9))  # leading coefficient broken
+
+
+def test_broken_power_table_is_detected():
+    from gjmsdet.chebyshev import ProductRule
+
+    with pytest.raises(InternalConsistencyError):
+        ProductRule(k=3, v=(3, 0, 1))  # non-positive power
+    with pytest.raises(InternalConsistencyError):
+        ProductRule(k=3, v=(2, 4, 1))  # v[0] != k
+    with pytest.raises(InternalConsistencyError):
+        ProductRule(k=3, v=(3, 4))  # wrong length

@@ -147,6 +147,25 @@ class TestScanK:
         assert all(r.method == "product_rule" for r in rows)
 
 
+    def test_method_disagreement_is_numerical_failure(self, capsys, monkeypatch):
+        import gjmsdet.scans as scans
+
+        real = scans.logdet
+
+        def skewed(point, method, spec=None):
+            res = real(point, method, spec)
+            if method != "sum":
+                return res
+            return type(res)(res.value + 1e-6, res.err_estimate, res.method, res.point)
+
+        monkeypatch.setattr(scans, "logdet", skewed)
+        code, out, err = run(["scan-k", "--d", "5", "--method", "all"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "method disagreement at d=5, k=1" in err
+        assert "direct" in err and "sum" in err and "after 0 panels" not in err
+
+
 class TestLimiting:
     def test_default_range(self, capsys):
         code, out, _ = run(["limiting"], capsys)
@@ -202,6 +221,17 @@ class TestRules:
         code, out, _ = run(["rules", "--k", "5"], capsys)
         assert code == 0
         assert "P_2^5(d) P_2^20(d-2) P_2^21(d-4) P_2^8(d-6) P_2^1(d-8)" in out
+
+    def test_k511_prints_binomial_powers(self, capsys):
+        code, out, _ = run(["rules", "--k", "511"], capsys)
+        assert code == 0
+        head, factors = out.strip().split(" ~ ")
+        assert head == "P_1022(d)"
+        factors = factors.split(" ")
+        assert len(factors) == 511
+        for j, factor in enumerate(factors):
+            dim = "d" if j == 0 else f"d-{2 * j}"
+            assert factor == f"P_2^{math.comb(511 + j, 510 - j)}({dim})"
 
     def test_invalid_order(self, capsys):
         code, _, err = run(["rules", "--k", "0"], capsys)
@@ -269,6 +299,31 @@ class TestCsvFormat:
         ]
         with pytest.raises(AccuracyError):
             check_method_agreement(rows)
+
+    def test_agreement_guard_names_point_spread_and_routes(self):
+        from gjmsdet import AccuracyError, MethodDisagreementError
+
+        rows = [
+            ScanRow(5, 2, "direct", 0.1, 0.0),
+            ScanRow(5, 2, "sum", 0.1 + 1e-6, 0.0),
+            ScanRow(7, 2, "direct", -0.008, 0.0),
+        ]
+        with pytest.raises(MethodDisagreementError) as info:
+            check_method_agreement(rows)
+        exc = info.value
+        assert isinstance(exc, AccuracyError)
+        assert (exc.d, exc.k) == (5, 2)
+        assert exc.spread == (0.1 + 1e-6) - 0.1
+        assert exc.allowed == max(1e-9, 1e-8 * (0.1 + 1e-6))
+        assert exc.values == (("direct", 0.1), ("sum", 0.1 + 1e-6))
+        # the AccuracyError fields bracket every route
+        assert exc.panels_used == 0
+        for _, v in exc.values:
+            assert abs(v - exc.value) <= exc.err_estimate * (1 + 1e-12)
+        text = str(exc)
+        assert "d=5, k=2" in text
+        assert "direct 0.1" in text and f"sum {0.1 + 1e-6!r}" in text
+        assert "panels" not in text and "best value" not in text
 
     def test_agreement_guard_passes_close_rows(self):
         rows = [
