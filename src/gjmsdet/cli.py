@@ -20,19 +20,22 @@ from .errors import (
     ParameterError,
     UnsupportedArgumentError,
 )
-from .quadrature import QuadratureSpec
+from .quadrature import Tolerance
 from .scans import (
     ScanRow,
+    compute_rows,
     format_csv,
     max_pairwise_discrepancy,
     scan_k,
     scan_limiting,
     scan_paneitz,
-    select_methods,
     write_csv,
     write_svg,
 )
-from .spectral import SpherePoint, closed_form_p4, logdet
+from .spectral import SpherePoint, closed_form_p4
+
+# Unused (eval calls compute_rows); kept as perfbench/spans.py rebinds cli.logdet.
+from .spectral import logdet  # noqa: F401
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -42,25 +45,15 @@ EXIT_IO = 4
 _METHOD_CHOICES = ("direct", "sum", "chebyshev", "product", "all")
 
 
-def _spec_from(tol: Optional[float]) -> Optional[QuadratureSpec]:
-    if tol is None:
-        return None
-    # decay_rate is a placeholder here; each evaluation replaces the
-    # envelope fields with the exact values for its own integrand.
-    return QuadratureSpec(decay_rate=1.0, rel_tol=tol)
-
-
 def _cmd_eval(args) -> int:
     point = SpherePoint(args.d, args.k)
-    spec = _spec_from(args.tol)
+    rows = compute_rows([point], args.method, Tolerance(args.tol))
     print(f"d={point.d} k={point.k}")
-    values = []
-    for tag in select_methods(args.method):
-        res = logdet(point, tag, spec)
-        values.append(res.value)
-        print(f"{res.method:<13} {res.value:.17g}   err {res.err_estimate:.3g}")
-    if len(values) > 1:
-        print(f"max pairwise discrepancy: {max_pairwise_discrepancy(values):.3g}")
+    for row in rows:
+        print(f"{row.method:<13} {row.value:.17g}   err {row.err_estimate:.3g}")
+    if len(rows) > 1:
+        spread = max_pairwise_discrepancy([row.value for row in rows])
+        print(f"max pairwise discrepancy: {spread:.3g}")
     return EXIT_OK
 
 
@@ -84,17 +77,17 @@ def _emit_rows(args, rows: list[ScanRow], x_of_row, x_label: str) -> int:
 
 
 def _cmd_scan_k(args) -> int:
-    rows = scan_k(args.d, args.method, _spec_from(args.tol))
+    rows = scan_k(args.d, args.method, Tolerance(args.tol))
     return _emit_rows(args, rows, lambda r: r.k, "k")
 
 
 def _cmd_limiting(args) -> int:
-    rows = scan_limiting(args.d_min, args.d_max, args.method, _spec_from(args.tol))
+    rows = scan_limiting(args.d_min, args.d_max, args.method, Tolerance(args.tol))
     return _emit_rows(args, rows, lambda r: r.d, "d")
 
 
 def _cmd_paneitz(args) -> int:
-    rows = scan_paneitz(args.d_min, args.d_max, args.method, _spec_from(args.tol))
+    rows = scan_paneitz(args.d_min, args.d_max, args.method, Tolerance(args.tol))
     return _emit_rows(args, rows, lambda r: r.d, "d")
 
 
@@ -130,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_tol(p):
         p.add_argument(
-            "--tol", type=float, default=None, help="relative quadrature tolerance"
+            "--tol", type=float, default=Tolerance.rel_tol,
+            help="relative quadrature tolerance",
         )
 
     def add_output(p):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Those that carry data pickle
+by calling their constructor again (``__reduce__``), as the default would
+pass it the formatted message alone."""
 
 
 class ParameterError(ValueError):
@@ -24,7 +26,11 @@ class EvaluationError(RuntimeError):
 
     def __init__(self, message: str, abscissa: float):
         super().__init__(f"{message} (at x = {abscissa!r})")
+        self._message = message
         self.abscissa = abscissa
+
+    def __reduce__(self):
+        return type(self), (self._message, self.abscissa)
 
 
 class AccuracyError(RuntimeError):
@@ -36,9 +42,15 @@ class AccuracyError(RuntimeError):
             f"{message}: best value {value!r} with error estimate {err_estimate:.3e} "
             f"after {panels_used} panels"
         )
+        self._message = message
         self.value = value
         self.err_estimate = err_estimate
         self.panels_used = panels_used
+
+    def __reduce__(self):
+        return type(self), (
+            self._message, self.value, self.err_estimate, self.panels_used
+        )
 
 
 class MethodDisagreementError(AccuracyError):
@@ -66,3 +78,6 @@ class MethodDisagreementError(AccuracyError):
         self.value = 0.5 * min(route_values) + 0.5 * max(route_values)
         self.err_estimate = 0.5 * spread
         self.panels_used = 0
+
+    def __reduce__(self):
+        return type(self), (self.d, self.k, self.spread, self.allowed, self.values)

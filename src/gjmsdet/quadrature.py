@@ -128,7 +128,10 @@ class Envelopes:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances, budget and decay envelope for one semi-infinite integral.
+    """Tolerances, budget and decay envelope for one semi-infinite integral:
+    the argument of ``integrate_semi_infinite`` and nothing else.  The
+    log-determinant routes, the scans and the CLI take a ``Tolerance``, as
+    each route knows its own integrand's envelope.
 
     ``decay_rate`` is the exponent L of the envelope |f(x)| <= env_const *
     e^(-L x), valid for x >= env_start.  ``rel_tol``, ``abs_tol`` and

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import MethodDisagreementError, ParameterError
-from .quadrature import QuadratureSpec
+from .quadrature import Tolerance
 from .spectral import METHODS, SpherePoint, logdet
 
 __all__ = [
@@ -86,14 +86,14 @@ def check_method_agreement(rows: Sequence[ScanRow]) -> None:
 def compute_rows(
     points: Iterable[SpherePoint],
     method: str = "direct",
-    spec: Optional[QuadratureSpec] = None,
+    tolerance: Optional[Tolerance] = None,
 ) -> list[ScanRow]:
     """Evaluate the requested method(s) at each point, in (d, k) order."""
     methods = select_methods(method)
     rows = []
     for point in sorted(points, key=lambda p: (p.d, p.k)):
         for tag in methods:
-            res = logdet(point, tag, spec)
+            res = logdet(point, tag, tolerance)
             rows.append(
                 ScanRow(point.d, point.k, res.method, res.value, res.err_estimate)
             )
@@ -103,13 +103,13 @@ def compute_rows(
 
 
 def scan_k(
-    d: int, method: str = "direct", spec: Optional[QuadratureSpec] = None
+    d: int, method: str = "direct", tolerance: Optional[Tolerance] = None
 ) -> list[ScanRow]:
     """All allowed orders k = 1 .. (d-1)/2 at fixed dimension d."""
     points = [SpherePoint(d, k) for k in range(1, (d - 1) // 2 + 1)]
     if not points:
         raise ParameterError("d must be odd and >= 3")
-    return compute_rows(points, method, spec)
+    return compute_rows(points, method, tolerance)
 
 
 def _odd_range(d_min: int, d_max: int) -> list[int]:
@@ -124,18 +124,18 @@ def scan_limiting(
     d_min: int = 3,
     d_max: int = 21,
     method: str = "direct",
-    spec: Optional[QuadratureSpec] = None,
+    tolerance: Optional[Tolerance] = None,
 ) -> list[ScanRow]:
     """The limiting order k = (d-1)/2 across a range of odd dimensions."""
     points = [SpherePoint(d, (d - 1) // 2) for d in _odd_range(d_min, d_max)]
-    return compute_rows(points, method, spec)
+    return compute_rows(points, method, tolerance)
 
 
 def scan_paneitz(
     d_min: int = 5,
     d_max: int = 21,
     method: str = "direct",
-    spec: Optional[QuadratureSpec] = None,
+    tolerance: Optional[Tolerance] = None,
 ) -> list[ScanRow]:
     """The fourth-order (k = 2) operator across a range of odd dimensions.
 
@@ -145,7 +145,7 @@ def scan_paneitz(
     if d_min < 5:
         raise ParameterError("k = 2 needs d >= 5")
     points = [SpherePoint(d, 2) for d in _odd_range(d_min, d_max)]
-    return compute_rows(points, method, spec)
+    return compute_rows(points, method, tolerance)
 
 
 def format_csv(rows: Sequence[ScanRow]) -> str:

@@ -55,7 +55,7 @@ from .errors import (
     ParameterError,
     UnsupportedArgumentError,
 )
-from .quadrature import Envelopes, QuadratureSpec, Tolerance, integrate_rows
+from .quadrature import Envelopes, Tolerance, integrate_rows
 
 # Not called here (every route calls integrate_rows), but perfbench/spans.py
 # reads and rebinds spectral.integrate_semi_infinite, so the name stays.
@@ -188,25 +188,19 @@ def integrand_direct(point: SpherePoint, x):
     return logmag, np.ones_like(logmag)
 
 
-def _integrand_chebyshev(point: SpherePoint, x):
-    """Chebyshev-regrouped integrand: sinh^2(x/2) U_{2k-1}(cosh(x/2))
-    replaces sinh(x/2) sinh(kx), with U in its hyperbolic form
-    sinh(kx)/sinh(x/2) so the log-space pipeline stays finite at large x."""
-    xs = _check_abscissas(x)
+def _log_integrand_chebyshev(xs, a, p):
+    """Chebyshev regrouping of ``_log_integrand``: sinh^2(x/2) U_{2a-1}(cosh(x/2))
+    replaces sinh(x/2) sinh(a x), with U in its hyperbolic form
+    sinh(a x)/sinh(x/2) so the log-space pipeline stays finite at large x."""
     half = 0.5 * xs
-    log_u = _log_sinh(point.k * xs) - _log_sinh(half)
-    logmag = (
+    log_u = _log_sinh(a * xs) - _log_sinh(half)
+    return (
         _LNPI
         - np.log(xs * xs + _PISQ)
         + 2.0 * _log_sinh(half)
         + log_u
-        - (point.d + 1) * _log_cosh(half)
+        - p * _log_cosh(half)
     )
-    return logmag, 1.0
-
-
-def _tolerance(spec: Optional[QuadratureSpec]) -> Tolerance:
-    return Tolerance() if spec is None else spec.tolerance
 
 
 def _scaled(value: float, err: float, shift: int) -> Tuple[float, float]:
@@ -220,43 +214,21 @@ def _scaled(value: float, err: float, shift: int) -> Tuple[float, float]:
     return v, e
 
 
-def _single_route(point: SpherePoint, method: str, integrand, spec) -> LogDetResult:
-    """One integral with the direct integrand's envelope (a = k, p = d+1),
-    scaled by 2^-(d-1); the caller's spec contributes only its tolerance."""
-    log_const, rate = _envelope(point.k, point.d + 1)
-    res = integrate_rows(
-        lambda xs, row: integrand(xs), Envelopes(log_const, rate), _tolerance(spec)
-    )[0]
-    value, err = _scaled(res.value, res.err_estimate, 1 - point.d)
-    return LogDetResult(
-        value=point.sign * value, err_estimate=err, method=method, point=point
+def _integrals(
+    log_f, a, p, tolerance: Optional[Tolerance]
+) -> List[Tuple[float, float]]:
+    """2^-(p_r-2) times the integral over [0, inf) of exp(log_f) at (a_r, p_r),
+    value and estimate, for every row r of one batched quadrature call.
+    ``log_f`` is ``_log_integrand`` or its Chebyshev regrouping, which share
+    the envelope of ``_envelope``."""
+    a, p = np.broadcast_arrays(
+        np.array(a, dtype=float, ndmin=1), np.array(p, dtype=float, ndmin=1)
     )
-
-
-def logdet_direct(
-    point: SpherePoint, spec: Optional[QuadratureSpec] = None
-) -> LogDetResult:
-    """log det P_2k(d) from the single semi-infinite integral.
-
-    The decay rate is (d-2k)/2 and the envelope constant 2^(d-1) pi, both
-    exact consequences of the hyperbolic factors.
-    """
-    k, p = point.k, point.d + 1
-    return _single_route(
-        point, "direct", lambda xs: (_log_integrand(xs, k, p), 1.0), spec
-    )
-
-
-def _integrals(a, p, spec: Optional[QuadratureSpec]) -> List[Tuple[float, float]]:
-    """2^-(p_r-2) times the integral over [0, inf) of exp(_log_integrand)
-    at (a_r, p_r), value and estimate, for every row r of one batched
-    quadrature call."""
-    a, p = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(p, dtype=float))
     log_const, rate = _envelope(a, p)
     results = integrate_rows(
-        lambda xs, row: (_log_integrand(xs, a[row], p[row]), 1.0),
+        lambda xs, row: (log_f(xs, a[row], p[row]), 1.0),
         Envelopes(log_const, rate),
-        _tolerance(spec),
+        Tolerance() if tolerance is None else tolerance,
     )
     return [
         _scaled(res.value, res.err_estimate, 2 - pr)
@@ -264,7 +236,21 @@ def _integrals(a, p, spec: Optional[QuadratureSpec]) -> List[Tuple[float, float]
     ]
 
 
-def _factors(d: int, js: Sequence[int], spec) -> List[Tuple[float, float]]:
+def logdet_direct(
+    point: SpherePoint, tolerance: Optional[Tolerance] = None
+) -> LogDetResult:
+    """log det P_2k(d) from the single semi-infinite integral.
+
+    The decay rate is (d-2k)/2 and the envelope constant 2^(d-1) pi, both
+    exact consequences of the hyperbolic factors.
+    """
+    ((value, err),) = _integrals(_log_integrand, point.k, point.d + 1, tolerance)
+    return LogDetResult(point.sign * value, err, "direct", point)
+
+
+def _factors(
+    d: int, js: Sequence[int], tolerance: Optional[Tolerance]
+) -> List[Tuple[float, float]]:
     """Signed log det(B^2 - alpha_j^2) and its estimate for each j in js.
 
     cosh^d (not cosh^(d+1)) in the factor integrand, so the decay rate is
@@ -277,14 +263,14 @@ def _factors(d: int, js: Sequence[int], spec) -> List[Tuple[float, float]]:
         raise DivergentIntegralError(
             f"factor integral diverges: 2*alpha = {2 * max(alphas)} >= d = {d}"
         )
-    parts = _integrals(alphas, d, spec)
+    parts = _integrals(_log_integrand, alphas, d, tolerance)
     return [
         (-v if ((d - 1) // 2 + j + 1) % 2 else v, e) for j, (v, e) in zip(js, parts)
     ]
 
 
 def logdet_factor(
-    d: int, factor: FactorIndex, spec: Optional[QuadratureSpec] = None
+    d: int, factor: FactorIndex, tolerance: Optional[Tolerance] = None
 ) -> float:
     """log det(B^2 - alpha_j^2) on the odd d-sphere, alpha_j = j + 1/2.
 
@@ -292,15 +278,15 @@ def logdet_factor(
     why this, and not (-1)^((d-1)/2 + j), is the convention consistent with
     the direct k-th order integral.  Requires 2 alpha_j < d for convergence.
     """
-    return _factors(d, [factor.j], spec)[0][0]
+    return _factors(d, [factor.j], tolerance)[0][0]
 
 
 def logdet_sum(
-    point: SpherePoint, spec: Optional[QuadratureSpec] = None
+    point: SpherePoint, tolerance: Optional[Tolerance] = None
 ) -> LogDetResult:
     """log det P_2k(d) as the sum of its k per-factor determinants, all
     integrated in one batch."""
-    parts = _factors(point.d, range(point.k), spec)
+    parts = _factors(point.d, range(point.k), tolerance)
     return LogDetResult(
         value=math.fsum(v for v, _ in parts),
         err_estimate=math.fsum(e for _, e in parts),
@@ -310,44 +296,40 @@ def logdet_sum(
 
 
 def logdet_chebyshev(
-    point: SpherePoint, spec: Optional[QuadratureSpec] = None
+    point: SpherePoint, tolerance: Optional[Tolerance] = None
 ) -> LogDetResult:
     """log det P_2k(d) from the Chebyshev-regrouped integrand."""
-    return _single_route(
-        point, "chebyshev", lambda xs: _integrand_chebyshev(point, xs), spec
+    ((value, err),) = _integrals(
+        _log_integrand_chebyshev, point.k, point.d + 1, tolerance
     )
+    return LogDetResult(point.sign * value, err, "chebyshev", point)
 
 
 def logdet_product_rule(
-    point: SpherePoint, spec: Optional[QuadratureSpec] = None
+    point: SpherePoint, tolerance: Optional[Tolerance] = None
 ) -> LogDetResult:
     """log det P_2k(d) = sum_j v_j(k) log det P_2(d - 2j).
 
     The base values are the k = 1 direct integrals at descending odd
     dimensions d_j = d - 2j, integrated in one batch; for a valid point the
-    last dimension d - 2k + 2 is >= 3.
+    last dimension d - 2k + 2 is >= 3.  Raises UnsupportedArgumentError
+    where a power passes the binary64 range.
     """
-    last_d = point.d - 2 * (point.k - 1)
-    if last_d < 3:
-        raise ParameterError(
-            f"product rule would need dimension {last_d} < 3"
-        )
     rule = v_coefficients(point.k)
+    top = max(rule.v)
+    if top > sys.float_info.max:  # from k = 742 on
+        raise UnsupportedArgumentError(
+            f"product rule at k = {point.k} needs powers v_j(k) up to "
+            f"2^{top.bit_length() - 1}, past the binary64 limit "
+            f"{sys.float_info.max:.4g}"
+        )
     dims = [point.d - 2 * j for j in range(point.k)]
-    parts = _integrals(1.0, [dj + 1 for dj in dims], spec)
-    values = []
-    errors = []
-    for power, dj, (v, e) in zip(rule.v, dims, parts):
-        # sign of log det P_2(dj): (-1)^((dj-1)/2 + 1) = (-1)^((dj+1)/2)
-        sign = -1 if (dj + 1) // 2 % 2 else 1
-        values.append(power * (sign * v))
-        errors.append(power * e)
-    return LogDetResult(
-        value=math.fsum(values),
-        err_estimate=math.fsum(errors),
-        method="product_rule",
-        point=point,
-    )
+    parts = _integrals(_log_integrand, 1.0, [dj + 1 for dj in dims], tolerance)
+    # sign of log det P_2(dj): (-1)^((dj-1)/2 + 1) = (-1)^((dj+1)/2)
+    signs = [-1 if (dj + 1) // 2 % 2 else 1 for dj in dims]
+    value = math.fsum(w * (s * v) for w, s, (v, _) in zip(rule.v, signs, parts))
+    err = math.fsum(w * e for w, (_, e) in zip(rule.v, parts))
+    return LogDetResult(value, err, "product_rule", point)
 
 
 _METHOD_FUNCS = {
@@ -361,7 +343,7 @@ _METHOD_FUNCS = {
 def logdet(
     point: SpherePoint,
     method: str = "direct",
-    spec: Optional[QuadratureSpec] = None,
+    tolerance: Optional[Tolerance] = None,
 ) -> LogDetResult:
     """Dispatch to one of the four evaluation routes by tag."""
     try:
@@ -370,7 +352,7 @@ def logdet(
         raise UnsupportedArgumentError(
             f"unknown method {method!r}; expected one of {METHODS}"
         ) from None
-    return func(point, spec)
+    return func(point, tolerance)
 
 
 # Terms of Borwein's series: its truncation error is below 3 (3+sqrt 8)^-24,

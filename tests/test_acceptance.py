@@ -19,6 +19,7 @@ import numpy as np
 from gjmsdet import (
     QuadratureSpec,
     SpherePoint,
+    Tolerance,
     closed_form_p4,
     eval_u,
     integrand_direct,
@@ -61,7 +62,7 @@ def test_criterion_2_closed_form_consistency():
     """Closed forms (zeta at 1e-13) agree with tightened direct quadrature
     to 1e-9."""
     t0 = time.perf_counter()
-    tight = QuadratureSpec(decay_rate=1.0, rel_tol=1e-13)
+    tight = Tolerance(rel_tol=1e-13)
     for d in (5, 7):
         closed = closed_form_p4(d)
         direct = logdet_direct(SpherePoint(d, 2), tight)

@@ -79,6 +79,32 @@ class TestEval:
         assert code == 3
         assert "overflowed" in err
 
+    def test_method_disagreement_is_numerical_failure(self, capsys, monkeypatch):
+        import gjmsdet.scans as scans
+
+        real = scans.logdet
+
+        def skewed(point, method, tolerance=None):
+            res = real(point, method, tolerance)
+            if method != "sum":
+                return res
+            return type(res)(res.value + 1e-6, res.err_estimate, res.method, res.point)
+
+        monkeypatch.setattr(scans, "logdet", skewed)
+        code, out, err = run(["eval", "--d", "5", "--k", "2"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "method disagreement at d=5, k=2" in err
+
+    def test_product_rule_powers_past_binary64_are_usage_error(self, capsys):
+        # v_j(742) reaches 2^1024, which no binary64 number holds
+        code, out, err = run(
+            ["eval", "--d", "1485", "--k", "742", "--method", "product"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "k = 742" in err
+
 
 class TestScanK:
     def test_stdout_csv(self, capsys):

@@ -10,15 +10,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gjmsdet import errors
 from gjmsdet import (
     DivergentIntegralError,
     EvaluationError,
     METHODS,
     FactorIndex,
     ParameterError,
-    QuadratureSpec,
     SpherePoint,
+    Tolerance,
     UnsupportedArgumentError,
     closed_form_p4,
     integrand_direct,
@@ -43,7 +45,12 @@ REF_INTEGRAND_D5K2_X1 = 0.26570133120189691
 PRINTED_D5 = 0.104642
 PRINTED_D7 = -0.008297
 
-TIGHT = QuadratureSpec(decay_rate=1.0, rel_tol=1e-13)
+TIGHT = Tolerance(rel_tol=1e-13)
+
+PACKAGE_ERRORS = tuple(
+    cls for cls in vars(errors).values()
+    if isinstance(cls, type) and cls.__module__ == errors.__name__
+)
 
 
 class TestSpherePoint:
@@ -230,6 +237,15 @@ class TestLogdetProductRule:
         p = SpherePoint(9, 3)
         assert abs(logdet_product_rule(p).value - logdet_direct(p).value) < 1e-9
 
+    def test_powers_past_binary64_raise_typed_error(self):
+        # from k = 742 the largest power C(k+j, 2j+1) reaches 2^1024
+        with pytest.raises(UnsupportedArgumentError, match="k = 742.*binary64"):
+            logdet_product_rule(SpherePoint(1485, 742))
+
+    def test_last_order_with_binary64_powers(self):
+        res = logdet_product_rule(SpherePoint(1483, 741))
+        assert math.isfinite(res.value) and math.isfinite(res.err_estimate)
+
 
 class TestPastBinary64Envelope:
     """At d >= 1025 the envelope constant 2^(d-1) pi is not a binary64
@@ -266,6 +282,28 @@ class TestSubnormalScale:
         res = logdet(SpherePoint(d, 1), method)
         assert res.err_estimate > 0.0
         assert abs(Fraction(res.value) - Fraction(ref)) <= Fraction(res.err_estimate)
+
+
+@st.composite
+def sphere_points(draw, max_d=4001):
+    d = 2 * draw(st.integers(1, (max_d - 1) // 2)) + 1
+    return SpherePoint(d, draw(st.integers(1, (d - 1) // 2)))
+
+
+class TestEveryPointEndsCleanly:
+    """Every valid point gives a finite value with a finite estimate, or a
+    package error; never a raw exception such as OverflowError."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(sphere_points())
+    def test_finite_result_or_package_error(self, point):
+        for method in METHODS:
+            try:
+                res = logdet(point, method)
+            except PACKAGE_ERRORS:
+                continue
+            assert math.isfinite(res.value)
+            assert math.isfinite(res.err_estimate) and res.err_estimate >= 0.0
 
 
 class TestSignLaw:
