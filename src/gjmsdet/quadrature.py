@@ -26,12 +26,29 @@ row keeps the state a lone integral has: its truncation point and tail
 bound, its initial breaks, its target and per-panel budgets, and its count
 of panels evaluated.  The unresolved (row, panel) pairs of every row sit in
 flat arrays beside a row index, so one sweep bisects the panels of all rows
-and evaluates their children with vectorised calls ``f(x, row)``, a fixed
-number of panels at a time so memory stays flat.  Acceptance is decided per
-panel against its own row's budget, and a row's value is the exactly rounded
-(fsum) sum of its accepted panels, so every row returns the same value and
-panel count as when it is integrated alone.  ``integrate_semi_infinite`` is
-the one-row call.
+and evaluates their children.  Acceptance is decided per panel against its
+own row's budget, and a row's value is the exactly rounded (fsum) sum of its
+accepted panels, so every row returns the same value and panel count as
+when it is integrated alone.  ``integrate_semi_infinite`` is the one-row
+call.
+
+Rows of one batch often integrate over the same panels: their initial
+panels [0, 1], [1, 2], [2, 4], ... coincide up to each row's truncation
+point, and where several rows reject a panel they bisect it alike.  So a
+batch of _SHARED_ROWS rows or more keeps, per sweep, a table of the
+distinct panels, and each pair carries an index into it.  The children of a
+panel that several rows reject are made once, and the table is compacted
+each sweep with a flag array and its cumsum.  Smaller batches, and every
+one-row call, use their pairs' own panels as the table and gather nothing.
+
+The integrand is evaluated in two stages (``integrate_staged``): a shared
+stage, once per table panel, computes the terms that do not depend on the
+row; a per-pair stage, a fixed number of pairs at a time so memory stays
+flat, gathers those terms and adds the row-dependent parts.  A plain
+``f(x, row)`` is the two-stage integrand whose shared stage is empty.
+Splitting the work this way moves no value: pair order, budgets,
+acceptance and each row's fsum are those of a lone call, so a row's result
+is bit-identical to its lone call whatever it shares.
 
 There are no randomized abscissas; identical inputs give bit-identical
 results.  Everything here is stateless and safe to call concurrently as long
@@ -42,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple, Union
+from typing import Callable, List, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -73,6 +90,10 @@ _TAIL_TOL_FLOOR = 1e-300
 # Panels per integrand call: 4096 abscissas, so each temporary of one call
 # stays at 32 KB whatever the batch size.
 _CHUNK_PANELS = 128
+# Batches of fewer rows do not share panels: building and gathering from a
+# shared table costs more there than the shared stage saves (measured: 2 to
+# 5 rows were 8 to 20 % slower sharing, 10 rows about even, 17 rows faster).
+_SHARED_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -81,17 +102,22 @@ class Tolerance:
     batch.  ``rel_tol`` is the target relative error, ``abs_tol`` an
     absolute floor used both for near-zero integrals and for choosing the
     truncation point, ``max_panels`` the number of 32-node panel evaluations
-    each row may spend."""
+    each row may spend.  ``rel_tol`` must be positive and finite,
+    ``abs_tol`` finite and non-negative, ``max_panels`` an int of at least
+    4; anything else raises ParameterError."""
 
     rel_tol: float = 1e-11
     abs_tol: float = 1e-15
     max_panels: int = 4096
 
     def __post_init__(self) -> None:
-        if self.rel_tol <= 0:
-            raise ParameterError("rel_tol must be positive")
-        if self.abs_tol < 0:
-            raise ParameterError("abs_tol must be non-negative")
+        # written so that NaN, which fails every comparison, is rejected too
+        if not 0 < self.rel_tol < math.inf:
+            raise ParameterError("rel_tol must be positive and finite")
+        if not 0 <= self.abs_tol < math.inf:
+            raise ParameterError("abs_tol must be non-negative and finite")
+        if isinstance(self.max_panels, bool) or not isinstance(self.max_panels, int):
+            raise ParameterError("max_panels must be an integer")
         if self.max_panels < 4:
             raise ParameterError("max_panels must allow at least a few panels")
 
@@ -196,11 +222,44 @@ def truncation_point(c_bound: float, decay_rate: float, tol: float) -> float:
     return float(_truncation(math.log(c_bound), decay_rate, tol))
 
 
-def _eval_chunk(f: RowIntegrand, lo: np.ndarray, hi: np.ndarray, row: np.ndarray):
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = center[:, None] + half[:, None] * _NODES
-    logmag, sign = f(x.reshape(-1), row.repeat(_GAUSS_ORDER))
+class _PlainIntegrand:
+    """A row integrand ``f(x, row)`` as a two-stage integrand with nothing
+    shared: it receives flat abscissas and rows, as ``integrate_rows``
+    promises."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: RowIntegrand) -> None:
+        self.f = f
+
+    def shared(self, x: np.ndarray) -> Tuple[np.ndarray, ...]:
+        return ()
+
+    def per_pair(self, terms, x: np.ndarray, row: np.ndarray):
+        return self.f(x.reshape(-1), row.repeat(x.shape[1]))
+
+
+class RowArrays(NamedTuple):
+    """What ``integrate_staged`` returns, one entry per row: the fields of
+    ``IntegralResult`` as arrays."""
+
+    value: np.ndarray
+    err_estimate: np.ndarray
+    panels_used: np.ndarray
+    truncation_point: np.ndarray
+
+
+def _abscissas(center: np.ndarray, half: np.ndarray) -> np.ndarray:
+    return center[:, None] + half[:, None] * _NODES
+
+
+def _eval_chunk(integrand, center, half, x, terms, row):
+    """Gauss value and absolute mass of each of a chunk of pairs, from the
+    centers, half-widths and abscissas of their panels and the shared terms
+    gathered to them; with ``terms`` None, the shared stage runs here."""
+    if terms is None:
+        terms = integrand.shared(x)
+    logmag, sign = integrand.per_pair(terms, x, row[:, None])
     logmag = np.asarray(logmag, dtype=float).reshape(x.shape)
     fx = np.exp(logmag)
     sign = np.asarray(sign, dtype=float)
@@ -208,9 +267,9 @@ def _eval_chunk(f: RowIntegrand, lo: np.ndarray, hi: np.ndarray, row: np.ndarray
         fx *= sign.reshape(x.shape)
     elif sign != 1.0:
         fx *= sign
-    weighted = fx * _WEIGHTS
-    vals = weighted.sum(axis=1) * half
-    mass = np.abs(weighted, out=weighted).sum(axis=1) * half
+    fx *= _WEIGHTS
+    vals = fx.sum(axis=1) * half
+    mass = np.abs(fx, out=fx).sum(axis=1) * half
     # A NaN or infinite sample, or a panel sum past binary64, leaves its
     # panel's mass non-finite, so one check on the masses guards them all.
     bad = ~np.isfinite(mass)
@@ -221,7 +280,8 @@ def _eval_chunk(f: RowIntegrand, lo: np.ndarray, hi: np.ndarray, row: np.ndarray
 
 def _raise_non_finite(x, logmag, fx, center: float):
     """The EvaluationError for panels whose mass is not finite, naming the
-    first offending abscissa."""
+    first offending abscissa.  ``fx`` holds |w f|, which is finite exactly
+    where f is."""
     bad = np.isnan(logmag) | (logmag == np.inf)
     if bad.any():
         raise EvaluationError("integrand log-magnitude is not finite", float(x[bad][0]))
@@ -231,32 +291,115 @@ def _raise_non_finite(x, logmag, fx, center: float):
     raise EvaluationError("panel Gauss sum overflowed", center)
 
 
-def _eval_panels(f: RowIntegrand, lo: np.ndarray, hi: np.ndarray, row: np.ndarray):
-    """Gauss values of row ``row[i]``'s integrand over each [lo_i, hi_i]; also
-    the absolute mass sum |w f| h of each panel, used for the round-off
-    floor.  Evaluated _CHUNK_PANELS panels at a time."""
-    if lo.size <= _CHUNK_PANELS:
-        return _eval_chunk(f, lo, hi, row)
-    vals = np.empty(lo.size)
-    mass = np.empty(lo.size)
-    for s in range(0, lo.size, _CHUNK_PANELS):
+def _shared_stage(integrand, center: np.ndarray, half: np.ndarray):
+    """The abscissas of every panel of a table and the shared stage at them,
+    _CHUNK_PANELS panels a call."""
+    xs, parts = [], []
+    for s in range(0, center.size, _CHUNK_PANELS):
+        xs.append(_abscissas(center[s:s + _CHUNK_PANELS], half[s:s + _CHUNK_PANELS]))
+        parts.append(integrand.shared(xs[-1]))
+    if len(parts) == 1:
+        return xs[0], parts[0]
+    return np.concatenate(xs), [np.concatenate(t) for t in zip(*parts)]
+
+
+def _eval_panels(integrand, lo: np.ndarray, hi: np.ndarray, pidx, row: np.ndarray):
+    """Gauss values of each (row, panel) pair: pair i integrates row
+    ``row[i]`` over table panel [lo, hi][pidx[i]], or over [lo_i, hi_i] when
+    ``pidx`` is None.  Also the absolute mass sum |w f| h of each pair, used
+    for the round-off floor.
+
+    The shared stage runs once per table panel, the per-pair stage
+    _CHUNK_PANELS pairs at a time on gathered abscissas and shared terms.
+    When ``pidx`` is None the table is the pairs' own, and each chunk runs
+    both stages on its own abscissas with nothing gathered."""
+    center = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    if pidx is not None:
+        xs, terms = _shared_stage(integrand, center, half)
+
+    def chunk(s, e):
+        if pidx is None:
+            c, h = center[s:e], half[s:e]
+            return _eval_chunk(integrand, c, h, _abscissas(c, h), None, row[s:e])
+        idx = pidx[s:e]
+        return _eval_chunk(
+            integrand, center[idx], half[idx], xs[idx], [t[idx] for t in terms], row[s:e]
+        )
+
+    if row.size <= _CHUNK_PANELS:
+        return chunk(0, row.size)
+    vals = np.empty(row.size)
+    mass = np.empty(row.size)
+    for s in range(0, row.size, _CHUNK_PANELS):
         e = s + _CHUNK_PANELS
-        vals[s:e], mass[s:e] = _eval_chunk(f, lo[s:e], hi[s:e], row[s:e])
+        vals[s:e], mass[s:e] = chunk(s, e)
     return vals, mass
 
 
 def _initial_panels(x_max: np.ndarray):
     """Each row's first panels, [0, 1], [1, 2], [2, 4], ..., [2^m, x_max]
-    with 2^m < x_max <= 2^(m+1), flattened: (lo, hi, row, panels per row)."""
+    with 2^m < x_max <= 2^(m+1): (lo, hi, pidx, row, panels per row).
+
+    Pair i, of row row[i], is panel pidx[i] of the table (lo, hi).  With
+    _SHARED_ROWS rows or more, the table holds each distinct panel once:
+    first the panels ending at a power of two, which every row shares up to
+    its own, then one last panel per distinct x_max.  With fewer rows, the
+    table is the pairs' own panels in order, and pidx is None.
+    """
     mant, exp = np.frexp(x_max)  # x_max = mant 2^exp, 1/2 <= mant < 1
     counts = exp + 1 - (mant == 0.5)
     ends = counts.cumsum()
     row = np.arange(x_max.size).repeat(counts)
-    hi = np.ldexp(1.0, np.arange(ends[-1]) - (ends - counts)[row])
+    j = np.arange(ends[-1]) - (ends - counts)[row]  # panel j of its row
+    hi = np.ldexp(1.0, j)
     lo = 0.5 * hi
-    lo[ends - counts] = 0.0
+    lo[j == 0] = 0.0
     hi[ends - 1] = x_max
-    return lo, hi, row, counts
+    if x_max.size < _SHARED_ROWS:
+        return lo, hi, None, row, counts
+    distinct, first, inverse = np.unique(x_max, return_index=True, return_inverse=True)
+    top = counts.argmax()  # its panels before the last are every row's
+    shared = slice(ends[top] - counts[top], ends[top] - 1)
+    pidx = j
+    pidx[ends - 1] = counts[top] - 1 + inverse
+    table_lo = np.concatenate((lo[shared], lo[ends[first] - 1]))
+    table_hi = np.concatenate((hi[shared], distinct))
+    return table_lo, table_hi, pidx, row, counts
+
+
+def _select(lo: np.ndarray, hi: np.ndarray, pidx, keep: np.ndarray):
+    """The table and indices of the pairs where ``keep``: a table of the
+    pairs' own shrinks with them, a shared one is compacted by ``_distinct``."""
+    if pidx is None:
+        return lo[keep], hi[keep], None
+    return lo, hi, pidx[keep]
+
+
+def _distinct(lo: np.ndarray, hi: np.ndarray, pidx):
+    """The table panels some pair points at, in table order, and the pairs'
+    indices into them: a flag array and its cumsum, with no sort."""
+    if pidx is None:
+        return lo, hi, None
+    used = np.zeros(lo.size, dtype=bool)
+    used[pidx] = True
+    renumber = used.cumsum() - 1
+    return lo[used], hi[used], renumber[pidx]
+
+
+def _bisect(lo: np.ndarray, hi: np.ndarray, pidx):
+    """The halves of every table panel, left then right, and the indices of
+    each pair's two children."""
+    mid = 0.5 * (lo + hi)
+    child_lo = lo.repeat(2)
+    child_lo[1::2] = mid
+    child_hi = hi.repeat(2)
+    child_hi[0::2] = mid
+    if pidx is None:
+        return child_lo, child_hi, None
+    child_pidx = (2 * pidx).repeat(2)
+    child_pidx[1::2] += 1
+    return child_lo, child_hi, child_pidx
 
 
 def _row_sums(vals: np.ndarray, counts: np.ndarray):
@@ -289,7 +432,8 @@ def integrate_rows(
     """Approximate int_0^inf f_r(x) dx for every row r of ``envelopes``.
 
     ``f(x, row)`` evaluates, at each abscissa x[i], the integrand of row
-    row[i] and returns ``(log|f|, sign)``.  Returns one IntegralResult per
+    row[i] and returns ``(log|f|, sign)``; it receives at most
+    _CHUNK_PANELS * 32 abscissas a call.  Returns one IntegralResult per
     row, each identical to what the row would give integrated alone; its
     ``err_estimate`` adds three honest contributions: the accepted
     two-level panel differences, the analytic tail bound at the truncation
@@ -301,21 +445,35 @@ def integrate_rows(
     sum or integral that overflows binary64.  Overflow is reported by that
     error alone: numpy's overflow warnings are silenced for the call.
     """
+    rows = integrate_staged(_PlainIntegrand(f), envelopes, tolerance)
+    return [IntegralResult(*fields) for fields in zip(*(a.tolist() for a in rows))]
+
+
+def integrate_staged(integrand, envelopes: Envelopes, tolerance: Tolerance) -> RowArrays:
+    """``integrate_rows`` for a two-stage integrand, returning the rows'
+    results as arrays rather than IntegralResult objects.
+
+    ``integrand.shared(x)`` takes a 2-D array of abscissas, one panel a
+    line, and returns a sequence of arrays of its shape: the terms every row
+    shares.  ``integrand.per_pair(terms, x, row)`` takes those terms
+    gathered to the panels of a chunk of (row, panel) pairs, the pairs'
+    abscissas and a column of their rows, and returns ``(log|f|, sign)``.
+    Each row's value, estimate and panel count, and every error raised, are
+    those of evaluating both stages on the pairs' own abscissas.
+    """
     with np.errstate(over="ignore"):
-        return _integrate_rows(f, envelopes, tolerance)
+        return _integrate_rows(integrand, envelopes, tolerance)
 
 
-def _integrate_rows(
-    f: RowIntegrand, envelopes: Envelopes, tolerance: Tolerance
-) -> List[IntegralResult]:
+def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> RowArrays:
     n_rows = len(envelopes)
     log_c, rate = envelopes.log_const, envelopes.rate
     tail_tol = max(tolerance.abs_tol, _TAIL_TOL_FLOOR)
     x_max = np.maximum(_truncation(log_c, rate, tail_tol), envelopes.start)
     tail = np.exp(log_c - rate * x_max) / rate
 
-    lo, hi, row, counts = _initial_panels(x_max)
-    vals, _ = _eval_panels(f, lo, hi, row)
+    lo, hi, pidx, row, counts = _initial_panels(x_max)
+    vals, _ = _eval_panels(integrand, lo, hi, pidx, row)
     panels = counts.copy()
 
     rough, peak = _row_sums(vals, counts)
@@ -331,7 +489,7 @@ def _integrate_rows(
     accepted_mass = np.zeros(n_rows)
     failures = {}
 
-    while lo.size:
+    while row.size:
         needed = 2 * np.bincount(row, minlength=n_rows)
         over = (needed > 0) & (panels + needed > tolerance.max_panels)
         if np.count_nonzero(over):
@@ -345,23 +503,24 @@ def _integrate_rows(
                     panels_used=int(panels[r]),
                 )
             keep = ~over[row]
-            lo, hi, vals, row, budgets = lo[keep], hi[keep], vals[keep], row[keep], budgets[keep]
-            if not lo.size:
+            lo, hi, pidx = _select(lo, hi, pidx, keep)
+            vals, row, budgets = vals[keep], row[keep], budgets[keep]
+            if not row.size:
                 break
             needed[over] = 0
         panels += needed
 
-        mid = 0.5 * (lo + hi)
-        child_lo = lo.repeat(2)
-        child_lo[1::2] = mid
-        child_hi = hi.repeat(2)
-        child_hi[0::2] = mid
+        lo, hi, pidx = _distinct(lo, hi, pidx)
+        width = hi - lo if pidx is None else (hi - lo)[pidx]
+        child_lo, child_hi, child_pidx = _bisect(lo, hi, pidx)
         child_row = row.repeat(2)
-        child_vals, child_mass = _eval_panels(f, child_lo, child_hi, child_row)
+        child_vals, child_mass = _eval_panels(
+            integrand, child_lo, child_hi, child_pidx, child_row
+        )
 
         pair = child_vals[0::2] + child_vals[1::2]
         delta = np.abs(vals - pair)
-        accept = (delta <= budgets) | ((hi - lo) <= min_width[row])
+        accept = (delta <= budgets) | (width <= min_width[row])
 
         if np.count_nonzero(accept):
             taken = accept.repeat(2)
@@ -372,7 +531,8 @@ def _integrate_rows(
 
         rejected = ~accept
         taken = rejected.repeat(2)
-        lo, hi, vals, row = child_lo[taken], child_hi[taken], child_vals[taken], child_row[taken]
+        lo, hi, pidx = _select(child_lo, child_hi, child_pidx, taken)
+        vals, row = child_vals[taken], child_row[taken]
         budgets = (budgets[rejected] * 0.5).repeat(2)
 
     if failures:
@@ -385,17 +545,14 @@ def _integrate_rows(
         all_rows = np.concatenate(accepted_rows)
         leaves = np.bincount(all_rows, minlength=n_rows)
         by_row = by_row[np.argsort(all_rows, kind="stable")]
+    flat = by_row.tolist()
     ends = leaves.cumsum().tolist()
+    value = np.array([
+        _fsum(flat[end - n:end], x)
+        for end, n, x in zip(ends, leaves.tolist(), x_max.tolist())
+    ])
     err = accepted_err + tail + 8.0 * _EPS * accepted_mass
-    return [
-        IntegralResult(
-            value=_fsum(by_row[end - n:end].tolist(), x),
-            err_estimate=e,
-            panels_used=n,
-            truncation_point=x,
-        )
-        for end, e, n, x in zip(ends, err.tolist(), leaves.tolist(), x_max.tolist())
-    ]
+    return RowArrays(value, err, leaves, x_max)
 
 
 def integrate_semi_infinite(f: LogIntegrand, spec: QuadratureSpec) -> IntegralResult:

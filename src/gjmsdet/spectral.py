@@ -55,9 +55,9 @@ from .errors import (
     ParameterError,
     UnsupportedArgumentError,
 )
-from .quadrature import Envelopes, Tolerance, integrate_rows
+from .quadrature import Envelopes, Tolerance, integrate_staged
 
-# Not called here (every route calls integrate_rows), but perfbench/spans.py
+# Not called here (every route calls integrate_staged), but perfbench/spans.py
 # reads and rebinds spectral.integrate_semi_infinite, so the name stays.
 from .quadrature import integrate_semi_infinite  # noqa: F401
 
@@ -134,13 +134,26 @@ class LogDetResult:
 
 
 def _log_sinh(t):
-    """log(sinh t) for t > 0, stable for both tiny and huge t."""
-    return t + np.log(-np.expm1(-2.0 * t)) - _LN2
+    """log(sinh t) = t + log(-expm1(-2t)) - log 2 for an array t > 0, stable
+    for both tiny and huge t; computed in one new array."""
+    u = -2.0 * t
+    np.expm1(u, out=u)
+    np.negative(u, out=u)
+    np.log(u, out=u)
+    u += t
+    u -= _LN2
+    return u
 
 
 def _log_cosh(t):
-    """log(cosh t) for t >= 0, stable for huge t."""
-    return t + np.log1p(np.exp(-2.0 * t)) - _LN2
+    """log(cosh t) = t + log1p(exp(-2t)) - log 2 for an array t >= 0, stable
+    for huge t; computed in one new array."""
+    u = -2.0 * t
+    np.exp(u, out=u)
+    np.log1p(u, out=u)
+    u += t
+    u -= _LN2
+    return u
 
 
 def _check_abscissas(x):
@@ -150,28 +163,69 @@ def _check_abscissas(x):
     return xs
 
 
-def _log_integrand(xs, a, p):
-    """log of  pi/(x^2+pi^2) sinh(x/2) sinh(a x) / cosh^p(x/2)  at x > 0.
+class _LogIntegrand:
+    """log of  pi/(x^2+pi^2) sinh(x/2) sinh(a_r x) / cosh^p_r(x/2)  at x > 0
+    for the rows r of ``a`` and ``p``, evaluated in the quadrature's two
+    stages.
 
-    The one integrand behind every route but chebyshev: the direct integral
-    is a = k, p = d+1; factor j of ``sum`` is a = j+1/2, p = d; base j of
-    ``product_rule`` is a = 1, p = d-2j+1.  ``a`` and ``p`` broadcast
-    against ``xs``, so a batch of rows passes them gathered per abscissa.
+    The one integrand behind every route: the direct integral is a = k,
+    p = d+1; factor j of ``sum`` is a = j+1/2, p = d; base j of
+    ``product_rule`` is a = 1, p = d-2j+1.  With ``regrouped`` it is the
+    Chebyshev regrouping of ``chebyshev``: sinh^2(x/2) U_{2a-1}(cosh(x/2))
+    replaces sinh(x/2) sinh(a x), with U in its hyperbolic form
+    sinh(a x)/sinh(x/2) so the log-space pipeline stays finite at large x.
+
+    The shared stage computes the terms free of a and p, and the sinh(a x)
+    term too when every row has the same a; the per-pair stage adds the
+    rest.  Both keep the operation order of the single expression, so a
+    row's values do not depend on what it shares.
     """
-    half = 0.5 * xs
-    return (
-        _LNPI
-        - np.log(xs * xs + _PISQ)
-        + _log_sinh(half)
-        + _log_sinh(a * xs)
-        - p * _log_cosh(half)
-    )
+
+    __slots__ = ("a", "p", "regrouped", "common_a")
+
+    def __init__(self, a, p, regrouped: bool = False) -> None:
+        a = np.array(a, dtype=float, ndmin=1)
+        p = np.array(p, dtype=float, ndmin=1)
+        self.common_a = float(a[0]) if a.size == 1 or (a == a[0]).all() else None
+        self.a, self.p = (a, p) if a.size == p.size else np.broadcast_arrays(a, p)
+        self.regrouped = regrouped
+
+    def _sinh_term(self, a, x, log_sinh_half):
+        """log sinh(a x), or log(sinh(a x)/sinh(x/2)) when regrouped."""
+        log_sinh = _log_sinh(a * x)
+        if self.regrouped:
+            log_sinh -= log_sinh_half
+        return log_sinh
+
+    def shared(self, x):
+        """The row-free terms: the head, log pi/(x^2+pi^2) plus one or two
+        log sinh(x/2) and the sinh term if every row has the same a; and
+        log cosh(x/2)."""
+        half = 0.5 * x
+        log_sinh_half = _log_sinh(half)
+        head = x * x
+        head += _PISQ
+        np.log(head, out=head)
+        np.subtract(_LNPI, head, out=head)
+        head += 2.0 * log_sinh_half if self.regrouped else log_sinh_half
+        if self.common_a is not None:
+            head += self._sinh_term(self.common_a, x, log_sinh_half)
+        return head, _log_cosh(half)
+
+    def per_pair(self, terms, x, row):
+        head, log_cosh_half = terms
+        logmag = self.p[row] * log_cosh_half
+        if self.common_a is None:
+            log_sinh_half = _log_sinh(0.5 * x) if self.regrouped else None
+            head = head + self._sinh_term(self.a[row], x, log_sinh_half)
+        return np.subtract(head, logmag, out=logmag), 1.0
 
 
 def _envelope(a, p):
-    """(log C, L) of the decay envelope C e^(-L x) of ``_log_integrand``:
+    """(log C, L) of the decay envelope C e^(-L x) of ``_LogIntegrand``:
     C = 2^(p-2) pi, L = (p-1-2a)/2, with C kept in log space because it
-    passes the binary64 range from p = 1026 on."""
+    passes the binary64 range from p = 1026 on.  The regrouping has the same
+    integrand, so the same envelope."""
     return _LNPI + (p - 2) * _LN2, 0.5 * (p - 1 - 2 * a)
 
 
@@ -182,58 +236,41 @@ def integrand_direct(point: SpherePoint, x):
     strictly positive, so the sign is always +1.  Accepts a scalar or an
     ndarray of abscissas.
     """
-    logmag = _log_integrand(_check_abscissas(x), point.k, point.d + 1)
+    xs = _check_abscissas(x)
+    f = _LogIntegrand(point.k, point.d + 1)
+    flat = xs.reshape(-1)
+    logmag = f.per_pair(f.shared(flat), flat, 0)[0].reshape(xs.shape)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(logmag), 1
     return logmag, np.ones_like(logmag)
 
 
-def _log_integrand_chebyshev(xs, a, p):
-    """Chebyshev regrouping of ``_log_integrand``: sinh^2(x/2) U_{2a-1}(cosh(x/2))
-    replaces sinh(x/2) sinh(a x), with U in its hyperbolic form
-    sinh(a x)/sinh(x/2) so the log-space pipeline stays finite at large x."""
-    half = 0.5 * xs
-    log_u = _log_sinh(a * xs) - _log_sinh(half)
-    return (
-        _LNPI
-        - np.log(xs * xs + _PISQ)
-        + 2.0 * _log_sinh(half)
-        + log_u
-        - p * _log_cosh(half)
-    )
-
-
-def _scaled(value: float, err: float, shift: int) -> Tuple[float, float]:
-    """value * 2^shift and err * 2^shift.  Exact while both stay normal;
-    below 2^-1022 ldexp rounds each to the subnormal spacing 2^-1074 (a
-    value may round to 0), so the estimate is then widened to cover both
-    roundings and is never lost to underflow."""
-    v, e = math.ldexp(value, shift), math.ldexp(err, shift)
-    if abs(v) < sys.float_info.min or e < sys.float_info.min:
-        e = math.nextafter(e + math.ulp(0.0), math.inf)
-    return v, e
-
-
 def _integrals(
-    log_f, a, p, tolerance: Optional[Tolerance]
-) -> List[Tuple[float, float]]:
-    """2^-(p_r-2) times the integral over [0, inf) of exp(log_f) at (a_r, p_r),
-    value and estimate, for every row r of one batched quadrature call.
-    ``log_f`` is ``_log_integrand`` or its Chebyshev regrouping, which share
-    the envelope of ``_envelope``."""
-    a, p = np.broadcast_arrays(
-        np.array(a, dtype=float, ndmin=1), np.array(p, dtype=float, ndmin=1)
-    )
-    log_const, rate = _envelope(a, p)
-    results = integrate_rows(
-        lambda xs, row: (log_f(xs, a[row], p[row]), 1.0),
+    a, p, tolerance: Optional[Tolerance], regrouped: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """2^-(p_r-2) times the integral over [0, inf) of ``_LogIntegrand`` at
+    (a_r, p_r), values and estimates as arrays, for every row r of one
+    batched quadrature call.
+
+    The scale is applied with ``np.ldexp``: exact while a value and its
+    estimate stay normal.  Below 2^-1022 ldexp rounds each to the subnormal
+    spacing 2^-1074 (a value may round to 0), so the estimate is then
+    widened to cover both roundings and is never lost to underflow.
+    """
+    integrand = _LogIntegrand(a, p, regrouped)
+    log_const, rate = _envelope(integrand.a, integrand.p)
+    rows = integrate_staged(
+        integrand,
         Envelopes(log_const, rate),
         Tolerance() if tolerance is None else tolerance,
     )
-    return [
-        _scaled(res.value, res.err_estimate, 2 - pr)
-        for res, pr in zip(results, p.astype(int).tolist())
-    ]
+    shift = 2 - integrand.p.astype(int)
+    value = np.ldexp(rows.value, shift)
+    err = np.ldexp(rows.err_estimate, shift)
+    tiny = np.minimum(np.abs(value), err) < sys.float_info.min
+    if np.count_nonzero(tiny):
+        err[tiny] = np.nextafter(err[tiny] + math.ulp(0.0), math.inf)
+    return value, err
 
 
 def logdet_direct(
@@ -244,14 +281,14 @@ def logdet_direct(
     The decay rate is (d-2k)/2 and the envelope constant 2^(d-1) pi, both
     exact consequences of the hyperbolic factors.
     """
-    ((value, err),) = _integrals(_log_integrand, point.k, point.d + 1, tolerance)
-    return LogDetResult(point.sign * value, err, "direct", point)
+    value, err = _integrals(point.k, point.d + 1, tolerance)
+    return LogDetResult(point.sign * float(value[0]), float(err[0]), "direct", point)
 
 
 def _factors(
     d: int, js: Sequence[int], tolerance: Optional[Tolerance]
-) -> List[Tuple[float, float]]:
-    """Signed log det(B^2 - alpha_j^2) and its estimate for each j in js.
+) -> Tuple[List[float], List[float]]:
+    """Signed log det(B^2 - alpha_j^2) for each j in js, and the estimates.
 
     cosh^d (not cosh^(d+1)) in the factor integrand, so the decay rate is
     (d - 2 - 2j)/2; for odd d it is >= 1/2 exactly when 2*alpha_j < d.
@@ -263,10 +300,11 @@ def _factors(
         raise DivergentIntegralError(
             f"factor integral diverges: 2*alpha = {2 * max(alphas)} >= d = {d}"
         )
-    parts = _integrals(_log_integrand, alphas, d, tolerance)
-    return [
-        (-v if ((d - 1) // 2 + j + 1) % 2 else v, e) for j, (v, e) in zip(js, parts)
+    values, errs = _integrals(alphas, d, tolerance)
+    signed = [
+        -v if ((d - 1) // 2 + j + 1) % 2 else v for j, v in zip(js, values.tolist())
     ]
+    return signed, errs.tolist()
 
 
 def logdet_factor(
@@ -286,10 +324,10 @@ def logdet_sum(
 ) -> LogDetResult:
     """log det P_2k(d) as the sum of its k per-factor determinants, all
     integrated in one batch."""
-    parts = _factors(point.d, range(point.k), tolerance)
+    values, errs = _factors(point.d, range(point.k), tolerance)
     return LogDetResult(
-        value=math.fsum(v for v, _ in parts),
-        err_estimate=math.fsum(e for _, e in parts),
+        value=math.fsum(values),
+        err_estimate=math.fsum(errs),
         method="sum",
         point=point,
     )
@@ -299,10 +337,8 @@ def logdet_chebyshev(
     point: SpherePoint, tolerance: Optional[Tolerance] = None
 ) -> LogDetResult:
     """log det P_2k(d) from the Chebyshev-regrouped integrand."""
-    ((value, err),) = _integrals(
-        _log_integrand_chebyshev, point.k, point.d + 1, tolerance
-    )
-    return LogDetResult(point.sign * value, err, "chebyshev", point)
+    value, err = _integrals(point.k, point.d + 1, tolerance, regrouped=True)
+    return LogDetResult(point.sign * float(value[0]), float(err[0]), "chebyshev", point)
 
 
 def logdet_product_rule(
@@ -324,11 +360,11 @@ def logdet_product_rule(
             f"{sys.float_info.max:.4g}"
         )
     dims = [point.d - 2 * j for j in range(point.k)]
-    parts = _integrals(_log_integrand, 1.0, [dj + 1 for dj in dims], tolerance)
+    values, errs = _integrals(1.0, [dj + 1 for dj in dims], tolerance)
     # sign of log det P_2(dj): (-1)^((dj-1)/2 + 1) = (-1)^((dj+1)/2)
     signs = [-1 if (dj + 1) // 2 % 2 else 1 for dj in dims]
-    value = math.fsum(w * (s * v) for w, s, (v, _) in zip(rule.v, signs, parts))
-    err = math.fsum(w * e for w, (_, e) in zip(rule.v, parts))
+    value = math.fsum(w * (s * v) for w, s, v in zip(rule.v, signs, values.tolist()))
+    err = math.fsum(w * e for w, e in zip(rule.v, errs.tolist()))
     return LogDetResult(value, err, "product_rule", point)
 
 

@@ -61,6 +61,13 @@ class TestEval:
         assert code == 0
         assert abs(float(out.strip().split("\n")[1].split()[1]) - 0.104642) < 5e-6
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_unusable_tol_is_usage_error(self, tol, capsys):
+        code, out, err = run(["eval", "--d", "5", "--k", "2", "--tol", tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert "rel_tol must be positive and finite" in err
+
     def test_past_binary64_envelope_d1025(self, capsys):
         # the envelope constant 2^1024 pi overflows binary64; frozen
         # reference from tests/_oracles.py

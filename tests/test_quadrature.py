@@ -18,6 +18,7 @@ from gjmsdet import (
     integrate_semi_infinite,
     truncation_point,
 )
+from gjmsdet.quadrature import integrate_staged
 
 # np.trapz on numpy 1.x, renamed on 2.x
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -264,6 +265,153 @@ class TestIntegrateRows:
         assert max(calls) <= 128 * 32 and len(calls) > 3
         for rate, res in zip(rates, batch):
             assert abs(res.value - 1.0 / rate) <= 10.0 * res.err_estimate + 1e-15
+
+
+def _same_rows(got, want):
+    assert [
+        (r.value, r.err_estimate, r.panels_used, r.truncation_point) for r in got
+    ] == [(r.value, r.err_estimate, r.panels_used, r.truncation_point) for r in want]
+
+
+class _Staged:
+    """e^(shift_r - rate_r x) / (1 + x^2) as a two-stage integrand: the
+    shared stage computes log1p(x^2) (NaN beyond ``nan_beyond``).  Counts
+    the abscissas each stage receives, and the most panels one call gets."""
+
+    def __init__(self, shift, rate, nan_beyond=math.inf):
+        self.shift, self.rate = np.asarray(shift, float), np.asarray(rate, float)
+        self.nan_beyond = nan_beyond
+        self.seen = {"shared": 0, "per_pair": 0}
+        self.widest = 0
+
+    def shared(self, x):
+        self.seen["shared"] += x.size
+        self.widest = max(self.widest, x.shape[0])
+        t = np.log1p(x * x)
+        t[x > self.nan_beyond] = np.nan
+        return (t,)
+
+    def per_pair(self, terms, x, row):
+        self.seen["per_pair"] += x.size
+        self.widest = max(self.widest, x.shape[0])
+        return self.shift[row] - self.rate[row] * x - terms[0], 1.0
+
+    def plain(self, x, row):
+        """The same integrand in one stage, as ``integrate_rows`` calls it."""
+        col = x.reshape(-1, 1)
+        logmag, _ = self.per_pair(self.shared(col), col, row[:, None])
+        return logmag.reshape(-1), 1.0
+
+    def envelopes(self):
+        return Envelopes(self.shift, self.rate)
+
+
+def _as_results(rows):
+    return [IntegralResult(*fields) for fields in zip(*(a.tolist() for a in rows))]
+
+
+class TestSharedPanels:
+    """Batches of eight rows or more keep one table of distinct panels per
+    sweep.  Rows 2 to 9 here truncate at the clamp x = 10 and share every
+    panel; rows 8 and 9 repeat rows 2 and 3 exactly."""
+
+    SHIFT = (0.0, 1.5, 0.0, -1.0, 2.0, 0.5, 0.0, 3.0, 0.0, -1.0)
+    RATE = (0.6, 1.3, 4.0, 5.0, 6.5, 8.0, 9.0, 11.0, 4.0, 5.0)
+
+    def test_rows_sharing_panels_match_lone_calls_bit_for_bit(self):
+        tol = Tolerance()
+        f = _row_integrand(self.SHIFT, self.RATE)
+        batch = integrate_rows(f, Envelopes(self.SHIFT, self.RATE), tol)
+        assert [r.truncation_point for r in batch][2:] == [10.0] * 8
+        lone = [
+            integrate_rows(_row_integrand([s], [r]), Envelopes(s, r), tol)[0]
+            for s, r in zip(self.SHIFT, self.RATE)
+        ]
+        _same_rows(batch, lone)
+
+    def test_two_stage_rows_match_one_stage_and_lone_calls(self):
+        staged = _Staged(self.SHIFT, self.RATE)
+        batch = _as_results(integrate_staged(staged, staged.envelopes(), Tolerance()))
+        # the shared stage ran once per distinct panel, on fewer abscissas
+        # than the pairs it served, and both stages saw bounded chunks
+        assert 0 < staged.seen["shared"] < staged.seen["per_pair"] / 2
+        assert staged.widest <= 128
+        _same_rows(batch, integrate_rows(staged.plain, staged.envelopes(), Tolerance()))
+        for r, row in enumerate(batch):
+            one = _Staged([self.SHIFT[r]], [self.RATE[r]])
+            _same_rows([row], _as_results(integrate_staged(one, one.envelopes(), Tolerance())))
+
+    def test_budget_exhaustion_reports_lowest_failing_row(self):
+        # rows 0-6 are e^(-10 x), done within budget and sharing every
+        # panel; rows 7 and 8 hold width-0.05 spikes that 16 panels cannot
+        # resolve
+        centers = np.array([0.0] * 7 + [2.0, 3.0])
+        f = lambda x, row: (
+            np.where(row < 7, -10.0 * x, -400.0 * (x - centers[row]) ** 2), 1.0
+        )
+        env = Envelopes([0.0] * 7 + [3.001, 4.001], [10.0] * 7 + [1.0, 1.0])
+        tol = Tolerance(max_panels=16)
+        with pytest.raises(AccuracyError) as batch_info:
+            integrate_rows(f, env, tol)
+        g = lambda x, row: (-400.0 * (x - 2.0) ** 2, 1.0)
+        with pytest.raises(AccuracyError) as lone_info:
+            integrate_rows(g, Envelopes(3.001, 1.0), tol)
+        got, want = batch_info.value, lone_info.value
+        assert (str(got), got.value, got.err_estimate, got.panels_used) == (
+            str(want), want.value, want.err_estimate, want.panels_used
+        )
+
+    def test_nan_on_shared_panel_names_the_lone_abscissa(self):
+        # every row truncates at 10; rows 4 and up turn NaN beyond x = 5
+        rate = np.full(9, 5.0)
+        f = lambda x, row: (np.where((row >= 4) & (x > 5.0), np.nan, -rate[row] * x), 1.0)
+        with pytest.raises(EvaluationError) as batch_info:
+            integrate_rows(f, Envelopes(0.0, rate), Tolerance())
+        g = lambda x, row: (np.where(x > 5.0, np.nan, -5.0 * x), 1.0)
+        with pytest.raises(EvaluationError) as lone_info:
+            integrate_rows(g, Envelopes(0.0, 5.0), Tolerance())
+        got, want = batch_info.value, lone_info.value
+        assert (str(got), got.abscissa) == (str(want), want.abscissa)
+        assert got.abscissa > 5.0
+
+    def test_nan_in_shared_stage_names_the_one_stage_abscissa(self):
+        staged = _Staged(self.SHIFT, self.RATE, nan_beyond=7.0)
+        with pytest.raises(EvaluationError) as staged_info:
+            integrate_staged(staged, staged.envelopes(), Tolerance())
+        with pytest.raises(EvaluationError) as plain_info:
+            integrate_rows(staged.plain, staged.envelopes(), Tolerance())
+        got, want = staged_info.value, plain_info.value
+        assert (str(got), got.abscissa) == (str(want), want.abscissa)
+        assert got.abscissa > 7.0
+
+
+class TestToleranceValidation:
+    BAD = [
+        dict(rel_tol=math.nan),
+        dict(rel_tol=math.inf),
+        dict(rel_tol=0.0),
+        dict(rel_tol=-1e-8),
+        dict(abs_tol=math.nan),
+        dict(abs_tol=math.inf),
+        dict(abs_tol=-1.0),
+        dict(max_panels=math.nan),
+        dict(max_panels=math.inf),
+        dict(max_panels=4.5),
+        dict(max_panels=4096.0),
+        dict(max_panels=True),
+        dict(max_panels=3),
+    ]
+
+    @pytest.mark.parametrize("fields", BAD)
+    def test_rejects(self, fields):
+        with pytest.raises(ParameterError):
+            Tolerance(**fields)
+        with pytest.raises(ParameterError):
+            QuadratureSpec(decay_rate=1.0, **fields)
+
+    def test_accepts_edges(self):
+        tol = Tolerance(rel_tol=1e-300, abs_tol=0.0, max_panels=4)
+        assert (tol.rel_tol, tol.abs_tol, tol.max_panels) == (1e-300, 0.0, 4)
 
 
 class TestSpecValidation:

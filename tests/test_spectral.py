@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gjmsdet import errors
+from gjmsdet import errors, spectral
 from gjmsdet import (
     DivergentIntegralError,
     EvaluationError,
@@ -32,6 +32,7 @@ from gjmsdet import (
     logdet_sum,
     zeta_odd,
 )
+from gjmsdet.quadrature import Envelopes, integrate_staged
 
 # frozen 40-digit oracle values
 REF_D5K2 = 0.1046421441058079165
@@ -304,6 +305,67 @@ class TestEveryPointEndsCleanly:
                 continue
             assert math.isfinite(res.value)
             assert math.isfinite(res.err_estimate) and res.err_estimate >= 0.0
+
+
+def _staged_rows(a, p, regrouped, tolerance):
+    integrand = spectral._LogIntegrand(a, p, regrouped)
+    envelopes = Envelopes(*spectral._envelope(integrand.a, integrand.p))
+    rows = integrate_staged(integrand, envelopes, tolerance)
+    return list(zip(*(field.tolist() for field in rows)))
+
+
+class TestBatchedIntegrandRows:
+    """A batch of the route integrand gives each row exactly what its lone
+    call gives (value, estimate, panels, truncation point), whether the rows
+    share a (its sinh term is then computed once per distinct panel) or not,
+    plain or regrouped."""
+
+    CASES = {
+        "same a": (1.0, [36 - 2 * j for j in range(17)], False),
+        "different a": ([j + 0.5 for j in range(17)], 35, False),
+        "regrouped, same a": (3, [9, 13, 21, 35, 65, 129, 257, 1025], True),
+        "regrouped, different a": ([1, 2, 3, 4, 5, 6, 7, 8, 9], 41, True),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("tolerance", [Tolerance(), TIGHT])
+    def test_rows_match_lone_calls_bit_for_bit(self, case, tolerance):
+        a, p, regrouped = self.CASES[case]
+        a, p = (v.tolist() for v in np.broadcast_arrays(np.array(a, float), np.array(p, float)))
+        batch = _staged_rows(a, p, regrouped, tolerance)
+        lone = [_staged_rows(ar, pr, regrouped, tolerance)[0] for ar, pr in zip(a, p)]
+        assert batch == lone
+        values, errs = spectral._integrals(a, p, tolerance, regrouped)
+        for r, (ar, pr) in enumerate(zip(a, p)):
+            value, err = spectral._integrals(ar, pr, tolerance, regrouped)
+            assert (values[r], errs[r]) == (value[0], err[0])
+
+
+class TestSharedWork:
+    """The shared stage of the diagonal's large batches runs on a small
+    fraction of the abscissas the per-pair stage sees (a deterministic work
+    count, so that losing the sharing fails here rather than only in a
+    timing)."""
+
+    @pytest.mark.parametrize("method, bound", [("product_rule", 0.05), ("sum", 0.25)])
+    def test_shared_stage_abscissas(self, method, bound, monkeypatch):
+        seen = {"shared": 0, "per_pair": 0}
+
+        class Counting(spectral._LogIntegrand):
+            __slots__ = ()
+
+            def shared(self, x):
+                seen["shared"] += x.size
+                return super().shared(x)
+
+            def per_pair(self, terms, x, row):
+                seen["per_pair"] += x.size
+                return super().per_pair(terms, x, row)
+
+        monkeypatch.setattr(spectral, "_LogIntegrand", Counting)
+        logdet(SpherePoint(1021, 510), method)
+        assert seen["per_pair"] > 510 * 32
+        assert seen["shared"] <= bound * seen["per_pair"]
 
 
 class TestSignLaw:
