@@ -20,22 +20,7 @@ from .errors import (
     ParameterError,
     UnsupportedArgumentError,
 )
-from .quadrature import Tolerance
-from .scans import (
-    ScanRow,
-    compute_rows,
-    format_csv,
-    max_pairwise_discrepancy,
-    scan_k,
-    scan_limiting,
-    scan_paneitz,
-    write_csv,
-    write_svg,
-)
-from .spectral import SpherePoint, closed_form_p4
-
-# Unused (eval calls compute_rows); kept as perfbench/spans.py rebinds cli.logdet.
-from .spectral import logdet  # noqa: F401
+from .exact import SpherePoint, closed_form_p4
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,9 +30,30 @@ EXIT_IO = 4
 _METHOD_CHOICES = ("direct", "sum", "chebyshev", "product", "all")
 
 
+def __getattr__(name: str):
+    # Kept for the tracer in perfbench/spans.py, which reads and rebinds these
+    # three names, until ROADMAP item 3.  The commands do not use them.
+    if name not in ("logdet", "write_csv", "write_svg"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import scans
+
+    return getattr(scans, name)
+
+
+def _tolerance(args):
+    """The ``--tol`` Tolerance.  The commands that integrate import it and
+    ``scans`` as they run: both load numpy, which ``rules`` and
+    ``closed-form`` do without."""
+    from .quadrature import Tolerance
+
+    return Tolerance() if args.tol is None else Tolerance(args.tol)
+
+
 def _cmd_eval(args) -> int:
+    from .scans import compute_rows, max_pairwise_discrepancy
+
     point = SpherePoint(args.d, args.k)
-    rows = compute_rows([point], args.method, Tolerance(args.tol))
+    rows = compute_rows([point], args.method, _tolerance(args))
     print(f"d={point.d} k={point.k}")
     for row in rows:
         print(f"{row.method:<13} {row.value:.17g}   err {row.err_estimate:.3g}")
@@ -57,7 +63,9 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _emit_rows(args, rows: list[ScanRow], x_of_row, x_label: str) -> int:
+def _emit_rows(args, rows, x_of_row, x_label: str) -> int:
+    from .scans import format_csv, write_csv, write_svg
+
     if args.out:
         write_csv(args.out, rows)
     else:
@@ -77,17 +85,23 @@ def _emit_rows(args, rows: list[ScanRow], x_of_row, x_label: str) -> int:
 
 
 def _cmd_scan_k(args) -> int:
-    rows = scan_k(args.d, args.method, Tolerance(args.tol))
+    from .scans import scan_k
+
+    rows = scan_k(args.d, args.method, _tolerance(args))
     return _emit_rows(args, rows, lambda r: r.k, "k")
 
 
 def _cmd_limiting(args) -> int:
-    rows = scan_limiting(args.d_min, args.d_max, args.method, Tolerance(args.tol))
+    from .scans import scan_limiting
+
+    rows = scan_limiting(args.d_min, args.d_max, args.method, _tolerance(args))
     return _emit_rows(args, rows, lambda r: r.d, "d")
 
 
 def _cmd_paneitz(args) -> int:
-    rows = scan_paneitz(args.d_min, args.d_max, args.method, Tolerance(args.tol))
+    from .scans import scan_paneitz
+
+    rows = scan_paneitz(args.d_min, args.d_max, args.method, _tolerance(args))
     return _emit_rows(args, rows, lambda r: r.d, "d")
 
 
@@ -123,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_tol(p):
         p.add_argument(
-            "--tol", type=float, default=Tolerance.rel_tol,
+            "--tol", type=float, default=None,
             help="relative quadrature tolerance",
         )
 

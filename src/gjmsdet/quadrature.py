@@ -141,8 +141,8 @@ class Envelopes:
             v if v.size == n_rows else np.full(n_rows, v[0]) for v in fields
         )
         # NaN fails every comparison, so min and max reject it too
-        if not self.rate.min() > 0:
-            raise DivergentIntegralError("decay_rate must be positive")
+        if not (self.rate.min() > 0 and self.rate.max() < np.inf):
+            raise DivergentIntegralError("decay_rate must be positive and finite")
         if not np.abs(self.log_const).max() < np.inf:
             raise ParameterError("envelope constants must be positive and finite")
         if not (self.start.min() >= 0 and self.start.max() < np.inf):
@@ -172,13 +172,14 @@ class QuadratureSpec:
     env_start: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.decay_rate <= 0:
-            raise DivergentIntegralError("decay_rate must be positive")
+        # written, as in Tolerance, so that NaN is rejected too
+        if not 0 < self.decay_rate < math.inf:
+            raise DivergentIntegralError("decay_rate must be positive and finite")
         self.tolerance  # validates the tolerance fields
-        if self.env_const <= 0:
-            raise ParameterError("env_const must be positive")
-        if self.env_start < 0:
-            raise ParameterError("env_start must be non-negative")
+        if not 0 < self.env_const < math.inf:
+            raise ParameterError("env_const must be positive and finite")
+        if not 0 <= self.env_start < math.inf:
+            raise ParameterError("env_start must be non-negative and finite")
 
     @property
     def tolerance(self) -> Tolerance:
@@ -215,10 +216,10 @@ def truncation_point(c_bound: float, decay_rate: float, tol: float) -> float:
     The left side bounds the discarded tail of any integrand satisfying the
     envelope, so integrating on [0, X] loses at most ``tol``.
     """
-    if decay_rate <= 0:
-        raise DivergentIntegralError("decay_rate must be positive")
-    if c_bound <= 0 or tol <= 0:
-        raise ParameterError("c_bound and tol must be positive")
+    if not 0 < decay_rate < math.inf:
+        raise DivergentIntegralError("decay_rate must be positive and finite")
+    if not (0 < c_bound < math.inf and 0 < tol < math.inf):
+        raise ParameterError("c_bound and tol must be positive and finite")
     return float(_truncation(math.log(c_bound), decay_rate, tol))
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "format_csv",
     "write_csv",
     "parse_csv",
+    "read_csv",
     "write_svg",
 ]
 
@@ -161,13 +162,18 @@ def write_csv(path: str, rows: Sequence[ScanRow]) -> None:
 
 
 def parse_csv(text: str) -> list[ScanRow]:
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines or lines[0] != CSV_HEADER:
+    """The rows of a ``format_csv`` text, blank lines skipped.  A malformed
+    row raises ParameterError naming its 1-based line."""
+    lines = [(n, ln) for n, ln in enumerate(text.split("\n"), 1) if ln]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise ParameterError(f"expected header {CSV_HEADER!r}")
     rows = []
-    for ln in lines[1:]:
-        d, k, method, value, err = ln.split(",")
-        rows.append(ScanRow(int(d), int(k), method, float(value), float(err)))
+    for n, ln in lines[1:]:
+        try:
+            d, k, method, value, err = ln.split(",")
+            rows.append(ScanRow(int(d), int(k), method, float(value), float(err)))
+        except ValueError:
+            raise ParameterError(f"line {n}: malformed row {ln!r}") from None
     return rows
 
 

@@ -31,10 +31,11 @@ sum_{j<k} (-1)^j sinh((j+1/2)x) = (-1)^(k-1) sinh(kx) / (2 cosh(x/2)) then
 reproduces s(d,k) above exactly; the opposite per-factor sign would flip
 every k and contradict the k = 1 case.
 
-Also here: Riemann zeta at odd integers (needed by the closed forms for the
-fourth-order operator on the 5- and 7-spheres) and those closed forms with
-exact rational coefficients.  Everything is pure and immutable; points of a
-parameter grid may be evaluated concurrently without coordination.
+The numpy-free exact layer (``SpherePoint``, ``LogDetResult``, ``zeta_odd``,
+``ClosedForm`` and ``closed_form_p4``) lives in ``exact`` and is imported
+back here, so ``spectral.zeta_odd`` is ``exact.zeta_odd``.  Everything is
+pure and immutable; points of a parameter grid may be evaluated
+concurrently without coordination.
 """
 
 from __future__ import annotations
@@ -42,19 +43,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .chebyshev import v_coefficients
-from .errors import (
-    DivergentIntegralError,
-    InternalConsistencyError,
-    ParameterError,
-    UnsupportedArgumentError,
-)
+from .errors import DivergentIntegralError, ParameterError, UnsupportedArgumentError
+from .exact import ClosedForm, LogDetResult, SpherePoint, closed_form_p4, zeta_odd
 from .quadrature import Envelopes, Tolerance, integrate_staged
 
 # Not called here (every route calls integrate_staged), but perfbench/spans.py
@@ -86,29 +81,6 @@ METHODS = ("direct", "sum", "chebyshev", "product_rule")
 
 
 @dataclass(frozen=True)
-class SpherePoint:
-    """A validated (dimension, order) pair for one determinant evaluation."""
-
-    d: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if isinstance(self.d, bool) or not isinstance(self.d, int):
-            raise ParameterError("d must be an integer")
-        if self.d % 2 == 0 or self.d < 3:
-            raise ParameterError("d must be odd and >= 3")
-        if isinstance(self.k, bool) or not isinstance(self.k, int):
-            raise ParameterError("k must be an integer")
-        if not 1 <= self.k <= (self.d - 1) // 2:
-            raise ParameterError("k must satisfy 1 <= k <= (d - 1)/2")
-
-    @property
-    def sign(self) -> int:
-        """Sign of the log-determinant, (-1)^((d-1)/2 + k)."""
-        return -1 if ((self.d - 1) // 2 + self.k) % 2 else 1
-
-
-@dataclass(frozen=True)
 class FactorIndex:
     """Index j of one factor B^2 - alpha_j^2, with alpha_j = j + 1/2."""
 
@@ -121,16 +93,6 @@ class FactorIndex:
     @property
     def alpha(self) -> float:
         return self.j + 0.5
-
-
-@dataclass(frozen=True)
-class LogDetResult:
-    """A computed log-determinant with its error estimate and provenance."""
-
-    value: float
-    err_estimate: float
-    method: str
-    point: SpherePoint
 
 
 def _log_sinh(t):
@@ -389,123 +351,3 @@ def logdet(
             f"unknown method {method!r}; expected one of {METHODS}"
         ) from None
     return func(point, tolerance)
-
-
-# Terms of Borwein's series: its truncation error is below 3 (3+sqrt 8)^-24,
-# about 1e-18, far under half an ulp of zeta(n) in (1, 1.21].
-_ZETA_TERMS = 24
-
-
-@lru_cache(maxsize=None)
-def _borwein_weights(m: int) -> Tuple[Fraction, ...]:
-    """d_0, ..., d_m of Borwein's algorithm 2:
-    d_k = m sum_{i<=k} (m+i-1)! 4^i / ((m-i)! (2i)!)."""
-    weights = []
-    acc = Fraction(0)
-    for i in range(m + 1):
-        acc += Fraction(
-            math.factorial(m + i - 1) * 4**i,
-            math.factorial(m - i) * math.factorial(2 * i),
-        )
-        weights.append(m * acc)
-    return tuple(weights)
-
-
-@lru_cache(maxsize=None)
-def zeta_odd(n: int) -> float:
-    """Riemann zeta at an odd integer n >= 3, correctly rounded except
-    within about 1e-18 of a rounding boundary.
-
-    P. Borwein's accelerated alternating series ("An efficient algorithm for
-    the Riemann zeta function", CMS Conf. Proc. 27, 2000, algorithm 2):
-
-        zeta(n) = -1 / (d_m (1 - 2^(1-n)))
-                  * sum_{k<m} (-1)^k (d_k - d_m) / (k+1)^n,
-
-    with m = 24 terms, evaluated in exact rational arithmetic and rounded
-    once.
-    """
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise UnsupportedArgumentError("n must be an integer")
-    if n < 3 or n % 2 == 0:
-        raise UnsupportedArgumentError(
-            "only odd n >= 3 are supported (even values have closed forms)"
-        )
-    d = _borwein_weights(_ZETA_TERMS)
-    series = sum(
-        Fraction((-1) ** k) * (d[k] - d[-1]) / (k + 1) ** n
-        for k in range(_ZETA_TERMS)
-    )
-    return float(-series / (d[-1] * (1 - Fraction(1, 2 ** (n - 1)))))
-
-
-@dataclass(frozen=True)
-class ClosedForm:
-    """Exact-rational closed form: overall * (log2_coeff * log 2
-    + sum_m coeff_m * zeta(m) / pi^(m-1))."""
-
-    d: int
-    overall: Fraction
-    log2_coeff: Fraction
-    zeta_terms: Tuple[Tuple[int, Fraction], ...]
-    reference: float
-
-    def evaluate(self) -> Tuple[float, float]:
-        """Value and a propagated error estimate from the zeta tolerance."""
-        inner = float(self.log2_coeff) * _LN2
-        inner_abs = abs(float(self.log2_coeff)) * _LN2
-        for m, coeff in self.zeta_terms:
-            term = float(coeff) * zeta_odd(m) / math.pi ** (m - 1)
-            inner += term
-            inner_abs += abs(term)
-        value = float(self.overall) * inner
-        err = abs(float(self.overall)) * inner_abs * 1e-13 + 8.0 * np.finfo(float).eps * abs(value)
-        if abs(value - self.reference) > 1e-6:
-            raise InternalConsistencyError(
-                f"closed form for d={self.d} evaluated to {value!r}, "
-                f"far from its reference {self.reference}"
-            )
-        return value, err
-
-
-_CLOSED_FORMS = {
-    5: ClosedForm(
-        d=5,
-        overall=Fraction(1, 32),
-        log2_coeff=Fraction(7),
-        zeta_terms=((3, Fraction(-13)), (5, Fraction(15, 2))),
-        reference=0.104642,
-    ),
-    7: ClosedForm(
-        d=7,
-        overall=Fraction(-1, 256),
-        log2_coeff=Fraction(3),
-        zeta_terms=(
-            (3, Fraction(79, 30)),
-            (5, Fraction(-55, 2)),
-            (7, Fraction(63, 4)),
-        ),
-        reference=-0.008297,
-    ),
-}
-
-
-def closed_form_p4(d: int) -> LogDetResult:
-    """Closed form of log det P_4 on the 5- or 7-sphere, via zeta_odd.
-
-    Only these two dimensions have a stored exact form; they serve as
-    quadrature-independent anchors for the fourth-order operator.
-    """
-    try:
-        form = _CLOSED_FORMS[d]
-    except (KeyError, TypeError):
-        raise UnsupportedArgumentError(
-            f"no closed form stored for d = {d!r}; available: 5, 7"
-        ) from None
-    value, err = form.evaluate()
-    return LogDetResult(
-        value=value,
-        err_estimate=err,
-        method="closed_form",
-        point=SpherePoint(d, 2),
-    )

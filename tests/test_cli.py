@@ -370,3 +370,20 @@ class TestCsvFormat:
 
         with pytest.raises(ParameterError):
             parse_csv("wrong,header\n1,2\n")
+
+    @pytest.mark.parametrize(
+        "row",
+        ["5,2", "5,2,direct,0.1", "5,2,direct,0.1,0.0,extra", "5,two,direct,0.1,0.0",
+         "5.0,2,direct,0.1,0.0", "5,2,direct,x,0.0"],
+    )
+    def test_parse_names_malformed_line(self, row, tmp_path):
+        from gjmsdet import ParameterError
+
+        # line 1 the header, 2 a good row, 3 blank (skipped but counted)
+        text = "d,k,method,value,err_estimate\n5,2,direct,0.1,0.0\n\n" + row + "\n"
+        with pytest.raises(ParameterError, match=f"^line 4: malformed row '{row}'$"):
+            parse_csv(text)
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParameterError, match="^line 4: "):
+            read_csv(str(path))

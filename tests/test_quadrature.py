@@ -45,16 +45,17 @@ class TestTruncationPoint:
         assert truncation_point(1.0, 5.0, 1e-2) == 10.0
 
     def test_divergent_rate(self):
-        with pytest.raises(DivergentIntegralError):
-            truncation_point(1.0, 0.0, 1e-10)
-        with pytest.raises(DivergentIntegralError):
-            truncation_point(1.0, -1.0, 1e-10)
+        for rate in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DivergentIntegralError):
+                truncation_point(1.0, rate, 1e-10)
 
     def test_bad_arguments(self):
-        with pytest.raises(ParameterError):
-            truncation_point(0.0, 1.0, 1e-10)
-        with pytest.raises(ParameterError):
-            truncation_point(1.0, 1.0, 0.0)
+        for c_bound, tol in [
+            (0.0, 1e-10), (math.nan, 1e-10), (math.inf, 1e-10),
+            (1.0, 0.0), (1.0, math.nan), (1.0, math.inf),
+        ]:
+            with pytest.raises(ParameterError):
+                truncation_point(c_bound, 1.0, tol)
 
 
 def _exp_decay(x):
@@ -416,22 +417,26 @@ class TestToleranceValidation:
 
 class TestSpecValidation:
     def test_rejects_bad_fields(self):
-        with pytest.raises(DivergentIntegralError):
-            QuadratureSpec(decay_rate=0.0)
+        for rate in (0.0, math.nan, math.inf):
+            with pytest.raises(DivergentIntegralError):
+                QuadratureSpec(decay_rate=rate)
         with pytest.raises(ParameterError):
             QuadratureSpec(decay_rate=1.0, rel_tol=0.0)
         with pytest.raises(ParameterError):
             QuadratureSpec(decay_rate=1.0, abs_tol=-1.0)
-        with pytest.raises(ParameterError):
-            QuadratureSpec(decay_rate=1.0, env_const=0.0)
-        with pytest.raises(ParameterError):
-            QuadratureSpec(decay_rate=1.0, env_start=-1.0)
+        for const in (0.0, math.nan, math.inf):
+            with pytest.raises(ParameterError):
+                QuadratureSpec(decay_rate=1.0, env_const=const)
+        for start in (-1.0, math.nan, math.inf):
+            with pytest.raises(ParameterError, match="env_start"):
+                QuadratureSpec(decay_rate=1.0, env_start=start)
         with pytest.raises(ParameterError):
             QuadratureSpec(decay_rate=1.0, max_panels=2)
 
     def test_envelopes_validation(self):
-        with pytest.raises(DivergentIntegralError):
-            Envelopes(0.0, [1.0, 0.0])
+        for rate in (0.0, math.nan, math.inf):
+            with pytest.raises(DivergentIntegralError):
+                Envelopes(0.0, [1.0, rate])
         with pytest.raises(ParameterError):
             Envelopes([0.0, 1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ParameterError):
