@@ -21,6 +21,13 @@ refinement: a panel is accepted when its one-panel value and the sum over
 its two halves agree within the panel's share of the error budget, and the
 two-level difference is charged to the estimate.
 
+Panels are also pruned: one starting at or past its envelope's start and
+the point where the tail falls to eps b (eps the binary64 epsilon, b the
+row's target over its initial panel count) is accepted unbisected, charged
+its |value|, and the row's tail bound then runs from its first pruned panel.
+Before the first sampling abs_tol, which no target is below, stands in for
+the target, and the panels pruned then are never sampled.
+
 ``integrate_rows`` runs R independent integrals in lock-step sweeps.  Each
 row keeps the state a lone integral has: its truncation point and tail
 bound, its initial breaks, its target and per-panel budgets, and its count
@@ -193,20 +200,24 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """``panels_used`` counts the panels sampled for the value (0 when the
+    envelope bounds the whole integral); malformed fields raise ParameterError."""
+
     value: float
     err_estimate: float
     panels_used: int
     truncation_point: float
 
     def __post_init__(self) -> None:
-        if self.err_estimate < 0 or self.truncation_point <= 0:
+        used = self.panels_used  # the comparisons reject NaN too
+        if not (-math.inf < self.value < math.inf and 0 <= self.err_estimate < math.inf
+                and 0 < self.truncation_point < math.inf and type(used) is int and used >= 0):
             raise ParameterError("malformed integral result")
 
 
-def _truncation(log_c, decay_rate, tol: float):
-    """truncation_point from log(c_bound), elementwise over arrays."""
-    x = (log_c - np.log(decay_rate) - math.log(tol)) / decay_rate
-    return np.maximum(x, _MIN_TRUNCATION)
+def _truncation(log_c, decay_rate, log_tol, floor=_MIN_TRUNCATION):
+    """Where the tail bound C e^(-L x) / L falls to e^log_tol, at least ``floor``."""
+    return np.maximum((log_c - np.log(decay_rate) - log_tol) / decay_rate, floor)
 
 
 def truncation_point(c_bound: float, decay_rate: float, tol: float) -> float:
@@ -220,7 +231,7 @@ def truncation_point(c_bound: float, decay_rate: float, tol: float) -> float:
         raise DivergentIntegralError("decay_rate must be positive and finite")
     if not (0 < c_bound < math.inf and 0 < tol < math.inf):
         raise ParameterError("c_bound and tol must be positive and finite")
-    return float(_truncation(math.log(c_bound), decay_rate, tol))
+    return float(_truncation(math.log(c_bound), decay_rate, math.log(tol)))
 
 
 class _PlainIntegrand:
@@ -270,7 +281,8 @@ def _eval_chunk(integrand, center, half, x, terms, row):
         fx *= sign
     fx *= _WEIGHTS
     vals = fx.sum(axis=1) * half
-    mass = np.abs(fx, out=fx).sum(axis=1) * half
+    # a scalar sign of 1 leaves every term positive, so the mass is the value
+    mass = vals if sign.ndim == 0 and sign == 1.0 else np.abs(fx, out=fx).sum(axis=1) * half
     # A NaN or infinite sample, or a panel sum past binary64, leaves its
     # panel's mass non-finite, so one check on the masses guards them all.
     bad = ~np.isfinite(mass)
@@ -369,12 +381,12 @@ def _initial_panels(x_max: np.ndarray):
     return table_lo, table_hi, pidx, row, counts
 
 
-def _select(lo: np.ndarray, hi: np.ndarray, pidx, keep: np.ndarray):
-    """The table and indices of the pairs where ``keep``: a table of the
-    pairs' own shrinks with them, a shared one is compacted by ``_distinct``."""
-    if pidx is None:
-        return lo[keep], hi[keep], None
-    return lo, hi, pidx[keep]
+def _select(lo: np.ndarray, hi: np.ndarray, pidx, keep: np.ndarray, *pairs):
+    """The table and indices of the pairs where ``keep``, then each array of
+    ``pairs`` at them: a table of the pairs' own shrinks with them, a shared
+    one is compacted by ``_distinct``."""
+    table = (lo[keep], hi[keep], None) if pidx is None else (lo, hi, pidx[keep])
+    return table + tuple(a[keep] for a in pairs)
 
 
 def _distinct(lo: np.ndarray, hi: np.ndarray, pidx):
@@ -420,6 +432,20 @@ def _row_sums(vals: np.ndarray, counts: np.ndarray):
     return rough, peak
 
 
+def _cutoffs(envelopes: Envelopes, tail: np.ndarray, bound):
+    """Per row, where the envelope's tail falls to ``bound``, never before
+    its start; None if no row's ``tail`` at its truncation point is below
+    ``bound``, as then no panel can start past its cutoff."""
+    if np.count_nonzero(tail < bound):
+        return _truncation(envelopes.log_const, envelopes.rate, np.log(bound), envelopes.start)
+
+
+def _past(lo: np.ndarray, pidx, row: np.ndarray, cut):
+    """Mask of the pairs starting at or past their row's cutoff, or None."""
+    past = None if cut is None else (lo if pidx is None else lo[pidx]) >= cut[row]
+    return past if past is not None and np.count_nonzero(past) else None
+
+
 def _fsum(values: List[float], at: float) -> float:
     try:
         return math.fsum(values)
@@ -436,9 +462,10 @@ def integrate_rows(
     row[i] and returns ``(log|f|, sign)``; it receives at most
     _CHUNK_PANELS * 32 abscissas a call.  Returns one IntegralResult per
     row, each identical to what the row would give integrated alone; its
-    ``err_estimate`` adds three honest contributions: the accepted
-    two-level panel differences, the analytic tail bound at the truncation
-    point, and a round-off floor proportional to the absolute Gauss mass.
+    ``err_estimate`` adds four honest contributions: the accepted two-level
+    panel differences, the |value| of pruned panels, the analytic tail bound
+    from the truncation point or the first pruned panel, and a round-off
+    floor proportional to the absolute Gauss mass.
 
     Raises AccuracyError when a row runs out of ``tolerance.max_panels``
     first, for the lowest such row and carrying its best value and
@@ -462,7 +489,7 @@ def integrate_staged(integrand, envelopes: Envelopes, tolerance: Tolerance) -> R
     Each row's value, estimate and panel count, and every error raised, are
     those of evaluating both stages on the pairs' own abscissas.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         return _integrate_rows(integrand, envelopes, tolerance)
 
 
@@ -470,18 +497,29 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
     n_rows = len(envelopes)
     log_c, rate = envelopes.log_const, envelopes.rate
     tail_tol = max(tolerance.abs_tol, _TAIL_TOL_FLOOR)
-    x_max = np.maximum(_truncation(log_c, rate, tail_tol), envelopes.start)
+    x_max = np.maximum(_truncation(log_c, rate, math.log(tail_tol)), envelopes.start)
     tail = np.exp(log_c - rate * x_max) / rate
 
     lo, hi, pidx, row, counts = _initial_panels(x_max)
-    vals, _ = _eval_panels(integrand, lo, hi, pidx, row)
-    panels = counts.copy()
+    # unsampled panels enter valued 0.0; the first sweep, cutting no later, prunes them
+    cut = _cutoffs(envelopes, tail, _EPS * (tolerance.abs_tol / counts))
+    unsampled = _past(lo, pidx, row, cut)
+    if unsampled is None:
+        vals, unsampled = _eval_panels(integrand, lo, hi, pidx, row)[0], 0
+    else:
+        sampled, vals = ~unsampled, np.zeros(row.size)
+        if np.count_nonzero(sampled):
+            table = _distinct(*_select(lo, hi, pidx, sampled))
+            vals[sampled] = _eval_panels(integrand, *table, row[sampled])[0]
+        unsampled = np.bincount(row[unsampled], minlength=n_rows)
+    panels = counts - unsampled
 
     rough, peak = _row_sums(vals, counts)
     target = np.maximum(
         tolerance.abs_tol, tolerance.rel_tol * np.maximum(np.abs(rough), peak)
     )
     budgets = (target / counts)[row]
+    cut = _cutoffs(envelopes, tail, _EPS * (target / counts))
 
     min_width = 1e-12 * np.maximum(1.0, x_max)
     accepted_vals: List[np.ndarray] = []
@@ -491,6 +529,18 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
     failures = {}
 
     while row.size:
+        bounded = _past(lo, pidx, row, cut)
+        if bounded is not None:
+            b_row, b_vals = row[bounded], vals[bounded]
+            b_lo, b_rate = (lo if pidx is None else lo[pidx])[bounded], rate[b_row]
+            # pruned panels run on to x_max, so the tail from the first covers all
+            np.maximum.at(tail, b_row, np.exp(log_c[b_row] - b_rate * b_lo) / b_rate)
+            accepted_vals.append(b_vals)
+            accepted_rows.append(b_row)
+            accepted_err += np.bincount(b_row, np.abs(b_vals), n_rows)
+            lo, hi, pidx, vals, row, budgets = _select(lo, hi, pidx, ~bounded, vals, row, budgets)
+            if not row.size:
+                break
         needed = 2 * np.bincount(row, minlength=n_rows)
         over = (needed > 0) & (panels + needed > tolerance.max_panels)
         if np.count_nonzero(over):
@@ -504,8 +554,7 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
                     panels_used=int(panels[r]),
                 )
             keep = ~over[row]
-            lo, hi, pidx = _select(lo, hi, pidx, keep)
-            vals, row, budgets = vals[keep], row[keep], budgets[keep]
+            lo, hi, pidx, vals, row, budgets = _select(lo, hi, pidx, keep, vals, row, budgets)
             if not row.size:
                 break
             needed[over] = 0
@@ -553,7 +602,7 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
         for end, n, x in zip(ends, leaves.tolist(), x_max.tolist())
     ])
     err = accepted_err + tail + 8.0 * _EPS * accepted_mass
-    return RowArrays(value, err, leaves, x_max)
+    return RowArrays(value, err, leaves - unsampled, x_max)
 
 
 def integrate_semi_infinite(f: LogIntegrand, spec: QuadratureSpec) -> IntegralResult:

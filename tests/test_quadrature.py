@@ -452,3 +452,139 @@ class TestSpecValidation:
         assert spec.rel_tol == 1e-11
         assert spec.abs_tol == 1e-15
         assert spec.max_panels == 4096
+
+
+class TestIntegralResultValidation:
+    @pytest.mark.parametrize("fields", [
+        (math.nan, 0.1, 3, 10.0),
+        (math.inf, 0.1, 3, 10.0),
+        (1.0, math.nan, 3, 10.0),
+        (1.0, math.inf, 3, 10.0),
+        (1.0, -0.1, 3, 10.0),
+        (1.0, 0.1, 3, math.nan),
+        (1.0, 0.1, 3, math.inf),
+        (1.0, 0.1, 3, 0.0),
+        (1.0, 0.1, -2, 10.0),
+        (1.0, 0.1, 3.0, 10.0),
+        (1.0, 0.1, True, 10.0),
+    ])
+    def test_rejects(self, fields):
+        with pytest.raises(ParameterError):
+            IntegralResult(*fields)
+
+    def test_accepts_a_row_bounded_unsampled(self):
+        res = IntegralResult(0.0, 1e-90, 0, 10.0)
+        assert res.panels_used == 0
+
+
+class _Recording:
+    """e^(-rate_r x) (integral 1/rate_r, its own envelope) as a row
+    integrand that records every abscissa it is asked for, by row."""
+
+    def __init__(self, rate, sign=lambda x: 1.0):
+        self.rate = np.asarray(rate, dtype=float)
+        self.sign = sign
+        self.seen = [[] for _ in self.rate]
+
+    def __call__(self, x, row):
+        for r in np.unique(row).tolist():
+            self.seen[r].extend(x[row == r].tolist())
+        return -self.rate[row] * x, self.sign(x)
+
+
+def _initial_panels_of(x_max):
+    """The initial panels [0, 1], [1, 2], [2, 4], ... up to x_max."""
+    edges = [0.0, 1.0]
+    while edges[-1] < x_max:
+        edges.append(min(2.0 * edges[-1], x_max))
+    return list(zip(edges[:-1], edges[1:]))
+
+
+class TestEnvelopePruning:
+    """Rows e^(-L x) steep enough that the envelope bounds their far panels
+    under the x = 10 truncation clamp.  Each result must cover the exact
+    1/L within ten times its estimate, the bound of the honesty suite: at
+    this round-off level the estimate alone falls short by up to 1.3x, with
+    or without pruning."""
+
+    RATES = (4.0, 6.0, 12.0, 25.0, 50.0, 100.0, 200.0, 400.0)
+    EPS = float(np.finfo(float).eps)
+
+    def _skipped(self, rate, tol):
+        """The initial panels a row must never sample: those whose envelope
+        tail int_lo^inf is at most eps abs_tol / n."""
+        panels = _initial_panels_of(10.0)
+        bound = self.EPS * tol.abs_tol / len(panels)
+        return [(lo, hi) for lo, hi in panels if math.exp(-rate * lo) / rate <= bound]
+
+    def test_negligible_panels_are_never_sampled(self):
+        tol = Tolerance()
+        f = _Recording(self.RATES)
+        batch = integrate_rows(f, Envelopes(0.0, self.RATES), tol)
+        n_skipped = 0
+        for rate, seen, res in zip(self.RATES, f.seen, batch):
+            assert res.truncation_point == 10.0
+            xs = np.array(seen)
+            for lo, hi in self._skipped(rate, tol):
+                assert not np.any((xs > lo) & (xs < hi))
+                n_skipped += 1
+            assert abs(res.value - 1.0 / rate) <= 10.0 * res.err_estimate
+            # unpruned, a row samples its 5 initial panels and their 10
+            # halves at least
+            if rate >= 25.0:
+                assert len(seen) <= 10 * 32
+        assert n_skipped >= 10
+
+    def test_pruned_batch_matches_lone_calls_bit_for_bit(self):
+        tol = Tolerance()
+        batch = integrate_rows(_Recording(self.RATES), Envelopes(0.0, self.RATES), tol)
+        lone = [
+            integrate_rows(_Recording([rate]), Envelopes(0.0, rate), tol)[0]
+            for rate in self.RATES
+        ]
+        _same_rows(batch, lone)
+
+    def test_panels_before_the_envelope_start_are_sampled(self):
+        # the envelope holds only from x = 9.5, so no initial panel may be
+        # pruned however steep the row; only the halves past 9.5 may be
+        f = _Recording([400.0])
+        res = integrate_rows(f, Envelopes(0.0, 400.0, 9.5), Tolerance())[0]
+        xs = np.array(f.seen[0])
+        for lo, hi in _initial_panels_of(10.0):
+            assert np.count_nonzero((xs > lo) & (xs < hi)) >= 32
+        assert abs(res.value - 1.0 / 400.0) <= 10.0 * res.err_estimate
+
+    def test_zero_abs_tol_skips_only_underflowing_panels(self):
+        # eps * abs_tol / n is 0, so before the first sampling only a panel
+        # whose envelope mass is exactly 0.0 may go unsampled
+        tol = Tolerance(abs_tol=0.0)
+        f = _Recording(self.RATES)
+        batch = integrate_rows(f, Envelopes(0.0, self.RATES), tol)
+        for rate, seen, res in zip(self.RATES, f.seen, batch):
+            xs = np.array(seen)
+            for lo, hi in _initial_panels_of(res.truncation_point):
+                if not np.any((xs > lo) & (xs < hi)):
+                    assert math.exp(-rate * lo) * -math.expm1(-rate * (hi - lo)) == 0.0
+            assert abs(res.value - 1.0 / rate) <= 10.0 * res.err_estimate
+
+    def test_row_bounded_whole_is_not_sampled(self):
+        # the whole envelope e^-200 e^(-x) is far below eps abs_tol
+        f = lambda x, row: (np.where(row == 0, -200.0, 0.0) - x, 1.0)
+        calls = []
+        g = lambda x, row: (calls.append(row.copy()), f(x, row))[1]
+        bounded, plain = integrate_rows(g, Envelopes([-200.0, 0.0], 1.0), Tolerance())
+        assert not np.any(np.concatenate(calls) == 0)
+        assert (bounded.value, bounded.panels_used) == (0.0, 0)
+        # the estimate charges the whole envelope, which is the integral
+        assert bounded.err_estimate == pytest.approx(math.exp(-200.0), rel=1e-13, abs=0.0)
+        assert plain.panels_used > 0
+        assert abs(plain.value - 1.0) <= plain.err_estimate
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_scalar_sign_matches_sign_array(self, sign):
+        # a scalar +1 takes the positive-mass shortcut, a scalar -1 does not
+        env = Envelopes(0.0, self.RATES)
+        scalar = integrate_rows(_Recording(self.RATES, sign=lambda x: sign), env, Tolerance())
+        array = _Recording(self.RATES, sign=lambda x: np.full_like(x, sign))
+        _same_rows(scalar, integrate_rows(array, env, Tolerance()))
+        assert all(math.copysign(1.0, r.value) == sign for r in scalar)

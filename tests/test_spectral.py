@@ -343,12 +343,14 @@ class TestBatchedIntegrandRows:
 
 class TestSharedWork:
     """The shared stage of the diagonal's large batches runs on a small
-    fraction of the abscissas the per-pair stage sees (a deterministic work
-    count, so that losing the sharing fails here rather than only in a
-    timing)."""
+    fraction of the abscissas the per-pair stage sees, and the envelope
+    pruning keeps the per-pair stage itself small (deterministic work
+    counts, so that losing the sharing or the pruning fails here rather
+    than only in a timing)."""
 
-    @pytest.mark.parametrize("method, bound", [("product_rule", 0.05), ("sum", 0.25)])
-    def test_shared_stage_abscissas(self, method, bound, monkeypatch):
+    @staticmethod
+    def _abscissas(method, monkeypatch):
+        """Abscissas each stage sees for ``method`` at (1021, 510)."""
         seen = {"shared": 0, "per_pair": 0}
 
         class Counting(spectral._LogIntegrand):
@@ -364,8 +366,21 @@ class TestSharedWork:
 
         monkeypatch.setattr(spectral, "_LogIntegrand", Counting)
         logdet(SpherePoint(1021, 510), method)
+        return seen
+
+    @pytest.mark.parametrize("method, bound", [("product_rule", 0.05), ("sum", 0.25)])
+    def test_shared_stage_abscissas(self, method, bound, monkeypatch):
+        seen = self._abscissas(method, monkeypatch)
         assert seen["per_pair"] > 510 * 32
         assert seen["shared"] <= bound * seen["per_pair"]
+
+    # per-pair abscissas without pruning: 7662 and 7926 (row, panel) pairs
+    @pytest.mark.parametrize(
+        "method, unpruned, share", [("product_rule", 245_184, 0.6), ("sum", 253_632, 0.7)]
+    )
+    def test_pruning_halves_per_pair_abscissas(self, method, unpruned, share, monkeypatch):
+        seen = self._abscissas(method, monkeypatch)
+        assert 510 * 32 < seen["per_pair"] <= share * unpruned
 
 
 class TestSignLaw:
