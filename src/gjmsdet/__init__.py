@@ -25,7 +25,7 @@ from .errors import (
     ParameterError,
     UnsupportedArgumentError,
 )
-from .exact import ClosedForm, LogDetResult, SpherePoint, closed_form_p4, zeta_odd
+from .exact import METHODS, ClosedForm, LogDetResult, SpherePoint, closed_form_p4, zeta_odd
 
 # The names from the modules that import numpy, each mapped to its module.  The
 # module __getattr__ below (PEP 562) imports it on first access and caches it.
@@ -41,7 +41,7 @@ _LAZY = {
         "scans",
     ),
     **dict.fromkeys(
-        ("METHODS", "FactorIndex", "integrand_direct", "logdet", "logdet_chebyshev",
+        ("FactorIndex", "integrand_direct", "logdet", "logdet_chebyshev",
          "logdet_direct", "logdet_factor", "logdet_product_rule", "logdet_sum"),
         "spectral",
     ),

@@ -20,14 +20,12 @@ from .errors import (
     ParameterError,
     UnsupportedArgumentError,
 )
-from .exact import SpherePoint, closed_form_p4
+from .exact import METHOD_SELECTORS, SpherePoint, closed_form_p4
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-_METHOD_CHOICES = ("direct", "sum", "chebyshev", "product", "all")
 
 
 def __getattr__(name: str):
@@ -147,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_method(p, default="direct"):
         p.add_argument(
-            "--method", choices=_METHOD_CHOICES, default=default,
+            "--method", default=default,
+            choices=[s for s in METHOD_SELECTORS if s != "product_rule"],
             help=f"evaluation route (default {default})",
         )
 

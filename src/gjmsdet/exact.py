@@ -1,5 +1,6 @@
-"""The exact layer: validated sphere points, results, Riemann zeta at odd
-integers and the closed forms of log det P_4 on the 5- and 7-spheres.
+"""The exact layer: validated sphere points, results, the route tags and
+method selectors, Riemann zeta at odd integers and the closed forms of
+log det P_4 on the 5- and 7-spheres.
 
 Nothing here integrates, so nothing here needs numpy: ``import gjmsdet``
 and the ``rules`` and ``closed-form`` commands run on this module,
@@ -18,9 +19,38 @@ from typing import Tuple
 
 from .errors import InternalConsistencyError, ParameterError, UnsupportedArgumentError
 
-__all__ = ["SpherePoint", "LogDetResult", "ClosedForm", "zeta_odd", "closed_form_p4"]
+__all__ = ["SpherePoint", "LogDetResult", "METHODS", "METHOD_SELECTORS", "select_methods",
+           "ClosedForm", "zeta_odd", "closed_form_p4"]
 
 _LN2 = math.log(2.0)
+
+METHODS = ("direct", "sum", "chebyshev", "product_rule")
+
+# Every method selector with the routes it names; the CLI's --method offers
+# ``product`` for ``product_rule``.
+METHOD_SELECTORS = {
+    **{tag: (tag,) for tag in METHODS},
+    "product": ("product_rule",),
+    "all": METHODS,
+}
+
+
+def select_methods(selector: str) -> Tuple[str, ...]:
+    """The routes a method selector names: one route tag, ``product`` for
+    ``product_rule``, or ``all`` for every route."""
+    try:
+        return METHOD_SELECTORS[selector]
+    except (KeyError, TypeError):
+        raise ParameterError(
+            f"unknown method {selector!r}; expected one of "
+            f"{', '.join(METHOD_SELECTORS)}"
+        ) from None
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ParameterError unless ``value`` is an int; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterError(f"{name} must be an integer")
 
 
 @dataclass(frozen=True)
@@ -31,12 +61,10 @@ class SpherePoint:
     k: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.d, bool) or not isinstance(self.d, int):
-            raise ParameterError("d must be an integer")
+        require_integer("d", self.d)
         if self.d % 2 == 0 or self.d < 3:
             raise ParameterError("d must be odd and >= 3")
-        if isinstance(self.k, bool) or not isinstance(self.k, int):
-            raise ParameterError("k must be an integer")
+        require_integer("k", self.k)
         if not 1 <= self.k <= (self.d - 1) // 2:
             raise ParameterError("k must satisfy 1 <= k <= (d - 1)/2")
 

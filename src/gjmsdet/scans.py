@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import MethodDisagreementError, ParameterError
+from .exact import require_integer, select_methods
 from .quadrature import Tolerance
-from .spectral import METHODS, SpherePoint, logdet
+from .spectral import SpherePoint, logdet
 
 __all__ = [
     "ScanRow",
@@ -48,21 +49,6 @@ class ScanRow:
     method: str
     value: float
     err_estimate: float
-
-
-def select_methods(selector: str) -> tuple[str, ...]:
-    """The routes a method selector names: one route tag, ``product`` for
-    ``product_rule``, or ``all`` for every route."""
-    if selector == "all":
-        return METHODS
-    if selector == "product":
-        return ("product_rule",)
-    if selector in METHODS:
-        return (selector,)
-    raise ParameterError(
-        f"unknown method {selector!r}; expected one of "
-        f"{', '.join(METHODS + ('product', 'all'))}"
-    )
 
 
 def max_pairwise_discrepancy(values: Sequence[float]) -> float:
@@ -107,6 +93,7 @@ def scan_k(
     d: int, method: str = "direct", tolerance: Optional[Tolerance] = None
 ) -> list[ScanRow]:
     """All allowed orders k = 1 .. (d-1)/2 at fixed dimension d."""
+    require_integer("d", d)
     points = [SpherePoint(d, k) for k in range(1, (d - 1) // 2 + 1)]
     if not points:
         raise ParameterError("d must be odd and >= 3")
@@ -118,6 +105,8 @@ def _odd_range(d_min: int, d_max: int) -> list[int]:
         raise ParameterError("d must be odd and >= 3")
     if d_min < 3 or d_max < d_min:
         raise ParameterError("need 3 <= d_min <= d_max")
+    require_integer("d", d_min)
+    require_integer("d", d_max)
     return list(range(d_min, d_max + 1, 2))
 
 

@@ -1,41 +1,44 @@
 """Log-determinants of scalar GJMS operators P_2k on odd-dimensional spheres.
 
 On the round unit d-sphere (d odd) the order-2k GJMS operator factorizes
-into shifted conformal Laplacians, and its zeta-regularized log-determinant
-has the convergent representation
+into shifted conformal Laplacians, and its zeta-regularized log-determinant,
+for integer 1 <= k <= (d-1)/2, is by every route one identity:
 
-    log det P_2k(d) = s(d,k) / 2^(d-1) * I(d,k),
+    log det P_2k(d) = s(d,k) * sum_r w_r 2^-(p_r-2) I(a_r, p_r),
 
-    I(d,k)  = int_0^inf  pi/(x^2 + pi^2)
-                        * sinh(x/2) sinh(k x) / cosh^(d+1)(x/2)  dx,
-    s(d,k)  = (-1)^((d-1)/2 + k),
+    I(a, p) = int_0^inf  pi/(x^2 + pi^2)
+                         * sinh(x/2) sinh(a x) / cosh^p(x/2)  dx,
+    s(d,k)  = (-1)^((d-1)/2 + k).
 
-valid for integer 1 <= k <= (d-1)/2 (the integral diverges past d/2).  The
-integrand is positive, vanishes like k x^2 / (2 pi) at 0, and decays like
-2^(d-1) pi e^(-(d-2k)x/2) / x^2, so the quadrature module can truncate with
-an exact envelope.
+The integrand is positive, vanishes like a x^2 / (2 pi) at 0, and decays
+like 2^(p-2) pi e^(-(p-1-2a)x/2) / x^2, so the quadrature module can
+truncate with an exact envelope.  The four routes differ only in their rows
+(a_r, p_r), integer weights w_r and whether the integrand is regrouped:
 
-Four independent evaluation routes are exposed and must agree:
+    route          a_r      p_r        w_r, j < k                 regrouped
+    direct         k        d+1        1                          no
+    chebyshev      k        d+1        1                          yes
+    sum            j+1/2    d          (-1)^(k-1-j)               no
+    product_rule   1        d-2j+1     (-1)^(k-1+j) v_j(k)        no
 
-* ``logdet_direct``       the integral above;
-* ``logdet_sum``          per-factor integrals log det(B^2 - alpha_j^2)
-                          summed over j < k, alpha_j = j + 1/2;
-* ``logdet_chebyshev``    the same integral regrouped through
-                          sinh(kx)/sinh(x/2) = U_{2k-1}(cosh(x/2));
-* ``logdet_product_rule`` integer powers of k = 1 determinants at
-                          dimensions d, d-2, ..., d-2k+2.
+``direct`` is the single integral; ``chebyshev`` regroups it through
+sinh(kx)/sinh(x/2) = U_{2k-1}(cosh(x/2)); ``sum`` integrates the factors
+log det(B^2 - alpha_j^2), alpha_j = j + 1/2; ``product_rule`` takes the
+integer powers v_j(k) of the k = 1 determinants at d, d-2, ..., d-2k+2.
 
 Sign convention: the per-factor representation is implemented with sign
 (-1)^((d-1)/2 + j + 1).  Summing the factors through the geometric identity
 sum_{j<k} (-1)^j sinh((j+1/2)x) = (-1)^(k-1) sinh(kx) / (2 cosh(x/2)) then
-reproduces s(d,k) above exactly; the opposite per-factor sign would flip
-every k and contradict the k = 1 case.
+reproduces s(d,k) above exactly, which is why ``sum`` has the weights
+(-1)^(k-1-j); the opposite per-factor sign would flip every k and
+contradict the k = 1 case.  A route's value is s(d,k) times the weighted
+sum, so a result that underflows to zero still carries s(d,k).
 
-The numpy-free exact layer (``SpherePoint``, ``LogDetResult``, ``zeta_odd``,
-``ClosedForm`` and ``closed_form_p4``) lives in ``exact`` and is imported
-back here, so ``spectral.zeta_odd`` is ``exact.zeta_odd``.  Everything is
-pure and immutable; points of a parameter grid may be evaluated
-concurrently without coordination.
+The numpy-free exact layer (``SpherePoint``, ``LogDetResult``, ``METHODS``,
+``zeta_odd``, ``ClosedForm`` and ``closed_form_p4``) lives in ``exact`` and
+is imported back here, so ``spectral.zeta_odd`` is ``exact.zeta_odd``.
+Everything is pure and immutable; points of a parameter grid may be
+evaluated concurrently without coordination.
 """
 
 from __future__ import annotations
@@ -43,13 +46,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .chebyshev import v_coefficients
 from .errors import DivergentIntegralError, ParameterError, UnsupportedArgumentError
-from .exact import ClosedForm, LogDetResult, SpherePoint, closed_form_p4, zeta_odd
+from .exact import METHODS, ClosedForm, LogDetResult, SpherePoint, closed_form_p4, zeta_odd
+from .exact import require_integer
 from .quadrature import Envelopes, Tolerance, integrate_staged
 
 # Not called here (every route calls integrate_staged), but perfbench/spans.py
@@ -76,8 +80,6 @@ __all__ = [
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
 _PISQ = math.pi * math.pi
-
-METHODS = ("direct", "sum", "chebyshev", "product_rule")
 
 
 @dataclass(frozen=True)
@@ -235,38 +237,72 @@ def _integrals(
     return value, err
 
 
+def _plan(point: SpherePoint, method: str) -> tuple:
+    """The rows (a, p), the integer weights and the regrouping flag of the
+    route ``method`` at ``point``: the module docstring's table."""
+    d, k = point.d, point.k
+    if method in ("direct", "chebyshev"):
+        return k, d + 1, [1], method == "chebyshev"
+    if method == "sum":
+        return [j + 0.5 for j in range(k)], d, [(-1) ** (k - 1 - j) for j in range(k)], False
+    if method == "product_rule":
+        rule = v_coefficients(k)
+        top = max(rule.v)
+        if top > sys.float_info.max:  # from k = 742 on
+            raise UnsupportedArgumentError(
+                f"product rule at k = {k} needs powers v_j(k) up to "
+                f"2^{top.bit_length() - 1}, past the binary64 limit "
+                f"{sys.float_info.max:.4g}"
+            )
+        weights = [-v if (k - 1 + j) % 2 else v for j, v in enumerate(rule.v)]
+        return 1.0, [d - 2 * j + 1 for j in range(k)], weights, False
+    raise UnsupportedArgumentError(
+        f"unknown method {method!r}; expected one of {METHODS}"
+    )
+
+
+def logdet(
+    point: SpherePoint,
+    method: str = "direct",
+    tolerance: Optional[Tolerance] = None,
+) -> LogDetResult:
+    """log det P_2k(d) by one of the four evaluation routes, named by tag:
+    the route's rows integrated in one batch, then s(d,k) times their
+    weighted sum, with the estimates summed at the weights' magnitudes."""
+    a, p, weights, regrouped = _plan(point, method)
+    values, errs = _integrals(a, p, tolerance, regrouped)
+    value = point.sign * math.fsum(w * v for w, v in zip(weights, values.tolist()))
+    err = math.fsum(abs(w) * e for w, e in zip(weights, errs.tolist()))
+    return LogDetResult(value, err, method, point)
+
+
 def logdet_direct(
     point: SpherePoint, tolerance: Optional[Tolerance] = None
 ) -> LogDetResult:
-    """log det P_2k(d) from the single semi-infinite integral.
-
-    The decay rate is (d-2k)/2 and the envelope constant 2^(d-1) pi, both
-    exact consequences of the hyperbolic factors.
-    """
-    value, err = _integrals(point.k, point.d + 1, tolerance)
-    return LogDetResult(point.sign * float(value[0]), float(err[0]), "direct", point)
+    """log det P_2k(d) from the single semi-infinite integral."""
+    return logdet(point, "direct", tolerance)
 
 
-def _factors(
-    d: int, js: Sequence[int], tolerance: Optional[Tolerance]
-) -> Tuple[List[float], List[float]]:
-    """Signed log det(B^2 - alpha_j^2) for each j in js, and the estimates.
+def logdet_sum(
+    point: SpherePoint, tolerance: Optional[Tolerance] = None
+) -> LogDetResult:
+    """log det P_2k(d) as the sum of its k per-factor determinants."""
+    return logdet(point, "sum", tolerance)
 
-    cosh^d (not cosh^(d+1)) in the factor integrand, so the decay rate is
-    (d - 2 - 2j)/2; for odd d it is >= 1/2 exactly when 2*alpha_j < d.
-    """
-    if d % 2 == 0 or d < 3:
-        raise ParameterError("d must be odd and >= 3")
-    alphas = [j + 0.5 for j in js]
-    if 2.0 * max(alphas) >= d:
-        raise DivergentIntegralError(
-            f"factor integral diverges: 2*alpha = {2 * max(alphas)} >= d = {d}"
-        )
-    values, errs = _integrals(alphas, d, tolerance)
-    signed = [
-        -v if ((d - 1) // 2 + j + 1) % 2 else v for j, v in zip(js, values.tolist())
-    ]
-    return signed, errs.tolist()
+
+def logdet_chebyshev(
+    point: SpherePoint, tolerance: Optional[Tolerance] = None
+) -> LogDetResult:
+    """log det P_2k(d) from the Chebyshev-regrouped integrand."""
+    return logdet(point, "chebyshev", tolerance)
+
+
+def logdet_product_rule(
+    point: SpherePoint, tolerance: Optional[Tolerance] = None
+) -> LogDetResult:
+    """log det P_2k(d) = sum_j v_j(k) log det P_2(d - 2j).  Raises
+    UnsupportedArgumentError where a power passes the binary64 range."""
+    return logdet(point, "product_rule", tolerance)
 
 
 def logdet_factor(
@@ -276,78 +312,15 @@ def logdet_factor(
 
     Carries the sign (-1)^((d-1)/2 + j + 1); see the module docstring for
     why this, and not (-1)^((d-1)/2 + j), is the convention consistent with
-    the direct k-th order integral.  Requires 2 alpha_j < d for convergence.
+    the direct k-th order integral.  Requires 2 alpha_j < d for convergence:
+    the decay rate of the cosh^d integrand is (d - 1 - 2 alpha_j)/2.
     """
-    return _factors(d, [factor.j], tolerance)[0][0]
-
-
-def logdet_sum(
-    point: SpherePoint, tolerance: Optional[Tolerance] = None
-) -> LogDetResult:
-    """log det P_2k(d) as the sum of its k per-factor determinants, all
-    integrated in one batch."""
-    values, errs = _factors(point.d, range(point.k), tolerance)
-    return LogDetResult(
-        value=math.fsum(values),
-        err_estimate=math.fsum(errs),
-        method="sum",
-        point=point,
-    )
-
-
-def logdet_chebyshev(
-    point: SpherePoint, tolerance: Optional[Tolerance] = None
-) -> LogDetResult:
-    """log det P_2k(d) from the Chebyshev-regrouped integrand."""
-    value, err = _integrals(point.k, point.d + 1, tolerance, regrouped=True)
-    return LogDetResult(point.sign * float(value[0]), float(err[0]), "chebyshev", point)
-
-
-def logdet_product_rule(
-    point: SpherePoint, tolerance: Optional[Tolerance] = None
-) -> LogDetResult:
-    """log det P_2k(d) = sum_j v_j(k) log det P_2(d - 2j).
-
-    The base values are the k = 1 direct integrals at descending odd
-    dimensions d_j = d - 2j, integrated in one batch; for a valid point the
-    last dimension d - 2k + 2 is >= 3.  Raises UnsupportedArgumentError
-    where a power passes the binary64 range.
-    """
-    rule = v_coefficients(point.k)
-    top = max(rule.v)
-    if top > sys.float_info.max:  # from k = 742 on
-        raise UnsupportedArgumentError(
-            f"product rule at k = {point.k} needs powers v_j(k) up to "
-            f"2^{top.bit_length() - 1}, past the binary64 limit "
-            f"{sys.float_info.max:.4g}"
+    if d % 2 == 0 or d < 3:
+        raise ParameterError("d must be odd and >= 3")
+    if 2.0 * factor.alpha >= d:
+        raise DivergentIntegralError(
+            f"factor integral diverges: 2*alpha = {2 * factor.alpha} >= d = {d}"
         )
-    dims = [point.d - 2 * j for j in range(point.k)]
-    values, errs = _integrals(1.0, [dj + 1 for dj in dims], tolerance)
-    # sign of log det P_2(dj): (-1)^((dj-1)/2 + 1) = (-1)^((dj+1)/2)
-    signs = [-1 if (dj + 1) // 2 % 2 else 1 for dj in dims]
-    value = math.fsum(w * (s * v) for w, s, v in zip(rule.v, signs, values.tolist()))
-    err = math.fsum(w * e for w, e in zip(rule.v, errs.tolist()))
-    return LogDetResult(value, err, "product_rule", point)
-
-
-_METHOD_FUNCS = {
-    "direct": logdet_direct,
-    "sum": logdet_sum,
-    "chebyshev": logdet_chebyshev,
-    "product_rule": logdet_product_rule,
-}
-
-
-def logdet(
-    point: SpherePoint,
-    method: str = "direct",
-    tolerance: Optional[Tolerance] = None,
-) -> LogDetResult:
-    """Dispatch to one of the four evaluation routes by tag."""
-    try:
-        func = _METHOD_FUNCS[method]
-    except KeyError:
-        raise UnsupportedArgumentError(
-            f"unknown method {method!r}; expected one of {METHODS}"
-        ) from None
-    return func(point, tolerance)
+    require_integer("d", d)  # last, so the rejections above keep their messages
+    value =_integrals(factor.alpha, d, tolerance)[0].item()
+    return -value if ((d - 1) // 2 + factor.j + 1) % 2 else value

@@ -5,13 +5,15 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from gjmsdet import ScanRow, read_csv
+from gjmsdet import ParameterError, ScanRow, exact, read_csv, scans
 from gjmsdet.cli import main
 from gjmsdet.scans import (
     check_method_agreement,
     format_csv,
     parse_csv,
     scan_k,
+    scan_limiting,
+    scan_paneitz,
     write_svg,
 )
 
@@ -111,6 +113,15 @@ class TestEval:
         assert code == 2
         assert out == ""
         assert "k = 742" in err
+
+    def test_underflowed_zero_carries_the_sign_on_every_route(self, capsys):
+        # s(1101, 1) = -1, and every route's value underflows to zero
+        code, out, _ = run(["eval", "--d", "1101", "--k", "1"], capsys)
+        assert code == 0
+        rows = [line.split()[:2] for line in out.split("\n")[1:5]]
+        assert rows == [
+            ["direct", "-0"], ["sum", "-0"], ["chebyshev", "-0"], ["product_rule", "-0"]
+        ]
 
 
 class TestScanK:
@@ -387,3 +398,109 @@ class TestCsvFormat:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParameterError, match="^line 4: "):
             read_csv(str(path))
+
+
+_METHOD_USAGE = "--method {direct,sum,chebyshev,product,all}"
+_SCAN_OPTIONS = f"""
+options:
+  -h, --help            show this help message and exit
+  --d-min D_MIN
+  --d-max D_MAX
+  {_METHOD_USAGE}
+                        evaluation route (default direct)
+  --tol TOL             relative quadrature tolerance
+  --out OUT             CSV output path (default stdout)
+  --svg SVG             also write an SVG chart here
+"""
+
+
+class TestMethodSelectors:
+    """One selector table serves the scans and the CLI's --method."""
+
+    GOLDEN_HELP = {
+        "eval": f"""\
+usage: gjmsdet eval [-h] --d D --k K
+                    [{_METHOD_USAGE}] [--tol TOL]
+
+options:
+  -h, --help            show this help message and exit
+  --d D                 odd sphere dimension >= 3
+  --k K                 order, 1 <= k <= (d-1)/2
+  {_METHOD_USAGE}
+                        evaluation route (default all)
+  --tol TOL             relative quadrature tolerance
+""",
+        "scan-k": f"""\
+usage: gjmsdet scan-k [-h] --d D [{_METHOD_USAGE}]
+                      [--tol TOL] [--out OUT] [--svg SVG]
+
+options:
+  -h, --help            show this help message and exit
+  --d D
+  {_METHOD_USAGE}
+                        evaluation route (default direct)
+  --tol TOL             relative quadrature tolerance
+  --out OUT             CSV output path (default stdout)
+  --svg SVG             also write an SVG chart here
+""",
+        "limiting": f"""\
+usage: gjmsdet limiting [-h] [--d-min D_MIN] [--d-max D_MAX]
+                        [{_METHOD_USAGE}]
+                        [--tol TOL] [--out OUT] [--svg SVG]
+{_SCAN_OPTIONS}""",
+        "paneitz": f"""\
+usage: gjmsdet paneitz [-h] [--d-min D_MIN] [--d-max D_MAX]
+                       [{_METHOD_USAGE}]
+                       [--tol TOL] [--out OUT] [--svg SVG]
+{_SCAN_OPTIONS}""",
+    }
+
+    @pytest.mark.parametrize("command", GOLDEN_HELP)
+    def test_help_is_golden(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (self.GOLDEN_HELP[command], "")
+
+    def test_scans_reexport_the_exact_table(self):
+        assert scans.select_methods is exact.select_methods
+        assert exact.select_methods("all") is exact.METHODS
+        assert exact.select_methods("product") == ("product_rule",)
+        assert exact.select_methods("product_rule") == ("product_rule",)
+
+    @pytest.mark.parametrize("selector", ["bogus", "Product", ["all"]])
+    def test_unknown_selector_lists_every_spelling(self, selector):
+        with pytest.raises(ParameterError) as exc_info:
+            exact.select_methods(selector)
+        assert str(exc_info.value) == (
+            f"unknown method {selector!r}; expected one of "
+            "direct, sum, chebyshev, product_rule, product, all"
+        )
+
+
+class TestNonIntegerDimension:
+    """A scan refuses a dimension that is not an int with the ParameterError
+    SpherePoint raises, and keeps its own messages for the rejections it
+    made before checking the type."""
+
+    @pytest.mark.parametrize(
+        "scan, args",
+        [(scan_k, (35.0,)), (scan_limiting, (3.0, 9)), (scan_paneitz, (5, 9.0)),
+         (scan_limiting, (3, float("nan")))],
+    )
+    def test_rejected_as_parameter_error(self, scan, args):
+        with pytest.raises(ParameterError, match="^d must be an integer$"):
+            scan(*args)
+
+    @pytest.mark.parametrize(
+        "scan, args, message",
+        [(scan_limiting, (4.0, 9), "d must be odd and >= 3"),
+         (scan_limiting, (3, 2.5), "need 3 <= d_min <= d_max"),
+         (scan_paneitz, (3.0, 9), "k = 2 needs d >= 5"),
+         (scan_k, (2,), "d must be odd and >= 3")],
+    )
+    def test_earlier_rejections_keep_their_message(self, scan, args, message):
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            scan(*args)

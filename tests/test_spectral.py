@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gjmsdet import errors, spectral
+from gjmsdet import errors, exact, spectral
 from gjmsdet import (
     DivergentIntegralError,
     EvaluationError,
@@ -192,6 +192,17 @@ class TestLogdetFactor:
         with pytest.raises(ParameterError):
             FactorIndex(-1)
         assert FactorIndex(3).alpha == 3.5
+
+    @pytest.mark.parametrize("d", [5.5, 5.0, 35.0])
+    def test_rejects_non_integer_dimension(self, d):
+        with pytest.raises(ParameterError, match="^d must be an integer$"):
+            logdet_factor(d, FactorIndex(0))
+
+    def test_earlier_rejections_keep_their_message(self):
+        with pytest.raises(ParameterError, match="^d must be odd and >= 3$"):
+            logdet_factor(6.0, FactorIndex(0))
+        with pytest.raises(DivergentIntegralError, match="2\\*alpha = 7.0 >= d = 5.5"):
+            logdet_factor(5.5, FactorIndex(3))
 
 
 class TestLogdetSum:
@@ -393,6 +404,63 @@ class TestSignLaw:
                 assert math.copysign(1.0, res.value) == expected
 
 
+class TestSignedZero:
+    """Past d = 1075 a k = 1 value underflows to zero; the zero carries
+    s(d, k) on every route."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("d", [1101, 2001])
+    def test_zero_carries_the_point_sign(self, d, method):
+        point = SpherePoint(d, 1)
+        res = logdet(point, method)
+        assert res.value == 0.0 and res.err_estimate > 0.0
+        assert math.copysign(1.0, res.value) == point.sign == -1
+
+
+class TestReducer:
+    """Every route is one weighted sum of batched rows."""
+
+    def test_plans_follow_the_route_table(self):
+        # (a_r, p_r, w_r, regrouped) at d = 9, k = 4; v(4) = (4, 10, 6, 1)
+        point = SpherePoint(9, 4)
+        assert spectral._plan(point, "direct") == (4, 10, [1], False)
+        assert spectral._plan(point, "chebyshev") == (4, 10, [1], True)
+        assert spectral._plan(point, "sum") == (
+            [0.5, 1.5, 2.5, 3.5], 9, [-1, 1, -1, 1], False
+        )
+        assert spectral._plan(point, "product_rule") == (
+            1.0, [10, 8, 6, 4], [-4, 10, -6, 1], False
+        )
+
+    @pytest.mark.parametrize("d,k", [(9, 4), (21, 10), (65, 32)])
+    def test_product_rule_weights_bit_for_bit(self, d, k):
+        # batched rows equal lone calls, so the weighted sum over the k = 1
+        # direct results reproduces the route exactly
+        res = logdet_product_rule(SpherePoint(d, k))
+        bases = [logdet_direct(SpherePoint(d - 2 * j, 1)) for j in range(k)]
+        powers = spectral.v_coefficients(k).v
+        assert res.value == math.fsum(v * b.value for v, b in zip(powers, bases))
+        assert res.err_estimate == math.fsum(
+            v * b.err_estimate for v, b in zip(powers, bases)
+        )
+
+    @pytest.mark.parametrize("d,k", [(5, 2), (9, 4), (21, 10), (1101, 1)])
+    def test_route_functions_are_logdet(self, d, k):
+        point = SpherePoint(d, k)
+        routes = {
+            "direct": logdet_direct,
+            "sum": logdet_sum,
+            "chebyshev": logdet_chebyshev,
+            "product_rule": logdet_product_rule,
+        }
+        for method, route in routes.items():
+            got, want = route(point), logdet(point, method)
+            assert got.method == want.method == method
+            assert (got.value.hex(), got.err_estimate.hex()) == (
+                want.value.hex(), want.err_estimate.hex()
+            )
+
+
 class TestDispatch:
     def test_logdet_dispatches_all_methods(self):
         p = SpherePoint(5, 2)
@@ -402,6 +470,9 @@ class TestDispatch:
     def test_unknown_method(self):
         with pytest.raises(UnsupportedArgumentError):
             logdet(SpherePoint(5, 2), "bogus")
+
+    def test_methods_is_the_exact_layer_tuple(self):
+        assert spectral.METHODS is exact.METHODS is METHODS
 
 
 class TestZetaOdd:
