@@ -11,6 +11,7 @@ and adds the quadrature routes.  Everything is pure and immutable.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,23 +49,27 @@ def select_methods(selector: str) -> Tuple[str, ...]:
 
 
 def require_integer(name: str, value) -> None:
-    """Raise ParameterError unless ``value`` is an int; a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """Raise ParameterError unless ``value`` is an integer, such as an int or
+    a numpy integer; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ParameterError(f"{name} must be an integer")
 
 
 @dataclass(frozen=True)
 class SpherePoint:
-    """A validated (dimension, order) pair for one determinant evaluation."""
+    """A validated (dimension, order) pair for one determinant evaluation.
+    Any integer type is accepted; the fields hold plain ints."""
 
     d: int
     k: int
 
     def __post_init__(self) -> None:
         require_integer("d", self.d)
+        object.__setattr__(self, "d", int(self.d))
         if self.d % 2 == 0 or self.d < 3:
             raise ParameterError("d must be odd and >= 3")
         require_integer("k", self.k)
+        object.__setattr__(self, "k", int(self.k))
         if not 1 <= self.k <= (self.d - 1) // 2:
             raise ParameterError("k must satisfy 1 <= k <= (d - 1)/2")
 

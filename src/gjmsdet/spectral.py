@@ -34,6 +34,15 @@ reproduces s(d,k) above exactly, which is why ``sum`` has the weights
 contradict the k = 1 case.  A route's value is s(d,k) times the weighted
 sum, so a result that underflows to zero still carries s(d,k).
 
+Rows that cannot matter are not integrated.  ``_log_mass_bound`` bounds
+each scaled row integral 2^-(p-2) I(a, p) by B(a, p) in closed form (Gamma
+functions through Stirling's series with Binet's remainder bound); in a
+plan of more than one row, ``logdet`` skips every row whose |w_r| B_r is
+at most eps rel_tol max_s |w_s| B_s / n (eps binary64 epsilon, n rows)
+and adds the skipped rows' summed |w_r| B_r to the estimate.  On the
+diagonal ``sum`` then integrates 13 of its 510 rows at d = 1021 and 17 of
+192 at d = 385, ``product_rule`` 215 and 125; at d <= 65 no row is skipped.
+
 The numpy-free exact layer (``SpherePoint``, ``LogDetResult``, ``METHODS``,
 ``zeta_odd``, ``ClosedForm`` and ``closed_form_p4``) lives in ``exact`` and
 is imported back here, so ``spectral.zeta_odd`` is ``exact.zeta_odd``.
@@ -80,6 +89,7 @@ __all__ = [
 _LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
 _PISQ = math.pi * math.pi
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -193,6 +203,43 @@ def _envelope(a, p):
     return _LNPI + (p - 2) * _LN2, 0.5 * (p - 1 - 2 * a)
 
 
+# log(2pi)/2 from Stirling, log(1/pi) from the bound, log 2 as the margin
+_LOG_BOUND_CONST = 0.5 * math.log(2.0 * math.pi) - _LNPI + _LN2
+
+
+def _log_mass_bound(a, p, log=np.log):
+    """log of an upper bound B(a, p) on the scaled row integral
+    2^-(p-2) I(a, p), elementwise for rows with p - 2a - 1 >= 1 (``log``
+    may be math.log, the faster on numbers):
+
+        B = Gamma((p+2a-1)/2) Gamma((p-2a+1)/2) / Gamma(p)
+            * 4a / (pi (p-2a-1)).
+
+    From pi/(x^2+pi^2) <= 1/pi, sinh t sinh(2at) = (cosh((2a+1)t) -
+    cosh((2a-1)t))/2 and int_0^inf cosh(mu t)/cosh^nu t dt =
+    2^(nu-2) Gamma((nu+mu)/2) Gamma((nu-mu)/2) / Gamma(nu)
+    (Gradshteyn-Ryzhik 3.512.1).  Stirling's series log Gamma(z) =
+    (z-1/2) log z - z + log(2pi)/2 + mu(z) with 0 < mu(z) < 1/(12z) (Binet)
+    bounds the numerator from above and Gamma(p) from below; the z terms
+    cancel since the numerator arguments sum to p.
+    A log 2 margin covers the rounding of this and of the exp of it.  The
+    regrouping has the same integrand, so the same bound.
+
+    log B grows with a (for a >= 1/2) and falls with p, by at least log 2
+    per unit.  With u and w the numerator's arguments, its a-derivative is
+    a sum of non-negative terms, and in its p-derivative
+    log(sqrt(uw)/p) <= -log 2 while the other terms are negative (u + w = p,
+    so uw <= p^2/4 and 1/u + 1/w >= 4/p)."""
+    u = 0.5 * (p - 1.0) + a  # (p+2a-1)/2
+    w = p - u  # (p-2a+1)/2
+    return (
+        (u - 0.5) * log(u) + (w - 0.5) * log(w) - (p - 0.5) * log(p)
+        + p / (12.0 * u * w)  # 1/(12u) + 1/(12w)
+        + log((a + a) / (w - 1.0))  # 4a/(p-2a-1)
+        + _LOG_BOUND_CONST
+    )
+
+
 def integrand_direct(point: SpherePoint, x):
     """Log-magnitude and sign of the direct integrand at x > 0.
 
@@ -268,12 +315,53 @@ def logdet(
 ) -> LogDetResult:
     """log det P_2k(d) by one of the four evaluation routes, named by tag:
     the route's rows integrated in one batch, then s(d,k) times their
-    weighted sum, with the estimates summed at the weights' magnitudes."""
+    weighted sum, with the estimates summed at the weights' magnitudes.
+
+    A plan of more than one row first drops the rows whose bound mass
+    |w_r| B_r is at most eps rel_tol max_s |w_s| B_s / n; their summed
+    bound mass is added to the estimate (see ``_drop_negligible``)."""
     a, p, weights, regrouped = _plan(point, method)
+    skipped = 0.0
+    if len(weights) > 1:
+        a, p, weights, skipped = _drop_negligible(a, p, weights, tolerance)
     values, errs = _integrals(a, p, tolerance, regrouped)
     value = point.sign * math.fsum(w * v for w, v in zip(weights, values.tolist()))
-    err = math.fsum(abs(w) * e for w, e in zip(weights, errs.tolist()))
+    err = math.fsum([*(abs(w) * e for w, e in zip(weights, errs.tolist())), skipped])
     return LogDetResult(value, err, method, point)
+
+
+def _drop_negligible(a, p, weights, tolerance: Optional[Tolerance]) -> tuple:
+    """The plan without its rows of bound mass |w_r| B_r at most
+    eps rel_tol max_s |w_s| B_s / n (B from ``_log_mass_bound``, n rows):
+    the rest's (a, p, weights), and the skipped rows' summed mass, rounded
+    up past underflow, to charge to the estimate."""
+    rel_tol = (Tolerance() if tolerance is None else tolerance).rel_tol
+    log_cut = math.log(_EPS * rel_tol / len(weights))
+    # B grows with a and falls with p, and every plan holds one of them
+    # fixed, so its least and most B are at (least a, most p) and (most a,
+    # least p), both rows of the plan.  While those two and the extreme
+    # weights span less than the cut, no row is skipped, and the per-row
+    # pass, a noticeable share of a small plan's cost, is left out.
+    magnitudes = [abs(w) for w in weights]
+    (a_lo, a_hi), (p_lo, p_hi) = _extremes(a), _extremes(p)
+    spread = _log_mass_bound(a_hi, p_lo, math.log) - _log_mass_bound(a_lo, p_hi, math.log)
+    if spread + math.log(max(magnitudes) / min(magnitudes)) < -log_cut:
+        return a, p, weights, 0.0
+    a, p = np.asarray(a, dtype=float), np.asarray(p, dtype=float)
+    mass = _log_mass_bound(a, p) + np.log(np.array(magnitudes, dtype=float))
+    skip = mass <= mass.max() + log_cut
+    tail = np.exp(mass[skip])
+    skipped = math.fsum(tail.tolist())
+    if skipped < sys.float_info.min:  # each exp may have lost 2^-1074 to underflow
+        skipped += tail.size * math.ulp(0.0)
+    keep = ~skip
+    kept = [w for w, k in zip(weights, keep.tolist()) if k]
+    return a[keep] if a.ndim else a, p[keep] if p.ndim else p, kept, skipped
+
+
+def _extremes(values) -> tuple:
+    """(least, greatest) of a plan's row parameter, a list or one number."""
+    return (min(values), max(values)) if isinstance(values, list) else (values, values)
 
 
 def logdet_direct(

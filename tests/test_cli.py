@@ -3,6 +3,7 @@
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
 from gjmsdet import ParameterError, ScanRow, exact, read_csv, scans
@@ -504,3 +505,21 @@ class TestNonIntegerDimension:
     def test_earlier_rejections_keep_their_message(self, scan, args, message):
         with pytest.raises(ParameterError, match=f"^{message}$"):
             scan(*args)
+
+
+class TestNumpyIntegerDimension:
+    """A scan takes numpy integers, such as the items of np.arange, and
+    gives the rows it gives for the equal ints."""
+
+    @pytest.mark.parametrize(
+        "scan, args",
+        [(scan_k, (35,)), (scan_limiting, (3, 9)), (scan_paneitz, (5, 9))],
+    )
+    def test_same_rows_as_plain_ints(self, scan, args):
+        rows = scan(*(np.int64(v) for v in args), "all")
+        assert rows == scan(*args, "all")
+        assert all(type(r.d) is int and type(r.k) is int for r in rows)
+
+    def test_dimensions_from_arange(self):
+        for d in np.arange(3, 12, 2):
+            assert format_csv(scan_k(d)) == format_csv(scan_k(int(d)))

@@ -6,6 +6,7 @@ at 40 digits, independent of this package's Gauss-Legendre pipeline).
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -75,6 +76,32 @@ class TestSpherePoint:
             SpherePoint(5.0, 2)
         with pytest.raises(ParameterError):
             SpherePoint(5, 2.0)
+
+    def test_numpy_integers_become_plain_ints(self):
+        point = SpherePoint(np.int64(5), np.int32(2))
+        assert point == SpherePoint(5, 2) and hash(point) == hash(SpherePoint(5, 2))
+        assert type(point.d) is int and type(point.k) is int
+
+    def test_points_from_arange(self):
+        for d in np.arange(3, 22, 2):
+            for k in np.arange(1, (d - 1) // 2 + 1):
+                point = SpherePoint(d, k)
+                assert (type(point.d), type(point.k)) == (int, int)
+                assert point == SpherePoint(int(d), int(k))
+        for method in METHODS:
+            got = logdet(SpherePoint(*np.array([21, 10])), method)
+            want = logdet(SpherePoint(21, 10), method)
+            assert (got.value.hex(), got.err_estimate.hex()) == (
+                want.value.hex(), want.err_estimate.hex()
+            )
+            assert got.point == want.point
+
+    @pytest.mark.parametrize("bad", [np.float64(5.0), np.bool_(True), True, "5"])
+    def test_rejects_other_types_with_the_same_message(self, bad):
+        with pytest.raises(ParameterError, match="^d must be an integer$"):
+            SpherePoint(bad, 1)
+        with pytest.raises(ParameterError, match="^k must be an integer$"):
+            SpherePoint(5, bad)
 
 
 class TestIntegrand:
@@ -197,6 +224,11 @@ class TestLogdetFactor:
     def test_rejects_non_integer_dimension(self, d):
         with pytest.raises(ParameterError, match="^d must be an integer$"):
             logdet_factor(d, FactorIndex(0))
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_accepts_numpy_integer_dimension(self, j):
+        got = logdet_factor(np.int64(5), FactorIndex(j))
+        assert got.hex() == logdet_factor(5, FactorIndex(j)).hex()
 
     def test_earlier_rejections_keep_their_message(self):
         with pytest.raises(ParameterError, match="^d must be odd and >= 3$"):
@@ -357,11 +389,14 @@ class TestSharedWork:
     fraction of the abscissas the per-pair stage sees, and the envelope
     pruning keeps the per-pair stage itself small (deterministic work
     counts, so that losing the sharing or the pruning fails here rather
-    than only in a timing)."""
+    than only in a timing).  The batches are every row of the route's plan,
+    integrated through ``_integrals``, since ``logdet`` skips the rows its
+    mass bound proves negligible."""
 
     @staticmethod
     def _abscissas(method, monkeypatch):
-        """Abscissas each stage sees for ``method`` at (1021, 510)."""
+        """Abscissas each stage sees for all 510 rows of ``method`` at
+        (1021, 510)."""
         seen = {"shared": 0, "per_pair": 0}
 
         class Counting(spectral._LogIntegrand):
@@ -376,7 +411,8 @@ class TestSharedWork:
                 return super().per_pair(terms, x, row)
 
         monkeypatch.setattr(spectral, "_LogIntegrand", Counting)
-        logdet(SpherePoint(1021, 510), method)
+        a, p, _, regrouped = spectral._plan(SpherePoint(1021, 510), method)
+        spectral._integrals(a, p, None, regrouped)
         return seen
 
     @pytest.mark.parametrize("method, bound", [("product_rule", 0.05), ("sum", 0.25)])
@@ -392,6 +428,184 @@ class TestSharedWork:
     def test_pruning_halves_per_pair_abscissas(self, method, unpruned, share, monkeypatch):
         seen = self._abscissas(method, monkeypatch)
         assert 510 * 32 < seen["per_pair"] <= share * unpruned
+
+
+# log 2^-(p-2) I(a, p) of the rows tests/_oracles.py BOUND_ROWS, from
+# mpmath quadrature at 30 digits
+LOG_ROW_REFS = {
+    (0.5, 3): -2.0587443377551312,
+    (1, 4): -2.0587443377551312,
+    (0.5, 1021): -716.93456134260159,
+    (509.5, 1021): -6.122970354788767,
+    (510, 1022): -6.1236723448168056,
+    (1.5, 5): -2.1530611558028747,
+    (31.5, 65): -4.064082795515669,
+    (32, 66): -4.0759549265411861,
+    (10.5, 23): -3.2498246147177398,
+    (0.5, 65): -50.139520999424813,
+    (1, 1022): -716.93456134260159,
+    (100, 1000): -676.88961460095392,
+    (255.5, 513): -5.6244298354348872,
+    (3, 9): -3.9022730524177304,
+    (1, 10): -8.2462498783550085,
+    (95.5, 385): -219.66500727582637,
+    (1, 194): -140.50555588776456,
+}
+
+
+class TestMassBound:
+    """B(a, p) of ``_log_mass_bound`` bounds the scaled row integral
+    2^-(p-2) I(a, p) from above, and not loosely: I <= B <= e^3.5 I.  Its
+    slack is about e^0.7 where the integrand sits near x = 0 and grows
+    towards e^2.8 at p - 2a - 1 = 1, where it spreads out to x ~ 1/L and
+    pi/(x^2+pi^2) falls below 1/pi.  Of the e^0.7, the factor 2 is the
+    rounding margin, so B/2 must bound I too (up to that rounding)."""
+
+    @pytest.mark.parametrize("row", LOG_ROW_REFS)
+    def test_brackets_the_row_integral(self, row):
+        log_bound = spectral._log_mass_bound(*np.array(row, dtype=float))
+        assert LOG_ROW_REFS[row] <= log_bound <= LOG_ROW_REFS[row] + 3.5
+        assert LOG_ROW_REFS[row] <= log_bound - math.log(2.0) + 1e-9
+
+    @pytest.mark.parametrize("p", [3, 4, 9, 64, 65, 385, 1022, 4001])
+    def test_stirling_forms_bound_the_gamma_ratio(self, p):
+        # without its log 2 margin the bound exceeds the exact Gamma form by
+        # 1/(12u) - mu(u) + 1/(12w) - mu(w) + mu(p), in (0, 1/(12u) + 1/(12w) + 1/(12p))
+        for a in np.arange(0.5, (p - 1) / 2, 0.5)[:: max(1, p // 40)]:
+            u, w = (p + 2 * a - 1) / 2, (p - 2 * a + 1) / 2
+            exact = (math.lgamma(u) + math.lgamma(w) - math.lgamma(p)
+                     + math.log(4 * a / (math.pi * (p - 2 * a - 1))))
+            excess = spectral._log_mass_bound(a, float(p)) - math.log(2.0) - exact
+            assert -1e-9 < excess < 1 / (12 * u) + 1 / (12 * w) + 1 / (12 * p) + 1e-9
+
+    @pytest.mark.parametrize("p", [3, 4, 9, 64, 65, 385, 1022, 4001])
+    def test_grows_with_a_and_falls_with_p(self, p):
+        # the monotony ``_drop_negligible`` relies on to skip its full pass
+        a = np.arange(0.5, (p - 1) / 2, 0.5)
+        here = spectral._log_mass_bound(a, float(p))
+        assert np.all(np.diff(here) > 0.0)
+        assert np.all(spectral._log_mass_bound(a, p + 1.0) <= here - math.log(2.0))
+
+    @pytest.mark.parametrize("d,k", [(1021, 510), (385, 192)])
+    @pytest.mark.parametrize("method", ["sum", "product_rule"])
+    def test_bounds_every_row_of_the_plan(self, d, k, method):
+        a, p, _, regrouped = spectral._plan(SpherePoint(d, k), method)
+        a, p = np.broadcast_arrays(np.asarray(a, float), np.asarray(p, float))
+        values, _ = spectral._integrals(a, p, None, regrouped)
+        assert np.all(np.log(values) <= spectral._log_mass_bound(a, p))
+
+
+class TestRowSkipping:
+    """``logdet`` integrates only the rows whose bound mass |w_r| B_r is not
+    negligible against the largest, and charges the skipped mass to the
+    estimate (deterministic work counts)."""
+
+    @staticmethod
+    def _integrated(point, method, monkeypatch):
+        """The result of ``logdet`` and the (a, p) rows it integrated."""
+        seen = []
+        integrals = spectral._integrals
+
+        def recording(a, p, *args):
+            rows = np.broadcast_arrays(np.array(a, float, ndmin=1), np.array(p, float, ndmin=1))
+            seen.extend(zip(*(r.tolist() for r in rows)))
+            return integrals(a, p, *args)
+
+        monkeypatch.setattr(spectral, "_integrals", recording)
+        return logdet(point, method), seen
+
+    @pytest.mark.parametrize("method, most", [("sum", 20), ("product_rule", 0.6 * 510)])
+    def test_diagonal_integrates_few_rows(self, method, most, monkeypatch):
+        _, seen = self._integrated(SpherePoint(1021, 510), method, monkeypatch)
+        assert 0 < len(seen) <= most
+
+    @pytest.mark.parametrize("d,k,method", [
+        (1021, 510, "direct"), (1021, 510, "chebyshev"),
+        (5, 1, "sum"), (5, 1, "product_rule"), (1025, 1, "sum"), (1025, 1, "product_rule"),
+    ])
+    def test_one_row_plan_computes_no_bound(self, d, k, method, monkeypatch):
+        def unused(a, p):
+            raise AssertionError("a one-row plan needs no bound")
+
+        monkeypatch.setattr(spectral, "_log_mass_bound", unused)
+        _, seen = self._integrated(SpherePoint(d, k), method, monkeypatch)
+        assert len(seen) == 1
+
+    def test_nothing_skipped_on_the_grid_or_scan_k_35(self, monkeypatch):
+        points = [(d, k) for d in range(3, 22, 2) for k in range(1, (d - 1) // 2 + 1)]
+        points += [(35, k) for k in range(1, 18)]
+        for d, k in points:
+            for method in ("sum", "product_rule"):
+                _, seen = self._integrated(SpherePoint(d, k), method, monkeypatch)
+                assert len(seen) == k, (d, k, method)
+
+    @pytest.mark.parametrize("d,k,method", [
+        (1021, 510, "sum"), (1021, 510, "product_rule"), (385, 192, "sum"),
+        (385, 192, "product_rule"), (131, 65, "sum"), (131, 65, "product_rule"),
+        # skipped masses past the normal range: 3e-313 and 2e-311
+        (1029, 178, "sum"), (1025, 42, "product_rule"),
+    ])
+    def test_skipped_mass_is_charged_to_the_estimate(self, d, k, method, monkeypatch):
+        # the threshold eps rel_tol max_s |w_s| B_s / n, recomputed here
+        point = SpherePoint(d, k)
+        res, seen = self._integrated(point, method, monkeypatch)
+        plan = spectral._plan(point, method)
+        weights, regrouped = plan[2:]
+        a, p = np.broadcast_arrays(np.asarray(plan[0], float), np.asarray(plan[1], float))
+        mass = [math.log(abs(w)) + b for w, b in zip(weights, spectral._log_mass_bound(a, p))]
+        cut = max(mass) + math.log(sys.float_info.epsilon * Tolerance().rel_tol / k)
+        skipped = [m <= cut for m in mass]
+        assert seen == [row for row, s in zip(zip(a.tolist(), p.tolist()), skipped) if not s]
+        kept_a, kept_p, kept_w, charge = spectral._drop_negligible(*plan[:3], None)
+        assert charge == pytest.approx(math.fsum(math.exp(m) for m, s in zip(mass, skipped) if s))
+        assert charge > 0.0
+        _, errs = spectral._integrals(kept_a, kept_p, None, regrouped)
+        terms = [abs(w) * e for w, e in zip(kept_w, errs.tolist())]
+        assert res.err_estimate == math.fsum([*terms, charge]) >= charge
+
+    @pytest.mark.parametrize("tolerance", [Tolerance(), Tolerance(rel_tol=1e-3)])
+    def test_early_exit_keeps_the_rule(self, tolerance):
+        # the rows kept are those of mass above the cut, whether or not the
+        # corner rows let the full pass be skipped
+        points = [(d, k) for d in range(3, 132, 2) for k in range(2, (d - 1) // 2 + 1)]
+        points += [(d, (d - 1) // 2) for d in range(133, 1026, 16)]
+        for d, k in points:
+            for method in ("sum", "product_rule"):
+                a, p, weights, _ = spectral._plan(SpherePoint(d, k), method)
+                rows = np.broadcast_arrays(np.asarray(a, float), np.asarray(p, float))
+                mass = spectral._log_mass_bound(*rows) + np.log(np.abs(np.array(weights, float)))
+                keep = mass > mass.max() + math.log(sys.float_info.epsilon * tolerance.rel_tol / k)
+                got = spectral._drop_negligible(a, p, weights, tolerance)
+                assert got[2] == [w for w, kept in zip(weights, keep) if kept], (d, k, method)
+                assert np.array_equal(np.broadcast_to(got[0], keep.sum()), rows[0][keep])
+                assert np.array_equal(np.broadcast_to(got[1], keep.sum()), rows[1][keep])
+
+    def test_underflowing_charge_stays_positive(self):
+        # the second row's mass, about 2^-2998, is far below binary64's range
+        a, p, weights, charge = spectral._drop_negligible(1.0, [1022, 3000], [1, 1], None)
+        assert (a.tolist(), p.tolist(), weights) == (1.0, [1022.0], [1])
+        assert charge >= math.ulp(0.0)
+
+
+class TestAPrioriValueBound:
+    """|log det P_2k(d)| = 2^-(d-1) I(k, d+1) <= B(k, d+1), the mass bound of
+    the direct row, so every route's value lies within its estimate of
+    that bound: a check in Gamma-function arithmetic that shares nothing
+    with the quadrature."""
+
+    POINTS = sorted(
+        {(d, k) for d in range(3, 22, 2) for k in range(1, (d - 1) // 2 + 1)}
+        | {(35, k) for k in range(1, 18)}
+        | {(d, (d - 1) // 2) for d in (65, 127, 131, 255, 301, 511, 1023, 1025)}
+    )
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_value_within_the_direct_row_bound(self, method):
+        assert len(self.POINTS) == 80
+        for d, k in self.POINTS:
+            res = logdet(SpherePoint(d, k), method)
+            bound = math.exp(spectral._log_mass_bound(float(k), float(d + 1)))
+            assert abs(res.value) <= bound + res.err_estimate, (d, k)
 
 
 class TestSignLaw:
