@@ -207,10 +207,9 @@ def _envelope(a, p):
 _LOG_BOUND_CONST = 0.5 * math.log(2.0 * math.pi) - _LNPI + _LN2
 
 
-def _log_mass_bound(a, p, log=np.log):
+def _log_mass_bound(a, p):
     """log of an upper bound B(a, p) on the scaled row integral
-    2^-(p-2) I(a, p), elementwise for rows with p - 2a - 1 >= 1 (``log``
-    may be math.log, the faster on numbers):
+    2^-(p-2) I(a, p), elementwise for rows with p - 2a - 1 >= 1:
 
         B = Gamma((p+2a-1)/2) Gamma((p-2a+1)/2) / Gamma(p)
             * 4a / (pi (p-2a-1)).
@@ -223,19 +222,13 @@ def _log_mass_bound(a, p, log=np.log):
     bounds the numerator from above and Gamma(p) from below; the z terms
     cancel since the numerator arguments sum to p.
     A log 2 margin covers the rounding of this and of the exp of it.  The
-    regrouping has the same integrand, so the same bound.
-
-    log B grows with a (for a >= 1/2) and falls with p, by at least log 2
-    per unit.  With u and w the numerator's arguments, its a-derivative is
-    a sum of non-negative terms, and in its p-derivative
-    log(sqrt(uw)/p) <= -log 2 while the other terms are negative (u + w = p,
-    so uw <= p^2/4 and 1/u + 1/w >= 4/p)."""
+    regrouping has the same integrand, so the same bound."""
     u = 0.5 * (p - 1.0) + a  # (p+2a-1)/2
     w = p - u  # (p-2a+1)/2
     return (
-        (u - 0.5) * log(u) + (w - 0.5) * log(w) - (p - 0.5) * log(p)
+        (u - 0.5) * np.log(u) + (w - 0.5) * np.log(w) - (p - 0.5) * np.log(p)
         + p / (12.0 * u * w)  # 1/(12u) + 1/(12w)
-        + log((a + a) / (w - 1.0))  # 4a/(p-2a-1)
+        + np.log((a + a) / (w - 1.0))  # 4a/(p-2a-1)
         + _LOG_BOUND_CONST
     )
 
@@ -336,19 +329,10 @@ def _drop_negligible(a, p, weights, tolerance: Optional[Tolerance]) -> tuple:
     the rest's (a, p, weights), and the skipped rows' summed mass, rounded
     up past underflow, to charge to the estimate."""
     rel_tol = (Tolerance() if tolerance is None else tolerance).rel_tol
-    log_cut = math.log(_EPS * rel_tol / len(weights))
-    # B grows with a and falls with p, and every plan holds one of them
-    # fixed, so its least and most B are at (least a, most p) and (most a,
-    # least p), both rows of the plan.  While those two and the extreme
-    # weights span less than the cut, no row is skipped, and the per-row
-    # pass, a noticeable share of a small plan's cost, is left out.
-    magnitudes = [abs(w) for w in weights]
-    (a_lo, a_hi), (p_lo, p_hi) = _extremes(a), _extremes(p)
-    spread = _log_mass_bound(a_hi, p_lo, math.log) - _log_mass_bound(a_lo, p_hi, math.log)
-    if spread + math.log(max(magnitudes) / min(magnitudes)) < -log_cut:
-        return a, p, weights, 0.0
+    # in log space, since eps rel_tol / n may underflow for a small rel_tol
+    log_cut = math.log(_EPS) + math.log(rel_tol) - math.log(len(weights))
     a, p = np.asarray(a, dtype=float), np.asarray(p, dtype=float)
-    mass = _log_mass_bound(a, p) + np.log(np.array(magnitudes, dtype=float))
+    mass = _log_mass_bound(a, p) + np.log(np.abs(np.array(weights, dtype=float)))
     skip = mass <= mass.max() + log_cut
     tail = np.exp(mass[skip])
     skipped = math.fsum(tail.tolist())
@@ -357,11 +341,6 @@ def _drop_negligible(a, p, weights, tolerance: Optional[Tolerance]) -> tuple:
     keep = ~skip
     kept = [w for w, k in zip(weights, keep.tolist()) if k]
     return a[keep] if a.ndim else a, p[keep] if p.ndim else p, kept, skipped
-
-
-def _extremes(values) -> tuple:
-    """(least, greatest) of a plan's row parameter, a list or one number."""
-    return (min(values), max(values)) if isinstance(values, list) else (values, values)
 
 
 def logdet_direct(

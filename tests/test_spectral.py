@@ -478,14 +478,6 @@ class TestMassBound:
             excess = spectral._log_mass_bound(a, float(p)) - math.log(2.0) - exact
             assert -1e-9 < excess < 1 / (12 * u) + 1 / (12 * w) + 1 / (12 * p) + 1e-9
 
-    @pytest.mark.parametrize("p", [3, 4, 9, 64, 65, 385, 1022, 4001])
-    def test_grows_with_a_and_falls_with_p(self, p):
-        # the monotony ``_drop_negligible`` relies on to skip its full pass
-        a = np.arange(0.5, (p - 1) / 2, 0.5)
-        here = spectral._log_mass_bound(a, float(p))
-        assert np.all(np.diff(here) > 0.0)
-        assert np.all(spectral._log_mass_bound(a, p + 1.0) <= here - math.log(2.0))
-
     @pytest.mark.parametrize("d,k", [(1021, 510), (385, 192)])
     @pytest.mark.parametrize("method", ["sum", "product_rule"])
     def test_bounds_every_row_of_the_plan(self, d, k, method):
@@ -563,22 +555,20 @@ class TestRowSkipping:
         terms = [abs(w) * e for w, e in zip(kept_w, errs.tolist())]
         assert res.err_estimate == math.fsum([*terms, charge]) >= charge
 
-    @pytest.mark.parametrize("tolerance", [Tolerance(), Tolerance(rel_tol=1e-3)])
-    def test_early_exit_keeps_the_rule(self, tolerance):
-        # the rows kept are those of mass above the cut, whether or not the
-        # corner rows let the full pass be skipped
-        points = [(d, k) for d in range(3, 132, 2) for k in range(2, (d - 1) // 2 + 1)]
-        points += [(d, (d - 1) // 2) for d in range(133, 1026, 16)]
-        for d, k in points:
-            for method in ("sum", "product_rule"):
-                a, p, weights, _ = spectral._plan(SpherePoint(d, k), method)
-                rows = np.broadcast_arrays(np.asarray(a, float), np.asarray(p, float))
-                mass = spectral._log_mass_bound(*rows) + np.log(np.abs(np.array(weights, float)))
-                keep = mass > mass.max() + math.log(sys.float_info.epsilon * tolerance.rel_tol / k)
-                got = spectral._drop_negligible(a, p, weights, tolerance)
-                assert got[2] == [w for w, kept in zip(weights, keep) if kept], (d, k, method)
-                assert np.array_equal(np.broadcast_to(got[0], keep.sum()), rows[0][keep])
-                assert np.array_equal(np.broadcast_to(got[1], keep.sum()), rows[1][keep])
+    @pytest.mark.parametrize("d,k,method", [
+        (5, 2, "sum"), (21, 10, "product_rule"), (385, 192, "product_rule"),
+        (1021, 510, "product_rule"),
+    ])
+    def test_tiny_rel_tol_still_integrates(self, d, k, method):
+        # eps rel_tol / n underflows to zero here, so the cut is taken in log space
+        res = logdet(SpherePoint(d, k), method, Tolerance(rel_tol=1e-310))
+        ref = logdet(SpherePoint(d, k), method)
+        assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
+
+    def test_tiny_rel_tol_fails_only_as_the_quadrature_does(self):
+        # a target past what binary64 can meet exhausts the panel budget
+        with pytest.raises(errors.AccuracyError):
+            logdet(SpherePoint(21, 10), "sum", Tolerance(rel_tol=1e-310))
 
     def test_underflowing_charge_stays_positive(self):
         # the second row's mass, about 2^-2998, is far below binary64's range
