@@ -40,6 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalConsistencyError, ParameterError
+from .exact import is_integer
 
 __all__ = [
     "OddChebyshev",
@@ -101,12 +102,12 @@ class ProductRule:
 
 
 def _check_order(k) -> int:
-    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+    if not is_integer(k) or k < 1:
         raise ParameterError("k must be a positive integer")
-    return k
+    return int(k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so no float hits a numpy integer's entry
 def v_coefficients(k: int) -> ProductRule:
     """Determinant product-rule powers v_j(k) = C(k+j, 2j+1), j < k.
 
@@ -114,7 +115,7 @@ def v_coefficients(k: int) -> ProductRule:
     (k+j+1)(k-1-j) / ((2j+2)(2j+3)); a division that leaves a remainder
     means the construction is broken and raises InternalConsistencyError.
     """
-    _check_order(k)
+    k = _check_order(k)
     powers = [k]
     for j in range(k - 1):
         q, r = divmod(
@@ -128,11 +129,11 @@ def v_coefficients(k: int) -> ProductRule:
     return ProductRule(k=k, v=tuple(powers))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so no float hits a numpy integer's entry
 def u_coefficients(k: int) -> OddChebyshev:
     """Exact odd-power coefficients of U_{2k-1},
     u_j = (-1)^(k-1-j) 2^(2j+1) v_j(k)."""
-    _check_order(k)
+    k = _check_order(k)
     coeffs = []
     for j, v in enumerate(v_coefficients(k).v):
         c = v << (2 * j + 1)
@@ -153,7 +154,7 @@ def eval_u(k: int, y: float) -> float:
     up to the odd symmetry in y; that hyperbolic ratio is used as an
     independent cross-check in the test suite, never as the value here.
     """
-    _check_order(k)
+    k = _check_order(k)
     y = float(y)
     if not math.isfinite(y):
         raise ParameterError("y must be finite")

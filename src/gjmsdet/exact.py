@@ -48,10 +48,15 @@ def select_methods(selector: str) -> Tuple[str, ...]:
         ) from None
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, such as an int or a numpy integer; a
+    bool is not.  Callers that accept one store ``int(value)``."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def require_integer(name: str, value) -> None:
-    """Raise ParameterError unless ``value`` is an integer, such as an int or
-    a numpy integer; a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """Raise ParameterError unless ``value`` is an integer (``is_integer``)."""
+    if not is_integer(value):
         raise ParameterError(f"{name} must be an integer")
 
 
@@ -109,7 +114,7 @@ def _borwein_weights(m: int) -> Tuple[Fraction, ...]:
     return tuple(weights)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so no float hits a numpy integer's entry
 def zeta_odd(n: int) -> float:
     """Riemann zeta at an odd integer n >= 3, correctly rounded except
     within about 1e-18 of a rounding boundary.
@@ -123,8 +128,9 @@ def zeta_odd(n: int) -> float:
     with m = 24 terms, evaluated in exact rational arithmetic and rounded
     once.
     """
-    if isinstance(n, bool) or not isinstance(n, int):
+    if not is_integer(n):
         raise UnsupportedArgumentError("n must be an integer")
+    n = int(n)
     if n < 3 or n % 2 == 0:
         raise UnsupportedArgumentError(
             "only odd n >= 3 are supported (even values have closed forms)"

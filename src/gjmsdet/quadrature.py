@@ -41,12 +41,12 @@ call.
 
 Rows of one batch often integrate over the same panels: their initial
 panels [0, 1], [1, 2], [2, 4], ... coincide up to each row's truncation
-point, and where several rows reject a panel they bisect it alike.  So a
-batch of _SHARED_ROWS rows or more keeps, per sweep, a table of the
-distinct panels, and each pair carries an index into it.  The children of a
-panel that several rows reject are made once, and the table is compacted
-each sweep with a flag array and its cumsum.  Smaller batches, and every
-one-row call, use their pairs' own panels as the table and gather nothing.
+point, and where several rows reject a panel they bisect it alike.  So
+every call keeps, per sweep, a table of the distinct panels, and each pair
+carries an index into it.  The children of a panel that several rows reject
+are made once, and the table is compacted each sweep with a flag array and
+its cumsum.  A one-row call's panels are distinct by construction, so its
+table is its own panels in order.
 
 The integrand is evaluated in two stages (``integrate_staged``): a shared
 stage, once per table panel, computes the terms that do not depend on the
@@ -71,6 +71,7 @@ from typing import Callable, List, NamedTuple, Tuple, Union
 import numpy as np
 
 from .errors import AccuracyError, DivergentIntegralError, EvaluationError, ParameterError
+from .exact import is_integer
 
 __all__ = [
     "Tolerance",
@@ -97,10 +98,6 @@ _TAIL_TOL_FLOOR = 1e-300
 # Panels per integrand call: 4096 abscissas, so each temporary of one call
 # stays at 32 KB whatever the batch size.
 _CHUNK_PANELS = 128
-# Batches of fewer rows do not share panels: building and gathering from a
-# shared table costs more there than the shared stage saves (measured: 2 to
-# 5 rows were 8 to 20 % slower sharing, 10 rows about even, 17 rows faster).
-_SHARED_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -110,8 +107,9 @@ class Tolerance:
     absolute floor used both for near-zero integrals and for choosing the
     truncation point, ``max_panels`` the number of 32-node panel evaluations
     each row may spend.  ``rel_tol`` must be positive and finite,
-    ``abs_tol`` finite and non-negative, ``max_panels`` an int of at least
-    4; anything else raises ParameterError."""
+    ``abs_tol`` finite and non-negative, ``max_panels`` an integer (an int
+    or a numpy integer, stored as an int) of at least 4; anything else
+    raises ParameterError."""
 
     rel_tol: float = 1e-11
     abs_tol: float = 1e-15
@@ -123,8 +121,9 @@ class Tolerance:
             raise ParameterError("rel_tol must be positive and finite")
         if not 0 <= self.abs_tol < math.inf:
             raise ParameterError("abs_tol must be non-negative and finite")
-        if isinstance(self.max_panels, bool) or not isinstance(self.max_panels, int):
+        if not is_integer(self.max_panels):
             raise ParameterError("max_panels must be an integer")
+        object.__setattr__(self, "max_panels", int(self.max_panels))
         if self.max_panels < 4:
             raise ParameterError("max_panels must allow at least a few panels")
 
@@ -182,7 +181,8 @@ class QuadratureSpec:
         # written, as in Tolerance, so that NaN is rejected too
         if not 0 < self.decay_rate < math.inf:
             raise DivergentIntegralError("decay_rate must be positive and finite")
-        self.tolerance  # validates the tolerance fields
+        # validates the tolerance fields and stores max_panels as an int
+        object.__setattr__(self, "max_panels", self.tolerance.max_panels)
         if not 0 < self.env_const < math.inf:
             raise ParameterError("env_const must be positive and finite")
         if not 0 <= self.env_start < math.inf:
@@ -265,13 +265,12 @@ def _abscissas(center: np.ndarray, half: np.ndarray) -> np.ndarray:
     return center[:, None] + half[:, None] * _NODES
 
 
-def _eval_chunk(integrand, center, half, x, terms, row):
-    """Gauss value and absolute mass of each of a chunk of pairs, from the
-    centers, half-widths and abscissas of their panels and the shared terms
-    gathered to them; with ``terms`` None, the shared stage runs here."""
-    if terms is None:
-        terms = integrand.shared(x)
-    logmag, sign = integrand.per_pair(terms, x, row[:, None])
+def _eval_chunk(integrand, center, half, xs, terms, pidx, row):
+    """Gauss value and absolute mass of each of a chunk of pairs: pair i
+    integrates row ``row[i]`` over table panel ``pidx[i]``, whose center,
+    half-width, abscissas and shared terms are gathered to it here."""
+    center, half, x = center[pidx], half[pidx], xs[pidx]
+    logmag, sign = integrand.per_pair([t[pidx] for t in terms], x, row[:, None])
     logmag = np.asarray(logmag, dtype=float).reshape(x.shape)
     fx = np.exp(logmag)
     sign = np.asarray(sign, dtype=float)
@@ -316,37 +315,23 @@ def _shared_stage(integrand, center: np.ndarray, half: np.ndarray):
     return np.concatenate(xs), [np.concatenate(t) for t in zip(*parts)]
 
 
-def _eval_panels(integrand, lo: np.ndarray, hi: np.ndarray, pidx, row: np.ndarray):
+def _eval_panels(integrand, lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray, row: np.ndarray):
     """Gauss values of each (row, panel) pair: pair i integrates row
-    ``row[i]`` over table panel [lo, hi][pidx[i]], or over [lo_i, hi_i] when
-    ``pidx`` is None.  Also the absolute mass sum |w f| h of each pair, used
-    for the round-off floor.
+    ``row[i]`` over table panel [lo, hi][pidx[i]].  Also the absolute mass
+    sum |w f| h of each pair, used for the round-off floor.
 
     The shared stage runs once per table panel, the per-pair stage
-    _CHUNK_PANELS pairs at a time on gathered abscissas and shared terms.
-    When ``pidx`` is None the table is the pairs' own, and each chunk runs
-    both stages on its own abscissas with nothing gathered."""
+    _CHUNK_PANELS pairs at a time on gathered abscissas and shared terms."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    if pidx is not None:
-        xs, terms = _shared_stage(integrand, center, half)
-
-    def chunk(s, e):
-        if pidx is None:
-            c, h = center[s:e], half[s:e]
-            return _eval_chunk(integrand, c, h, _abscissas(c, h), None, row[s:e])
-        idx = pidx[s:e]
-        return _eval_chunk(
-            integrand, center[idx], half[idx], xs[idx], [t[idx] for t in terms], row[s:e]
-        )
-
+    xs, terms = _shared_stage(integrand, center, half)
     if row.size <= _CHUNK_PANELS:
-        return chunk(0, row.size)
+        return _eval_chunk(integrand, center, half, xs, terms, pidx, row)
     vals = np.empty(row.size)
     mass = np.empty(row.size)
     for s in range(0, row.size, _CHUNK_PANELS):
         e = s + _CHUNK_PANELS
-        vals[s:e], mass[s:e] = chunk(s, e)
+        vals[s:e], mass[s:e] = _eval_chunk(integrand, center, half, xs, terms, pidx[s:e], row[s:e])
     return vals, mass
 
 
@@ -354,11 +339,11 @@ def _initial_panels(x_max: np.ndarray):
     """Each row's first panels, [0, 1], [1, 2], [2, 4], ..., [2^m, x_max]
     with 2^m < x_max <= 2^(m+1): (lo, hi, pidx, row, panels per row).
 
-    Pair i, of row row[i], is panel pidx[i] of the table (lo, hi).  With
-    _SHARED_ROWS rows or more, the table holds each distinct panel once:
-    first the panels ending at a power of two, which every row shares up to
-    its own, then one last panel per distinct x_max.  With fewer rows, the
-    table is the pairs' own panels in order, and pidx is None.
+    Pair i, of row row[i], is panel pidx[i] of the table (lo, hi), which
+    holds each distinct panel once: first the panels ending at a power of
+    two, which every row shares up to its own, then one last panel per
+    distinct x_max.  One row's panels are distinct already, so its table is
+    its own panels in order.
     """
     mant, exp = np.frexp(x_max)  # x_max = mant 2^exp, 1/2 <= mant < 1
     counts = exp + 1 - (mant == 0.5)
@@ -369,8 +354,8 @@ def _initial_panels(x_max: np.ndarray):
     lo = 0.5 * hi
     lo[j == 0] = 0.0
     hi[ends - 1] = x_max
-    if x_max.size < _SHARED_ROWS:
-        return lo, hi, None, row, counts
+    if x_max.size == 1:
+        return lo, hi, j, row, counts
     distinct, first, inverse = np.unique(x_max, return_index=True, return_inverse=True)
     top = counts.argmax()  # its panels before the last are every row's
     shared = slice(ends[top] - counts[top], ends[top] - 1)
@@ -381,26 +366,22 @@ def _initial_panels(x_max: np.ndarray):
     return table_lo, table_hi, pidx, row, counts
 
 
-def _select(lo: np.ndarray, hi: np.ndarray, pidx, keep: np.ndarray, *pairs):
+def _select(lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray, keep: np.ndarray, *pairs):
     """The table and indices of the pairs where ``keep``, then each array of
-    ``pairs`` at them: a table of the pairs' own shrinks with them, a shared
-    one is compacted by ``_distinct``."""
-    table = (lo[keep], hi[keep], None) if pidx is None else (lo, hi, pidx[keep])
-    return table + tuple(a[keep] for a in pairs)
+    ``pairs`` at them.  The table is left whole; ``_distinct`` compacts it."""
+    return (lo, hi, pidx[keep]) + tuple(a[keep] for a in pairs)
 
 
-def _distinct(lo: np.ndarray, hi: np.ndarray, pidx):
+def _distinct(lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray):
     """The table panels some pair points at, in table order, and the pairs'
     indices into them: a flag array and its cumsum, with no sort."""
-    if pidx is None:
-        return lo, hi, None
     used = np.zeros(lo.size, dtype=bool)
     used[pidx] = True
     renumber = used.cumsum() - 1
     return lo[used], hi[used], renumber[pidx]
 
 
-def _bisect(lo: np.ndarray, hi: np.ndarray, pidx):
+def _bisect(lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray):
     """The halves of every table panel, left then right, and the indices of
     each pair's two children."""
     mid = 0.5 * (lo + hi)
@@ -408,8 +389,6 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, pidx):
     child_lo[1::2] = mid
     child_hi = hi.repeat(2)
     child_hi[0::2] = mid
-    if pidx is None:
-        return child_lo, child_hi, None
     child_pidx = (2 * pidx).repeat(2)
     child_pidx[1::2] += 1
     return child_lo, child_hi, child_pidx
@@ -440,9 +419,9 @@ def _cutoffs(envelopes: Envelopes, tail: np.ndarray, bound):
         return _truncation(envelopes.log_const, envelopes.rate, np.log(bound), envelopes.start)
 
 
-def _past(lo: np.ndarray, pidx, row: np.ndarray, cut):
+def _past(lo: np.ndarray, pidx: np.ndarray, row: np.ndarray, cut):
     """Mask of the pairs starting at or past their row's cutoff, or None."""
-    past = None if cut is None else (lo if pidx is None else lo[pidx]) >= cut[row]
+    past = None if cut is None else lo[pidx] >= cut[row]
     return past if past is not None and np.count_nonzero(past) else None
 
 
@@ -532,7 +511,7 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
         bounded = _past(lo, pidx, row, cut)
         if bounded is not None:
             b_row, b_vals = row[bounded], vals[bounded]
-            b_lo, b_rate = (lo if pidx is None else lo[pidx])[bounded], rate[b_row]
+            b_lo, b_rate = lo[pidx[bounded]], rate[b_row]
             # pruned panels run on to x_max, so the tail from the first covers all
             np.maximum.at(tail, b_row, np.exp(log_c[b_row] - b_rate * b_lo) / b_rate)
             accepted_vals.append(b_vals)
@@ -561,7 +540,7 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
         panels += needed
 
         lo, hi, pidx = _distinct(lo, hi, pidx)
-        width = hi - lo if pidx is None else (hi - lo)[pidx]
+        width = (hi - lo)[pidx]
         child_lo, child_hi, child_pidx = _bisect(lo, hi, pidx)
         child_row = row.repeat(2)
         child_vals, child_mass = _eval_panels(

@@ -62,7 +62,7 @@ import numpy as np
 from .chebyshev import v_coefficients
 from .errors import DivergentIntegralError, ParameterError, UnsupportedArgumentError
 from .exact import METHODS, ClosedForm, LogDetResult, SpherePoint, closed_form_p4, zeta_odd
-from .exact import require_integer
+from .exact import is_integer, require_integer
 from .quadrature import Envelopes, Tolerance, integrate_staged
 
 # Not called here (every route calls integrate_staged), but perfbench/spans.py
@@ -94,13 +94,15 @@ _EPS = sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class FactorIndex:
-    """Index j of one factor B^2 - alpha_j^2, with alpha_j = j + 1/2."""
+    """Index j of one factor B^2 - alpha_j^2, with alpha_j = j + 1/2.
+    Any integer type is accepted; the field holds a plain int."""
 
     j: int
 
     def __post_init__(self) -> None:
-        if isinstance(self.j, bool) or not isinstance(self.j, int) or self.j < 0:
+        if not is_integer(self.j) or self.j < 0:
             raise ParameterError("factor index j must be a non-negative integer")
+        object.__setattr__(self, "j", int(self.j))
 
     @property
     def alpha(self) -> float:

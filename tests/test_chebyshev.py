@@ -65,9 +65,10 @@ class TestUCoefficients:
     def test_matches_binomial_oracle(self, k):
         assert list(u_coefficients(k).u) == u_binomial_oracle(k)
 
-    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("k", [*range(1, 13), np.int64(12)])
     def test_invariants(self, k):
         oc = u_coefficients(k)
+        assert type(oc.k) is int
         assert len(oc.u) == k
         assert oc.u[-1] == 2 ** (2 * k - 1)
         for j, c in enumerate(oc.u):
@@ -79,14 +80,18 @@ class TestUCoefficients:
     def test_matches_recurrence_oracle(self, k):
         assert u_coefficients(k).u == tuple(u_recurrence_oracle(k))
 
-    @pytest.mark.parametrize("bad", [0, -1, -7])
+    @pytest.mark.parametrize("bad", [0, -1, -7, np.int64(0)])
     def test_rejects_nonpositive_order(self, bad):
         with pytest.raises(ParameterError):
             u_coefficients(bad)
 
     def test_rejects_non_integer_order(self):
-        with pytest.raises(ParameterError):
-            u_coefficients(2.5)
+        # cache equal numpy integers first: their entries must serve no bad input
+        u_coefficients(np.int64(1))
+        u_coefficients(np.int64(2))
+        for bad in (2.5, np.float64(2.0), np.bool_(True)):
+            with pytest.raises(ParameterError):
+                u_coefficients(bad)
 
 
 class TestEvalU:
@@ -94,7 +99,7 @@ class TestEvalU:
         assert eval_u(1, 1.0) == 2.0
         assert eval_u(2, 1.0) == 4.0  # U_3(1) = 8 - 4 = 4, i.e. n + 1
 
-    @pytest.mark.parametrize("k", range(1, 9))
+    @pytest.mark.parametrize("k", [*range(1, 9), np.int64(8)])
     def test_value_at_one_is_2k(self, k):
         assert eval_u(k, 1.0) == 2.0 * k
 
@@ -154,7 +159,7 @@ class TestVCoefficients:
         assert rule.v[-1] == 1
 
     # k = 511 is the table `gjmsdet rules --k 511` prints
-    @pytest.mark.parametrize("k", [*range(1, 13), 511])
+    @pytest.mark.parametrize("k", [*range(1, 13), 511, np.int64(511)])
     def test_binomial_oracle(self, k):
         # v_j(k) = C(k+j, k-1-j), with math.comb, not the ratio construction
         assert list(v_coefficients(k).v) == [
@@ -169,8 +174,10 @@ class TestVCoefficients:
         with pytest.raises(ParameterError):
             v_coefficients(0)
 
-    @pytest.mark.parametrize("bad", [True, 2.5])
+    @pytest.mark.parametrize("bad", [True, 2.5, np.bool_(True), np.float64(2.0)])
     def test_rejects_non_integer_order(self, bad):
+        # cache an equal numpy integer first: its entry must not serve ``bad``
+        v_coefficients(np.int64(int(bad)))
         with pytest.raises(ParameterError):
             v_coefficients(bad)
 

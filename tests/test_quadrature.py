@@ -312,9 +312,10 @@ def _as_results(rows):
 
 
 class TestSharedPanels:
-    """Batches of eight rows or more keep one table of distinct panels per
-    sweep.  Rows 2 to 9 here truncate at the clamp x = 10 and share every
-    panel; rows 8 and 9 repeat rows 2 and 3 exactly."""
+    """Every call keeps one table of distinct panels per sweep (a one-row
+    call's table is its own panels).  Rows 2 to 9 here truncate at the
+    clamp x = 10 and share every panel; rows 8 and 9 repeat rows 2 and 3
+    exactly."""
 
     SHIFT = (0.0, 1.5, 0.0, -1.0, 2.0, 0.5, 0.0, 3.0, 0.0, -1.0)
     RATE = (0.6, 1.3, 4.0, 5.0, 6.5, 8.0, 9.0, 11.0, 4.0, 5.0)
@@ -330,16 +331,25 @@ class TestSharedPanels:
         ]
         _same_rows(batch, lone)
 
-    def test_two_stage_rows_match_one_stage_and_lone_calls(self):
-        staged = _Staged(self.SHIFT, self.RATE)
+    @pytest.mark.parametrize(
+        "rows", [range(10), [2, 3, 8, 9], [2]], ids=["ten_rows", "four_rows", "one_row"]
+    )
+    def test_two_stage_rows_match_one_stage_and_lone_calls(self, rows):
+        shift, rate = [self.SHIFT[r] for r in rows], [self.RATE[r] for r in rows]
+        staged = _Staged(shift, rate)
         batch = _as_results(integrate_staged(staged, staged.envelopes(), Tolerance()))
-        # the shared stage ran once per distinct panel, on fewer abscissas
-        # than the pairs it served, and both stages saw bounded chunks
-        assert 0 < staged.seen["shared"] < staged.seen["per_pair"] / 2
-        assert staged.widest <= 128
+        shared, per_pair = staged.seen["shared"], staged.seen["per_pair"]
+        if len(rows) == 1:
+            # a lone row's table is its own panels: nothing is evaluated twice
+            assert shared == per_pair
+        else:
+            # the shared stage ran once per distinct panel, on fewer
+            # abscissas than the pairs it served
+            assert 0 < shared < per_pair / 2
+        assert staged.widest <= 128  # both stages saw bounded chunks
         _same_rows(batch, integrate_rows(staged.plain, staged.envelopes(), Tolerance()))
-        for r, row in enumerate(batch):
-            one = _Staged([self.SHIFT[r]], [self.RATE[r]])
+        for s, r, row in zip(shift, rate, batch):
+            one = _Staged([s], [r])
             _same_rows([row], _as_results(integrate_staged(one, one.envelopes(), Tolerance())))
 
     def test_budget_exhaustion_reports_lowest_failing_row(self):
@@ -401,6 +411,9 @@ class TestToleranceValidation:
         dict(max_panels=4096.0),
         dict(max_panels=True),
         dict(max_panels=3),
+        dict(max_panels=np.int64(3)),
+        dict(max_panels=np.float64(4096.0)),
+        dict(max_panels=np.bool_(True)),
     ]
 
     @pytest.mark.parametrize("fields", BAD)
@@ -413,6 +426,9 @@ class TestToleranceValidation:
     def test_accepts_edges(self):
         tol = Tolerance(rel_tol=1e-300, abs_tol=0.0, max_panels=4)
         assert (tol.rel_tol, tol.abs_tol, tol.max_panels) == (1e-300, 0.0, 4)
+        for n in (np.int64(4), np.int32(4096)):
+            for fields in (Tolerance(max_panels=n), QuadratureSpec(1.0, max_panels=n)):
+                assert fields.max_panels == n and type(fields.max_panels) is int
 
 
 class TestSpecValidation:

@@ -216,9 +216,12 @@ class TestLogdetFactor:
             logdet_factor(6, FactorIndex(0))
 
     def test_factor_index_validation(self):
-        with pytest.raises(ParameterError):
-            FactorIndex(-1)
+        for bad in (-1, np.int64(-1), True, np.bool_(True), 1.0, np.float64(1.0)):
+            with pytest.raises(ParameterError):
+                FactorIndex(bad)
         assert FactorIndex(3).alpha == 3.5
+        assert FactorIndex(np.int64(3)).alpha == 3.5
+        assert type(FactorIndex(np.int64(3)).j) is int
 
     @pytest.mark.parametrize("d", [5.5, 5.0, 35.0])
     def test_rejects_non_integer_dimension(self, d):
@@ -227,7 +230,7 @@ class TestLogdetFactor:
 
     @pytest.mark.parametrize("j", [0, 1])
     def test_accepts_numpy_integer_dimension(self, j):
-        got = logdet_factor(np.int64(5), FactorIndex(j))
+        got = logdet_factor(np.int64(5), FactorIndex(np.int64(j)))
         assert got.hex() == logdet_factor(5, FactorIndex(j)).hex()
 
     def test_earlier_rejections_keep_their_message(self):
@@ -698,6 +701,7 @@ class TestZetaOdd:
         (21, 1.0000004769329869), (23, 1.000000119219926),
         (25, 1.0000000298035034), (27, 1.0000000074507118),
         (29, 1.0000000018626598), (31, 1.0000000004656628),
+        (np.int64(3), 1.2020569031595942),
     ])
     def test_within_one_ulp_of_mpmath(self, n, ref):
         assert abs(zeta_odd(n) - ref) <= math.ulp(ref)
@@ -707,14 +711,17 @@ class TestZetaOdd:
         z = zeta_odd(31)
         assert 1.0 < z < 1.0 + 2.0 ** (1 - 31)
 
-    @pytest.mark.parametrize("bad", [2, 4, 1, 0, -3])
+    @pytest.mark.parametrize("bad", [2, 4, 1, 0, -3, np.int64(4)])
     def test_rejects_unsupported(self, bad):
         with pytest.raises(UnsupportedArgumentError):
             zeta_odd(bad)
 
     def test_rejects_non_integer(self):
-        with pytest.raises(UnsupportedArgumentError):
-            zeta_odd(3.0)
+        # cache an equal numpy integer first: its entry must serve no bad input
+        zeta_odd(np.int64(3))
+        for bad in (3.0, np.float64(3.0), True, np.bool_(True)):
+            with pytest.raises(UnsupportedArgumentError):
+                zeta_odd(bad)
 
 
 class TestClosedForms:
