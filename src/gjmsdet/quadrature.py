@@ -26,7 +26,9 @@ the point where the tail falls to eps b (eps the binary64 epsilon, b the
 row's target over its initial panel count) is accepted unbisected, charged
 its |value|, and the row's tail bound then runs from its first pruned panel.
 Before the first sampling abs_tol, which no target is below, stands in for
-the target, and the panels pruned then are never sampled.
+the target, and the panels pruned then are never sampled.  A row that would
+overrun its panel budget retires its unresolved panels the same way, kept
+at their values and charged their |value|.
 
 ``integrate_rows`` runs R independent integrals in lock-step sweeps.  Each
 row keeps the state a lone integral has: its truncation point and tail
@@ -366,12 +368,6 @@ def _initial_panels(x_max: np.ndarray):
     return table_lo, table_hi, pidx, row, counts
 
 
-def _select(lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray, keep: np.ndarray, *pairs):
-    """The table and indices of the pairs where ``keep``, then each array of
-    ``pairs`` at them.  The table is left whole; ``_distinct`` compacts it."""
-    return (lo, hi, pidx[keep]) + tuple(a[keep] for a in pairs)
-
-
 def _distinct(lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray):
     """The table panels some pair points at, in table order, and the pairs'
     indices into them: a flag array and its cumsum, with no sort."""
@@ -392,23 +388,6 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray):
     child_pidx = (2 * pidx).repeat(2)
     child_pidx[1::2] += 1
     return child_lo, child_hi, child_pidx
-
-
-def _row_sums(vals: np.ndarray, counts: np.ndarray):
-    """Sum and largest magnitude of each row's initial panel values, summed
-    as a lone integral sums them: rows with equal panel counts share one 2-D
-    sum, which adds each row in the same order as a 1-D sum of that row."""
-    if counts.size == 1:
-        return vals.sum(keepdims=True), np.abs(vals).max(keepdims=True)
-    starts = counts.cumsum() - counts
-    rough = np.empty(counts.size)
-    peak = np.empty(counts.size)
-    for n in set(counts.tolist()):
-        rows = np.flatnonzero(counts == n)
-        seg = vals[starts[rows, None] + np.arange(n)]
-        rough[rows] = seg.sum(axis=1)
-        peak[rows] = np.abs(seg).max(axis=1)
-    return rough, peak
 
 
 def _cutoffs(envelopes: Envelopes, tail: np.ndarray, bound):
@@ -447,10 +426,11 @@ def integrate_rows(
     floor proportional to the absolute Gauss mass.
 
     Raises AccuracyError when a row runs out of ``tolerance.max_panels``
-    first, for the lowest such row and carrying its best value and
-    estimate; EvaluationError on a non-finite integrand sample or a panel
-    sum or integral that overflows binary64.  Overflow is reported by that
-    error alone: numpy's overflow warnings are silenced for the call.
+    first, for the lowest such row: its unresolved panels retire as pruned
+    ones do, and the error carries the row's value and an estimate of the
+    same four parts; EvaluationError on a non-finite integrand sample or a
+    panel sum or integral that overflows binary64.  Overflow is reported by
+    that error alone: numpy's overflow warnings are silenced for the call.
     """
     rows = integrate_staged(_PlainIntegrand(f), envelopes, tolerance)
     return [IntegralResult(*fields) for fields in zip(*(a.tolist() for a in rows))]
@@ -488,12 +468,15 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
     else:
         sampled, vals = ~unsampled, np.zeros(row.size)
         if np.count_nonzero(sampled):
-            table = _distinct(*_select(lo, hi, pidx, sampled))
+            table = _distinct(lo, hi, pidx[sampled])
             vals[sampled] = _eval_panels(integrand, *table, row[sampled])[0]
         unsampled = np.bincount(row[unsampled], minlength=n_rows)
     panels = counts - unsampled
 
-    rough, peak = _row_sums(vals, counts)
+    # bincount adds each row's values in pair order, alone or in a batch
+    rough = np.bincount(row, vals, n_rows)
+    peak = np.zeros(n_rows)
+    np.maximum.at(peak, row, np.abs(vals))
     target = np.maximum(
         tolerance.abs_tol, tolerance.rel_tol * np.maximum(np.abs(rough), peak)
     )
@@ -505,39 +488,31 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
     accepted_rows: List[np.ndarray] = []
     accepted_err = np.zeros(n_rows)
     accepted_mass = np.zeros(n_rows)
-    failures = {}
+    failed = np.zeros(n_rows, dtype=bool)
 
     while row.size:
-        bounded = _past(lo, pidx, row, cut)
-        if bounded is not None:
-            b_row, b_vals = row[bounded], vals[bounded]
-            b_lo, b_rate = lo[pidx[bounded]], rate[b_row]
+        retired = _past(lo, pidx, row, cut)
+        if retired is not None:
+            b_row = row[retired]
+            b_lo, b_rate = lo[pidx[retired]], rate[b_row]
             # pruned panels run on to x_max, so the tail from the first covers all
             np.maximum.at(tail, b_row, np.exp(log_c[b_row] - b_rate * b_lo) / b_rate)
-            accepted_vals.append(b_vals)
-            accepted_rows.append(b_row)
-            accepted_err += np.bincount(b_row, np.abs(b_vals), n_rows)
-            lo, hi, pidx, vals, row, budgets = _select(lo, hi, pidx, ~bounded, vals, row, budgets)
-            if not row.size:
-                break
-        needed = 2 * np.bincount(row, minlength=n_rows)
+        needed = 2 * np.bincount(row if retired is None else row[~retired], minlength=n_rows)
         over = (needed > 0) & (panels + needed > tolerance.max_panels)
         if np.count_nonzero(over):
-            for r in np.flatnonzero(over).tolist():
-                active = vals[row == r]
-                done = [v[w == r] for v, w in zip(accepted_vals, accepted_rows)]
-                failures[r] = AccuracyError(
-                    "panel budget exhausted before tolerance was met",
-                    value=_fsum(np.concatenate(done + [active]).tolist(), float(x_max[r])),
-                    err_estimate=float(accepted_err[r] + np.abs(active).sum() + tail[r]),
-                    panels_used=int(panels[r]),
-                )
-            keep = ~over[row]
-            lo, hi, pidx, vals, row, budgets = _select(lo, hi, pidx, keep, vals, row, budgets)
+            # a row out of budget retires its pairs as pruned panels are retired
+            failed |= over
+            needed[over] = 0
+            retired = over[row] if retired is None else retired | over[row]
+        panels += needed
+        if retired is not None:
+            accepted_vals.append(vals[retired])
+            accepted_rows.append(row[retired])
+            accepted_err += np.bincount(row[retired], np.abs(vals[retired]), n_rows)
+            kept = ~retired
+            pidx, vals, row, budgets = pidx[kept], vals[kept], row[kept], budgets[kept]
             if not row.size:
                 break
-            needed[over] = 0
-        panels += needed
 
         lo, hi, pidx = _distinct(lo, hi, pidx)
         width = (hi - lo)[pidx]
@@ -560,12 +535,9 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
 
         rejected = ~accept
         taken = rejected.repeat(2)
-        lo, hi, pidx = _select(child_lo, child_hi, child_pidx, taken)
+        lo, hi, pidx = child_lo, child_hi, child_pidx[taken]
         vals, row = child_vals[taken], child_row[taken]
         budgets = (budgets[rejected] * 0.5).repeat(2)
-
-    if failures:
-        raise failures[min(failures)]
 
     by_row = np.concatenate(accepted_vals)
     if n_rows == 1:
@@ -576,11 +548,19 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
         by_row = by_row[np.argsort(all_rows, kind="stable")]
     flat = by_row.tolist()
     ends = leaves.cumsum().tolist()
+    err = accepted_err + tail + 8.0 * _EPS * accepted_mass
+    if np.count_nonzero(failed):
+        r = int(failed.argmax())
+        raise AccuracyError(
+            "panel budget exhausted before tolerance was met",
+            value=_fsum(flat[ends[r] - leaves[r]:ends[r]], float(x_max[r])),
+            err_estimate=float(err[r]),
+            panels_used=int(panels[r]),
+        )
     value = np.array([
         _fsum(flat[end - n:end], x)
         for end, n, x in zip(ends, leaves.tolist(), x_max.tolist())
     ])
-    err = accepted_err + tail + 8.0 * _EPS * accepted_mass
     return RowArrays(value, err, leaves - unsampled, x_max)
 
 

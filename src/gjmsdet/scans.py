@@ -209,6 +209,8 @@ def write_svg(
     """
     if len(xs) != len(ys) or not xs:
         raise ParameterError("xs and ys must be equal-length and non-empty")
+    if not all(map(math.isfinite, [*xs, *ys])):
+        raise ParameterError("xs and ys must be finite")
     width, height = 640.0, 420.0
     ml, mr, mt, mb = 72.0, 18.0, 18.0, 48.0
 

@@ -327,15 +327,17 @@ def logdet(
 
 def _drop_negligible(a, p, weights, tolerance: Optional[Tolerance]) -> tuple:
     """The plan without its rows of bound mass |w_r| B_r at most
-    eps rel_tol max_s |w_s| B_s / n (B from ``_log_mass_bound``, n rows):
-    the rest's (a, p, weights), and the skipped rows' summed mass, rounded
-    up past underflow, to charge to the estimate."""
+    eps rel_tol max_s |w_s| B_s / n (B from ``_log_mass_bound``, n rows),
+    the row of largest mass always kept: the rest's (a, p, weights), and
+    the skipped rows' summed mass, rounded up past underflow, to charge to
+    the estimate."""
     rel_tol = (Tolerance() if tolerance is None else tolerance).rel_tol
     # in log space, since eps rel_tol / n may underflow for a small rel_tol
     log_cut = math.log(_EPS) + math.log(rel_tol) - math.log(len(weights))
     a, p = np.asarray(a, dtype=float), np.asarray(p, dtype=float)
     mass = _log_mass_bound(a, p) + np.log(np.abs(np.array(weights, dtype=float)))
     skip = mass <= mass.max() + log_cut
+    skip[mass.argmax()] = False  # the cut is positive once rel_tol >= n / eps
     tail = np.exp(mass[skip])
     skipped = math.fsum(tail.tolist())
     if skipped < sys.float_info.min:  # each exp may have lost 2^-1074 to underflow

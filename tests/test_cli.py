@@ -322,6 +322,16 @@ class TestSvg:
         root = ET.parse(path).getroot()
         assert root.tag.endswith("svg")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_input_is_a_parameter_error(self, tmp_path, bad, axis):
+        path = tmp_path / "bad.svg"
+        xs, ys = [1.0, 2.0], [0.5, 1.0]
+        (xs if axis == "x" else ys)[0] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            write_svg(str(path), xs, ys)
+        assert not path.exists()
+
 
 class TestCsvFormat:
     def test_format_is_lossless_for_random_floats(self):

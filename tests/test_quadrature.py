@@ -151,6 +151,18 @@ class TestIntegrate:
         assert err.err_estimate > 0
         assert err.panels_used <= 16
 
+    @pytest.mark.parametrize("max_panels", [8, 16, 24, 32])
+    def test_budget_failure_estimate_is_honest(self, max_panels):
+        f = lambda x: (-400.0 * (x - 2.0) ** 2, 1.0)
+        spec = QuadratureSpec(
+            decay_rate=1.0, env_const=math.exp(2.001), max_panels=max_panels
+        )
+        with pytest.raises(AccuracyError) as exc_info:
+            integrate_semi_infinite(f, spec)
+        err = exc_info.value
+        exact = math.sqrt(math.pi / 400.0)  # the x < 0 tail is ~e^(-1600)
+        assert abs(err.value - exact) <= err.err_estimate
+
     def test_narrow_spike_converges_with_budget(self):
         f = lambda x: (-400.0 * (x - 2.0) ** 2, 1.0)
         spec = QuadratureSpec(decay_rate=1.0, env_const=math.exp(2.001))
@@ -252,6 +264,30 @@ class TestIntegrateRows:
             want.value, want.err_estimate, want.panels_used
         )
         assert math.isfinite(got.value) and got.panels_used <= 16
+
+    def test_later_failure_of_a_lower_row_is_the_one_reported(self):
+        # row 1 holds two width-0.05 spikes, so it runs out of 32 panels a
+        # sweep before row 0, which holds one; row 2 converges.  Row 1's
+        # pairs retire first, yet row 0's error is raised, as it is alone.
+        def f(x, row, first=0):
+            one = -400.0 * (x - 2.0) ** 2
+            two = np.logaddexp(one, -400.0 * (x - 5.0) ** 2)
+            row = row + first
+            return np.select([row == 0, row == 1], [one, two], -x), 1.0
+
+        env, tol = Envelopes(5.001, 1.0), Tolerance(max_panels=32)
+        with pytest.raises(AccuracyError) as batch_info:
+            integrate_rows(f, Envelopes([5.001] * 3, 1.0), tol)
+        lone = []
+        for r in range(2):
+            with pytest.raises(AccuracyError) as info:
+                integrate_rows(lambda x, row: f(x, row, r), env, tol)
+            lone.append(info.value)
+        assert lone[1].panels_used < lone[0].panels_used
+        got, want = batch_info.value, lone[0]
+        assert (got.value, got.err_estimate, got.panels_used) == (
+            want.value, want.err_estimate, want.panels_used
+        )
 
     def test_many_rows_chunked_evaluation(self):
         # enough rows that a sweep spans several integrand calls

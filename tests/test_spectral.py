@@ -337,6 +337,16 @@ def sphere_points(draw, max_d=4001):
     return SpherePoint(d, draw(st.integers(1, (d - 1) // 2)))
 
 
+def _ends_cleanly(point, tolerance=None):
+    for method in METHODS:
+        try:
+            res = logdet(point, method, tolerance)
+        except PACKAGE_ERRORS:
+            continue
+        assert math.isfinite(res.value)
+        assert math.isfinite(res.err_estimate) and res.err_estimate >= 0.0
+
+
 class TestEveryPointEndsCleanly:
     """Every valid point gives a finite value with a finite estimate, or a
     package error; never a raw exception such as OverflowError."""
@@ -344,13 +354,19 @@ class TestEveryPointEndsCleanly:
     @settings(max_examples=40, derandomize=True, deadline=None, database=None)
     @given(sphere_points())
     def test_finite_result_or_package_error(self, point):
-        for method in METHODS:
-            try:
-                res = logdet(point, method)
-            except PACKAGE_ERRORS:
-                continue
-            assert math.isfinite(res.value)
-            assert math.isfinite(res.err_estimate) and res.err_estimate >= 0.0
+        _ends_cleanly(point)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(
+        sphere_points(max_d=301),
+        st.floats(-300, 300).map(lambda e: 10.0 ** e),
+        st.sampled_from([0.0, 1e-300, 1e-15, 1e-5, 1.0, 1e10]),
+        st.integers(4, 4096),
+    )
+    def test_any_valid_tolerance(self, point, rel_tol, abs_tol, max_panels):
+        # a rel_tol past n / eps once made the row-skipping cut positive and
+        # emptied the plan, which raised a raw IndexError
+        _ends_cleanly(point, Tolerance(rel_tol, abs_tol, max_panels))
 
 
 def _staged_rows(a, p, regrouped, tolerance):
