@@ -42,13 +42,12 @@ when it is integrated alone.  ``integrate_semi_infinite`` is the one-row
 call.
 
 Rows of one batch often integrate over the same panels: their initial
-panels [0, 1], [1, 2], [2, 4], ... coincide up to each row's truncation
-point, and where several rows reject a panel they bisect it alike.  So
-every call keeps, per sweep, a table of the distinct panels, and each pair
-carries an index into it.  The children of a panel that several rows reject
-are made once, and the table is compacted each sweep with a flag array and
-its cumsum.  A one-row call's panels are distinct by construction, so its
-table is its own panels in order.
+panels [0, 1], [1, 2], [2, 4], ... coincide up to each row's last one, and
+where several rows reject a panel they bisect it alike.  So every call
+keeps, per sweep, a table of panels, and each pair carries an index into
+it.  The first table holds those power-of-two panels once, then each row's
+last panel; the children of a panel that several rows reject are made
+once, and the table is compacted each sweep with a flag array and its cumsum.
 
 The integrand is evaluated in two stages (``integrate_staged``): a shared
 stage, once per table panel, computes the terms that do not depend on the
@@ -341,31 +340,25 @@ def _initial_panels(x_max: np.ndarray):
     """Each row's first panels, [0, 1], [1, 2], [2, 4], ..., [2^m, x_max]
     with 2^m < x_max <= 2^(m+1): (lo, hi, pidx, row, panels per row).
 
-    Pair i, of row row[i], is panel pidx[i] of the table (lo, hi), which
-    holds each distinct panel once: first the panels ending at a power of
-    two, which every row shares up to its own, then one last panel per
-    distinct x_max.  One row's panels are distinct already, so its table is
-    its own panels in order.
+    Pair i, of row row[i], is panel pidx[i] of the table (lo, hi).  With
+    n + 1 the most panels of any row, the table holds [0, 1], [1, 2], ...,
+    [2^(n-2), 2^(n-1)] once, shared by every row up to its own last panel,
+    then each row's last panel in row order.  This relies on every x_max
+    being at least _MIN_TRUNCATION = 10: every row then has at least 5
+    panels, and a lone row's table is its own panels in order.
     """
     mant, exp = np.frexp(x_max)  # x_max = mant 2^exp, 1/2 <= mant < 1
     counts = exp + 1 - (mant == 0.5)
+    n = int(counts.max()) - 1
+    hi = np.ldexp(1.0, np.concatenate((np.arange(n), counts - 1)))
+    lo = 0.5 * hi
+    lo[0] = 0.0
+    hi[n:] = x_max
     ends = counts.cumsum()
     row = np.arange(x_max.size).repeat(counts)
-    j = np.arange(ends[-1]) - (ends - counts)[row]  # panel j of its row
-    hi = np.ldexp(1.0, j)
-    lo = 0.5 * hi
-    lo[j == 0] = 0.0
-    hi[ends - 1] = x_max
-    if x_max.size == 1:
-        return lo, hi, j, row, counts
-    distinct, first, inverse = np.unique(x_max, return_index=True, return_inverse=True)
-    top = counts.argmax()  # its panels before the last are every row's
-    shared = slice(ends[top] - counts[top], ends[top] - 1)
-    pidx = j
-    pidx[ends - 1] = counts[top] - 1 + inverse
-    table_lo = np.concatenate((lo[shared], lo[ends[first] - 1]))
-    table_hi = np.concatenate((hi[shared], distinct))
-    return table_lo, table_hi, pidx, row, counts
+    pidx = np.arange(ends[-1]) - (ends - counts)[row]  # panel j of its row
+    pidx[ends - 1] = np.arange(n, n + x_max.size)
+    return lo, hi, pidx, row, counts
 
 
 def _distinct(lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray):
@@ -539,14 +532,9 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
         vals, row = child_vals[taken], child_row[taken]
         budgets = (budgets[rejected] * 0.5).repeat(2)
 
-    by_row = np.concatenate(accepted_vals)
-    if n_rows == 1:
-        leaves = np.array([by_row.size])
-    else:
-        all_rows = np.concatenate(accepted_rows)
-        leaves = np.bincount(all_rows, minlength=n_rows)
-        by_row = by_row[np.argsort(all_rows, kind="stable")]
-    flat = by_row.tolist()
+    all_rows = np.concatenate(accepted_rows)
+    leaves = np.bincount(all_rows, minlength=n_rows)
+    flat = np.concatenate(accepted_vals)[np.argsort(all_rows, kind="stable")].tolist()
     ends = leaves.cumsum().tolist()
     err = accepted_err + tail + 8.0 * _EPS * accepted_mass
     if np.count_nonzero(failed):

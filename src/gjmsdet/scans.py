@@ -9,6 +9,7 @@ the exact binary64 values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -206,6 +207,8 @@ def write_svg(
 
     Deliberately minimal: one polyline with point markers, a frame, and
     labelled axis ticks.  Enough to eyeball a scan's shape, nothing more.
+    Raises ParameterError, before the file is opened, on unequal or empty
+    input, a non-finite value, or an axis whose padded range passes binary64.
     """
     if len(xs) != len(ys) or not xs:
         raise ParameterError("xs and ys must be equal-length and non-empty")
@@ -216,11 +219,15 @@ def write_svg(
 
     def _bounds(vals):
         lo, hi = min(vals), max(vals)
-        if lo == hi:
-            pad = 1.0 if lo == 0 else abs(lo) * 0.1
-            return lo - pad, hi + pad
-        pad = (hi - lo) * 0.05
-        return lo - pad, hi + pad
+        pad = abs(lo) * 0.1 if lo == hi else (hi - lo) * 0.05
+        # A subnormal pad (as at lo == hi == 0) or one lost to rounding (a range
+        # a few ulps wide) leaves a width the ticks cannot resolve.
+        if pad < sys.float_info.min or lo - pad == lo or hi + pad == hi:
+            pad = max(abs(lo) * 0.1, 1.0)
+        lo, hi = lo - pad, hi + pad
+        if not math.isfinite(hi - lo):
+            raise ParameterError("xs and ys must span a range binary64 holds after padding")
+        return lo, hi
 
     x_lo, x_hi = _bounds(xs)
     y_lo, y_hi = _bounds(ys)

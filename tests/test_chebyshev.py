@@ -189,6 +189,10 @@ def test_broken_u_table_is_detected():
         OddChebyshev(k=2, u=(4, 8))  # sign pattern broken
     with pytest.raises(InternalConsistencyError):
         OddChebyshev(k=2, u=(-4, 9))  # leading coefficient broken
+    with pytest.raises(InternalConsistencyError, match="expected 2 odd coefficients"):
+        OddChebyshev(k=2, u=(1,))  # too few coefficients
+    with pytest.raises(ParameterError):
+        OddChebyshev(k=0, u=())
 
 
 def test_broken_power_table_is_detected():
@@ -198,5 +202,7 @@ def test_broken_power_table_is_detected():
         ProductRule(k=3, v=(3, 0, 1))  # non-positive power
     with pytest.raises(InternalConsistencyError):
         ProductRule(k=3, v=(2, 4, 1))  # v[0] != k
+    with pytest.raises(ParameterError):
+        ProductRule(k=0, v=())
     with pytest.raises(InternalConsistencyError):
         ProductRule(k=3, v=(3, 4))  # wrong length

@@ -332,6 +332,62 @@ class TestSvg:
             write_svg(str(path), xs, ys)
         assert not path.exists()
 
+    @pytest.mark.parametrize("xs,ys", [([1.0, 2.0], [0.5]), ([], [])])
+    def test_unequal_or_empty_input_is_a_parameter_error(self, tmp_path, xs, ys):
+        path = tmp_path / "bad.svg"
+        with pytest.raises(ParameterError, match="equal-length and non-empty"):
+            write_svg(str(path), xs, ys)
+        assert not path.exists()
+
+    # the range itself, or a single value plus its 10 % pad, passes 1.8e308
+    @pytest.mark.parametrize("ys", [[-1e308, 1e308], [1.7e308, 1.7e308]])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_range_past_binary64_is_a_parameter_error(self, tmp_path, ys, axis):
+        path = tmp_path / "bad.svg"
+        xs = [1.0, 2.0]
+        if axis == "x":
+            xs, ys = ys, xs
+        with pytest.raises(ParameterError, match="binary64"):
+            write_svg(str(path), xs, ys)
+        assert not path.exists()
+
+    @staticmethod
+    def _y_ticks(path):
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        texts = ET.parse(path).getroot().findall(".//svg:text", ns)
+        return [float(t.text) for t in texts if t.get("text-anchor") == "end"]
+
+    def test_constant_series_is_padded_by_a_tenth(self, tmp_path):
+        path = tmp_path / "flat.svg"
+        write_svg(str(path), [1, 2, 3], [0.5, 0.5, 0.5])
+        ticks = self._y_ticks(path)
+        assert ticks and min(ticks) >= 0.45 and max(ticks) <= 0.55
+
+    # a pad that rounds to 0 or below one ulp would leave the axis no width
+    # (a ZeroDivisionError), or a tick step that never advances (a hang)
+    @pytest.mark.parametrize("ys", [
+        [1e-323], [0.0], [0.0, 5e-324], [0.1, math.nextafter(0.1, 1.0)],
+        [1e20, math.nextafter(1e20, 2e20)],
+    ], ids=["subnormal", "zero", "subnormal-span", "one-ulp", "one-ulp-past-2^53"])
+    def test_pad_lost_to_rounding_falls_back(self, tmp_path, ys):
+        path = tmp_path / "tiny.svg"
+        write_svg(str(path), list(range(len(ys))), ys)
+        ticks = self._y_ticks(path)
+        pad = max(abs(ys[0]) * 0.1, 1.0)
+        assert ticks and min(ticks) >= ys[0] - pad and max(ticks) <= ys[-1] + pad
+        assert max(ticks) - min(ticks) >= pad
+
+    def test_paneitz_subnormal_value_draws_one_point(self, tmp_path, capsys):
+        svg_path = tmp_path / "p.svg"
+        code, out, err = run(
+            ["paneitz", "--d-min", "1061", "--d-max", "1061", "--svg", str(svg_path)],
+            capsys,
+        )
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].startswith("1061,2,direct,")
+        ns = {"svg": "http://www.w3.org/2000/svg"}
+        assert len(ET.parse(svg_path).getroot().findall(".//svg:circle", ns)) == 1
+
 
 class TestCsvFormat:
     def test_format_is_lossless_for_random_floats(self):

@@ -18,7 +18,7 @@ from gjmsdet import (
     integrate_semi_infinite,
     truncation_point,
 )
-from gjmsdet.quadrature import integrate_staged
+from gjmsdet.quadrature import _initial_panels, integrate_staged
 
 # np.trapz on numpy 1.x, renamed on 2.x
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -348,10 +348,10 @@ def _as_results(rows):
 
 
 class TestSharedPanels:
-    """Every call keeps one table of distinct panels per sweep (a one-row
-    call's table is its own panels).  Rows 2 to 9 here truncate at the
-    clamp x = 10 and share every panel; rows 8 and 9 repeat rows 2 and 3
-    exactly."""
+    """Every call keeps one table of panels per sweep (a one-row call's
+    table is its own panels).  Rows 2 to 9 here truncate at the clamp
+    x = 10 and share every panel but the last, [8, 10], which each row
+    holds alone; rows 8 and 9 repeat rows 2 and 3 exactly."""
 
     SHIFT = (0.0, 1.5, 0.0, -1.0, 2.0, 0.5, 0.0, 3.0, 0.0, -1.0)
     RATE = (0.6, 1.3, 4.0, 5.0, 6.5, 8.0, 9.0, 11.0, 4.0, 5.0)
@@ -550,6 +550,30 @@ def _initial_panels_of(x_max):
     while edges[-1] < x_max:
         edges.append(min(2.0 * edges[-1], x_max))
     return list(zip(edges[:-1], edges[1:]))
+
+
+class TestInitialPanels:
+    """The first table: the power-of-two panels [0, 1], ..., [2^(n-2),
+    2^(n-1)] once, n + 1 the most panels of any row, then each row's last
+    panel in row order."""
+
+    X_MAX = (10.0, 16.0, 37.5, 1e6)
+
+    @pytest.mark.parametrize(
+        "x_max",
+        [[x] for x in X_MAX] + [list(X_MAX), [1e6, 10.0, 10.0, 37.5, 16.0]],
+        ids=["10", "16", "37.5", "1e6", "together", "shuffled_with_repeat"],
+    )
+    def test_layout(self, x_max):
+        lo, hi, pidx, row, counts = _initial_panels(np.array(x_max))
+        want = [_initial_panels_of(x) for x in x_max]
+        assert counts.tolist() == [len(w) for w in want]
+        assert row.tolist() == [r for r, w in enumerate(want) for _ in w]
+        # every pair's panel is its row's own [0, 1], [1, 2], ..., [2^m, x_max]
+        assert list(zip(lo[pidx].tolist(), hi[pidx].tolist())) == [p for w in want for p in w]
+        assert lo.size == hi.size == counts.max() - 1 + len(x_max)
+        if len(x_max) == 1:
+            assert pidx.tolist() == list(range(lo.size))
 
 
 class TestEnvelopePruning:

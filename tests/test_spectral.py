@@ -760,3 +760,10 @@ class TestClosedForms:
     def test_unsupported_dimension(self, bad):
         with pytest.raises(UnsupportedArgumentError):
             closed_form_p4(bad)
+
+    def test_form_far_from_its_reference_is_detected(self):
+        from dataclasses import replace
+
+        broken = replace(exact._CLOSED_FORMS[5], reference=1.0)
+        with pytest.raises(errors.InternalConsistencyError, match="far from its reference"):
+            broken.evaluate()
