@@ -51,9 +51,10 @@ once, and the table is compacted each sweep with a flag array and its cumsum.
 
 The integrand is evaluated in two stages (``integrate_staged``): a shared
 stage, once per table panel, computes the terms that do not depend on the
-row; a per-pair stage, a fixed number of pairs at a time so memory stays
+row, the abscissas being one of them only where the second stage needs
+them; a per-pair stage, a fixed number of pairs at a time so memory stays
 flat, gathers those terms and adds the row-dependent parts.  A plain
-``f(x, row)`` is the two-stage integrand whose shared stage is empty.
+``f(x, row)`` is the two-stage integrand whose only shared term is x.
 Splitting the work this way moves no value: pair order, budgets,
 acceptance and each row's fsum are those of a lone call, so a row's result
 is bit-identical to its lone call whatever it shares.
@@ -236,9 +237,9 @@ def truncation_point(c_bound: float, decay_rate: float, tol: float) -> float:
 
 
 class _PlainIntegrand:
-    """A row integrand ``f(x, row)`` as a two-stage integrand with nothing
-    shared: it receives flat abscissas and rows, as ``integrate_rows``
-    promises."""
+    """A row integrand ``f(x, row)`` as a two-stage integrand that shares
+    only the abscissas: it receives flat abscissas and rows, as
+    ``integrate_rows`` promises."""
 
     __slots__ = ("f",)
 
@@ -246,9 +247,10 @@ class _PlainIntegrand:
         self.f = f
 
     def shared(self, x: np.ndarray) -> Tuple[np.ndarray, ...]:
-        return ()
+        return (x,)
 
-    def per_pair(self, terms, x: np.ndarray, row: np.ndarray):
+    def per_pair(self, terms, row: np.ndarray):
+        (x,) = terms
         return self.f(x.reshape(-1), row.repeat(x.shape[1]))
 
 
@@ -266,28 +268,30 @@ def _abscissas(center: np.ndarray, half: np.ndarray) -> np.ndarray:
     return center[:, None] + half[:, None] * _NODES
 
 
-def _eval_chunk(integrand, center, half, xs, terms, pidx, row):
+def _eval_chunk(integrand, center, half, terms, pidx, row):
     """Gauss value and absolute mass of each of a chunk of pairs: pair i
-    integrates row ``row[i]`` over table panel ``pidx[i]``, whose center,
-    half-width, abscissas and shared terms are gathered to it here."""
-    center, half, x = center[pidx], half[pidx], xs[pidx]
-    logmag, sign = integrand.per_pair([t[pidx] for t in terms], x, row[:, None])
-    logmag = np.asarray(logmag, dtype=float).reshape(x.shape)
+    integrates row ``row[i]`` over table panel ``pidx[i]``, whose half-width
+    and shared terms are gathered to it here (its abscissas only to name
+    a non-finite sample)."""
+    h = half[pidx]
+    logmag, sign = integrand.per_pair([t[pidx] for t in terms], row[:, None])
+    logmag = np.asarray(logmag, dtype=float).reshape(pidx.size, _GAUSS_ORDER)
     fx = np.exp(logmag)
     sign = np.asarray(sign, dtype=float)
     if sign.ndim:
-        fx *= sign.reshape(x.shape)
+        fx *= sign.reshape(fx.shape)
     elif sign != 1.0:
         fx *= sign
     fx *= _WEIGHTS
-    vals = fx.sum(axis=1) * half
+    vals = fx.sum(axis=1) * h
     # a scalar sign of 1 leaves every term positive, so the mass is the value
-    mass = vals if sign.ndim == 0 and sign == 1.0 else np.abs(fx, out=fx).sum(axis=1) * half
+    mass = vals if sign.ndim == 0 and sign == 1.0 else np.abs(fx, out=fx).sum(axis=1) * h
     # A NaN or infinite sample, or a panel sum past binary64, leaves its
     # panel's mass non-finite, so one check on the masses guards them all.
     bad = ~np.isfinite(mass)
     if np.count_nonzero(bad):
-        _raise_non_finite(x[bad], logmag[bad], fx[bad], float(center[bad][0]))
+        c = center[pidx[bad]]
+        _raise_non_finite(_abscissas(c, h[bad]), logmag[bad], fx[bad], float(c[0]))
     return vals, mass
 
 
@@ -305,15 +309,13 @@ def _raise_non_finite(x, logmag, fx, center: float):
 
 
 def _shared_stage(integrand, center: np.ndarray, half: np.ndarray):
-    """The abscissas of every panel of a table and the shared stage at them,
+    """The shared stage at the abscissas of every panel of a table,
     _CHUNK_PANELS panels a call."""
-    xs, parts = [], []
-    for s in range(0, center.size, _CHUNK_PANELS):
-        xs.append(_abscissas(center[s:s + _CHUNK_PANELS], half[s:s + _CHUNK_PANELS]))
-        parts.append(integrand.shared(xs[-1]))
-    if len(parts) == 1:
-        return xs[0], parts[0]
-    return np.concatenate(xs), [np.concatenate(t) for t in zip(*parts)]
+    parts = [
+        integrand.shared(_abscissas(center[s:s + _CHUNK_PANELS], half[s:s + _CHUNK_PANELS]))
+        for s in range(0, center.size, _CHUNK_PANELS)
+    ]
+    return parts[0] if len(parts) == 1 else [np.concatenate(t) for t in zip(*parts)]
 
 
 def _eval_panels(integrand, lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray, row: np.ndarray):
@@ -322,17 +324,17 @@ def _eval_panels(integrand, lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray, ro
     sum |w f| h of each pair, used for the round-off floor.
 
     The shared stage runs once per table panel, the per-pair stage
-    _CHUNK_PANELS pairs at a time on gathered abscissas and shared terms."""
+    _CHUNK_PANELS pairs at a time on gathered shared terms."""
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    xs, terms = _shared_stage(integrand, center, half)
+    terms = _shared_stage(integrand, center, half)
     if row.size <= _CHUNK_PANELS:
-        return _eval_chunk(integrand, center, half, xs, terms, pidx, row)
+        return _eval_chunk(integrand, center, half, terms, pidx, row)
     vals = np.empty(row.size)
     mass = np.empty(row.size)
     for s in range(0, row.size, _CHUNK_PANELS):
         e = s + _CHUNK_PANELS
-        vals[s:e], mass[s:e] = _eval_chunk(integrand, center, half, xs, terms, pidx[s:e], row[s:e])
+        vals[s:e], mass[s:e] = _eval_chunk(integrand, center, half, terms, pidx[s:e], row[s:e])
     return vals, mass
 
 
@@ -435,11 +437,12 @@ def integrate_staged(integrand, envelopes: Envelopes, tolerance: Tolerance) -> R
 
     ``integrand.shared(x)`` takes a 2-D array of abscissas, one panel a
     line, and returns a sequence of arrays of its shape: the terms every row
-    shares.  ``integrand.per_pair(terms, x, row)`` takes those terms
-    gathered to the panels of a chunk of (row, panel) pairs, the pairs'
-    abscissas and a column of their rows, and returns ``(log|f|, sign)``.
-    Each row's value, estimate and panel count, and every error raised, are
-    those of evaluating both stages on the pairs' own abscissas.
+    shares, the abscissas among them if the second stage needs them.
+    ``integrand.per_pair(terms, row)`` takes those terms gathered to the
+    panels of a chunk of (row, panel) pairs and a column of their rows, and
+    returns ``(log|f|, sign)``.  Each row's value, estimate and panel count,
+    and every error raised, are those of evaluating both stages on the
+    pairs' own abscissas.
     """
     with np.errstate(over="ignore", divide="ignore"):
         return _integrate_rows(integrand, envelopes, tolerance)

@@ -13,7 +13,8 @@ for integer 1 <= k <= (d-1)/2, is by every route one identity:
 The integrand is positive, vanishes like a x^2 / (2 pi) at 0, and decays
 like 2^(p-2) pi e^(-(p-1-2a)x/2) / x^2, so the quadrature module can
 truncate with an exact envelope.  The four routes differ only in their rows
-(a_r, p_r), integer weights w_r and whether the integrand is regrouped:
+(a_r, p_r), integer weights w_r (held as binary64, each rounded once) and
+whether the integrand is regrouped:
 
     route          a_r      p_r        w_r, j < k                 regrouped
     direct         k        d+1        1                          no
@@ -39,7 +40,8 @@ each scaled row integral 2^-(p-2) I(a, p) by B(a, p) in closed form (Gamma
 functions through Stirling's series with Binet's remainder bound); in a
 plan of more than one row, ``logdet`` skips every row whose |w_r| B_r is
 at most eps rel_tol max_s |w_s| B_s / n (eps binary64 epsilon, n rows)
-and adds the skipped rows' summed |w_r| B_r to the estimate.  On the
+and adds the skipped rows' |w_r| B_r to the estimate, as their binary64
+sum rounded up by the factor 1 + 2 m eps (m rows skipped).  On the
 diagonal ``sum`` then integrates 13 of its 510 rows at d = 1021 and 17 of
 192 at d = 385, ``product_rule`` 215 and 125; at d <= 65 no row is skipped.
 
@@ -60,7 +62,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .chebyshev import v_coefficients
-from .errors import DivergentIntegralError, ParameterError, UnsupportedArgumentError
+from .errors import AccuracyError, DivergentIntegralError, ParameterError, UnsupportedArgumentError
 from .exact import METHODS, ClosedForm, LogDetResult, SpherePoint, closed_form_p4, zeta_odd
 from .exact import is_integer, require_integer
 from .quadrature import Envelopes, Tolerance, integrate_staged
@@ -152,9 +154,9 @@ class _LogIntegrand:
     sinh(a x)/sinh(x/2) so the log-space pipeline stays finite at large x.
 
     The shared stage computes the terms free of a and p, and the sinh(a x)
-    term too when every row has the same a; the per-pair stage adds the
-    rest.  Both keep the operation order of the single expression, so a
-    row's values do not depend on what it shares.
+    term too when every row has the same a, else it shares x itself; the
+    per-pair stage adds the rest.  Both keep the operation order of the
+    single expression, so a row's values do not depend on what it shares.
     """
 
     __slots__ = ("a", "p", "regrouped", "common_a")
@@ -175,8 +177,8 @@ class _LogIntegrand:
 
     def shared(self, x):
         """The row-free terms: the head, log pi/(x^2+pi^2) plus one or two
-        log sinh(x/2) and the sinh term if every row has the same a; and
-        log cosh(x/2)."""
+        log sinh(x/2) and the sinh term if every row has the same a; log
+        cosh(x/2); and x if the rows' a differ."""
         half = 0.5 * x
         log_sinh_half = _log_sinh(half)
         head = x * x
@@ -184,14 +186,16 @@ class _LogIntegrand:
         np.log(head, out=head)
         np.subtract(_LNPI, head, out=head)
         head += 2.0 * log_sinh_half if self.regrouped else log_sinh_half
-        if self.common_a is not None:
-            head += self._sinh_term(self.common_a, x, log_sinh_half)
+        if self.common_a is None:
+            return head, _log_cosh(half), x
+        head += self._sinh_term(self.common_a, x, log_sinh_half)
         return head, _log_cosh(half)
 
-    def per_pair(self, terms, x, row):
-        head, log_cosh_half = terms
+    def per_pair(self, terms, row):
+        head, log_cosh_half = terms[:2]
         logmag = self.p[row] * log_cosh_half
         if self.common_a is None:
+            x = terms[2]
             log_sinh_half = _log_sinh(0.5 * x) if self.regrouped else None
             head = head + self._sinh_term(self.a[row], x, log_sinh_half)
         return np.subtract(head, logmag, out=logmag), 1.0
@@ -245,7 +249,7 @@ def integrand_direct(point: SpherePoint, x):
     xs = _check_abscissas(x)
     f = _LogIntegrand(point.k, point.d + 1)
     flat = xs.reshape(-1)
-    logmag = f.per_pair(f.shared(flat), flat, 0)[0].reshape(xs.shape)
+    logmag = f.per_pair(f.shared(flat), 0)[0].reshape(xs.shape)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(logmag), 1
     return logmag, np.ones_like(logmag)
@@ -270,9 +274,14 @@ def _integrals(
         Envelopes(log_const, rate),
         Tolerance() if tolerance is None else tolerance,
     )
-    shift = 2 - integrand.p.astype(int)
-    value = np.ldexp(rows.value, shift)
-    err = np.ldexp(rows.err_estimate, shift)
+    return _scaled(rows.value, rows.err_estimate, integrand.p)
+
+
+def _scaled(value, err, p):
+    """2^-(p-2) ``value`` and ``err`` (arrays), ``err`` widened where that underflows."""
+    shift = 2 - np.asarray(p).astype(int)
+    value = np.ldexp(value, shift)
+    err = np.ldexp(err, shift)
     tiny = np.minimum(np.abs(value), err) < sys.float_info.min
     if np.count_nonzero(tiny):
         err[tiny] = np.nextafter(err[tiny] + math.ulp(0.0), math.inf)
@@ -280,24 +289,26 @@ def _integrals(
 
 
 def _plan(point: SpherePoint, method: str) -> tuple:
-    """The rows (a, p), the integer weights and the regrouping flag of the
-    route ``method`` at ``point``: the module docstring's table."""
+    """The rows (a, p), scalars or arrays, the weights as a binary64 array
+    (each rounded once, as int * float rounds it) and the regrouping flag
+    of the route ``method`` at ``point``: the module docstring's table."""
     d, k = point.d, point.k
     if method in ("direct", "chebyshev"):
-        return k, d + 1, [1], method == "chebyshev"
+        return k, d + 1, np.ones(1), method == "chebyshev"
+    signs = np.where(np.arange(k - 1, -1, -1) % 2, -1.0, 1.0)  # (-1)^(k-1-j)
     if method == "sum":
-        return [j + 0.5 for j in range(k)], d, [(-1) ** (k - 1 - j) for j in range(k)], False
+        return np.arange(k) + 0.5, d, signs, False
     if method == "product_rule":
         rule = v_coefficients(k)
-        top = max(rule.v)
-        if top > sys.float_info.max:  # from k = 742 on
+        try:
+            powers = np.array(rule.v, dtype=float)
+        except OverflowError:  # from k = 742 on
             raise UnsupportedArgumentError(
                 f"product rule at k = {k} needs powers v_j(k) up to "
-                f"2^{top.bit_length() - 1}, past the binary64 limit "
+                f"2^{max(rule.v).bit_length() - 1}, past the binary64 limit "
                 f"{sys.float_info.max:.4g}"
-            )
-        weights = [-v if (k - 1 + j) % 2 else v for j, v in enumerate(rule.v)]
-        return 1.0, [d - 2 * j + 1 for j in range(k)], weights, False
+            ) from None
+        return 1.0, np.arange(d + 1, d - 2 * k + 1, -2), signs * powers, False
     raise UnsupportedArgumentError(
         f"unknown method {method!r}; expected one of {METHODS}"
     )
@@ -314,37 +325,51 @@ def logdet(
 
     A plan of more than one row first drops the rows whose bound mass
     |w_r| B_r is at most eps rel_tol max_s |w_s| B_s / n; their summed
-    bound mass is added to the estimate (see ``_drop_negligible``)."""
+    bound mass is added to the estimate (see ``_drop_negligible``).  A
+    quadrature AccuracyError is raised again named by route and point."""
     a, p, weights, regrouped = _plan(point, method)
     skipped = 0.0
-    if len(weights) > 1:
+    if weights.size > 1:
         a, p, weights, skipped = _drop_negligible(a, p, weights, tolerance)
-    values, errs = _integrals(a, p, tolerance, regrouped)
-    value = point.sign * math.fsum(w * v for w, v in zip(weights, values.tolist()))
-    err = math.fsum([*(abs(w) * e for w, e in zip(weights, errs.tolist())), skipped])
+    try:
+        values, errs = _integrals(a, p, tolerance, regrouped)
+    except AccuracyError as exc:
+        value, err, where = exc.value, exc.err_estimate, f"{method} at d={point.d}, k={point.k}"
+        if weights.size == 1:  # of weight 1, so scaled its fields are the log det's
+            value, err = (v.item() for v in _scaled(np.array([value]), np.array([err]), p))
+            value *= point.sign
+        else:
+            where += " (one row's unscaled integral)"
+        raise AccuracyError(f"{where}: {exc._message}", value, err, exc.panels_used) from exc
+    value = point.sign * math.fsum((weights * values).tolist())
+    err = math.fsum([*(np.abs(weights) * errs).tolist(), skipped])
     return LogDetResult(value, err, method, point)
 
 
 def _drop_negligible(a, p, weights, tolerance: Optional[Tolerance]) -> tuple:
     """The plan without its rows of bound mass |w_r| B_r at most
     eps rel_tol max_s |w_s| B_s / n (B from ``_log_mass_bound``, n rows),
-    the row of largest mass always kept: the rest's (a, p, weights), and
-    the skipped rows' summed mass, rounded up past underflow, to charge to
+    the row of largest mass always kept: the rest's (a, p, weights), as
+    arrays, and the skipped rows' summed mass, rounded up, to charge to
     the estimate."""
     rel_tol = (Tolerance() if tolerance is None else tolerance).rel_tol
     # in log space, since eps rel_tol / n may underflow for a small rel_tol
-    log_cut = math.log(_EPS) + math.log(rel_tol) - math.log(len(weights))
+    log_cut = math.log(_EPS) + math.log(rel_tol) - math.log(weights.size)
     a, p = np.asarray(a, dtype=float), np.asarray(p, dtype=float)
-    mass = _log_mass_bound(a, p) + np.log(np.abs(np.array(weights, dtype=float)))
+    mass = _log_mass_bound(a, p) + np.log(np.abs(weights))
     skip = mass <= mass.max() + log_cut
     skip[mass.argmax()] = False  # the cut is positive once rel_tol >= n / eps
     tail = np.exp(mass[skip])
-    skipped = math.fsum(tail.tolist())
+    # A float sum of m positive terms, in any order, is within (m-1)u S /
+    # (1 - (m-1)u) of their exact sum S (u = eps/2; Higham, Accuracy and
+    # Stability, sec. 4.2), so S <= sum (1 + 2(m-1)u) while (m-1)u <= 1/4.
+    # Times the exact 1 + 2m eps = 1 + 4mu and rounded once, a normal product
+    # is at least sum (1 + 4mu)(1 - u) > sum (1 + 2(m-1)u).
+    skipped = float(tail.sum()) * (1.0 + 2 * tail.size * _EPS)
     if skipped < sys.float_info.min:  # each exp may have lost 2^-1074 to underflow
         skipped += tail.size * math.ulp(0.0)
     keep = ~skip
-    kept = [w for w, k in zip(weights, keep.tolist()) if k]
-    return a[keep] if a.ndim else a, p[keep] if p.ndim else p, kept, skipped
+    return a[keep] if a.ndim else a, p[keep] if p.ndim else p, weights[keep], skipped
 
 
 def logdet_direct(

@@ -89,6 +89,14 @@ class TestEval:
         assert code == 3
         assert "overflowed" in err
 
+    def test_budget_failure_names_route_and_point(self, capsys):
+        # the best value is log det P_20(21), not the row integral, 2^20 times it
+        code, out, err = run(["eval", "--d", "21", "--k", "10", "--tol", "1e-15"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "direct at d=21, k=10: panel budget exhausted" in err
+        assert abs(float(err.split("best value ")[1].split()[0]) - 0.0401571) <= 1e-6
+
     def test_method_disagreement_is_numerical_failure(self, capsys, monkeypatch):
         import gjmsdet.scans as scans
 

@@ -312,8 +312,9 @@ def _same_rows(got, want):
 
 class _Staged:
     """e^(shift_r - rate_r x) / (1 + x^2) as a two-stage integrand: the
-    shared stage computes log1p(x^2) (NaN beyond ``nan_beyond``).  Counts
-    the abscissas each stage receives, and the most panels one call gets."""
+    shared stage computes log1p(x^2) (NaN beyond ``nan_beyond``) and shares
+    x with the per-pair stage.  Counts the abscissas each stage receives,
+    and the most panels one call gets."""
 
     def __init__(self, shift, rate, nan_beyond=math.inf):
         self.shift, self.rate = np.asarray(shift, float), np.asarray(rate, float)
@@ -326,17 +327,18 @@ class _Staged:
         self.widest = max(self.widest, x.shape[0])
         t = np.log1p(x * x)
         t[x > self.nan_beyond] = np.nan
-        return (t,)
+        return t, x
 
-    def per_pair(self, terms, x, row):
+    def per_pair(self, terms, row):
+        t, x = terms
         self.seen["per_pair"] += x.size
         self.widest = max(self.widest, x.shape[0])
-        return self.shift[row] - self.rate[row] * x - terms[0], 1.0
+        return self.shift[row] - self.rate[row] * x - t, 1.0
 
     def plain(self, x, row):
         """The same integrand in one stage, as ``integrate_rows`` calls it."""
         col = x.reshape(-1, 1)
-        logmag, _ = self.per_pair(self.shared(col), col, row[:, None])
+        logmag, _ = self.per_pair(self.shared(col), row[:, None])
         return logmag.reshape(-1), 1.0
 
     def envelopes(self):

@@ -6,6 +6,7 @@ at 40 digits, independent of this package's Gauss-Legendre pipeline).
 """
 
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -425,9 +426,9 @@ class TestSharedWork:
                 seen["shared"] += x.size
                 return super().shared(x)
 
-            def per_pair(self, terms, x, row):
-                seen["per_pair"] += x.size
-                return super().per_pair(terms, x, row)
+            def per_pair(self, terms, row):
+                seen["per_pair"] += terms[0].size
+                return super().per_pair(terms, row)
 
         monkeypatch.setattr(spectral, "_LogIntegrand", Counting)
         a, p, _, regrouped = spectral._plan(SpherePoint(1021, 510), method)
@@ -563,15 +564,20 @@ class TestRowSkipping:
         plan = spectral._plan(point, method)
         weights, regrouped = plan[2:]
         a, p = np.broadcast_arrays(np.asarray(plan[0], float), np.asarray(plan[1], float))
-        mass = [math.log(abs(w)) + b for w, b in zip(weights, spectral._log_mass_bound(a, p))]
-        cut = max(mass) + math.log(sys.float_info.epsilon * Tolerance().rel_tol / k)
-        skipped = [m <= cut for m in mass]
-        assert seen == [row for row, s in zip(zip(a.tolist(), p.tolist()), skipped) if not s]
+        mass = spectral._log_mass_bound(a, p) + np.log(np.abs(weights))
+        cut = mass.max() + math.log(sys.float_info.epsilon * Tolerance().rel_tol / k)
+        skipped = mass <= cut
+        rows = zip(a.tolist(), p.tolist())
+        assert seen == [row for row, s in zip(rows, skipped.tolist()) if not s]
         kept_a, kept_p, kept_w, charge = spectral._drop_negligible(*plan[:3], None)
-        assert charge == pytest.approx(math.fsum(math.exp(m) for m, s in zip(mass, skipped) if s))
-        assert charge > 0.0
+        # the charge bounds the skipped masses' exact sum from above, and
+        # tightly: within 4 n eps, plus the n 2^-1074 that the underflow
+        # widening adds below the normal range
+        n, exact = np.count_nonzero(skipped), math.fsum(np.exp(mass[skipped]).tolist())
+        eps = sys.float_info.epsilon
+        assert 0.0 < exact <= charge <= exact * (1 + 4 * n * eps) + n * math.ulp(0.0)
         _, errs = spectral._integrals(kept_a, kept_p, None, regrouped)
-        terms = [abs(w) * e for w, e in zip(kept_w, errs.tolist())]
+        terms = [abs(w) * e for w, e in zip(kept_w.tolist(), errs.tolist())]
         assert res.err_estimate == math.fsum([*terms, charge]) >= charge
 
     @pytest.mark.parametrize("d,k,method", [
@@ -591,8 +597,8 @@ class TestRowSkipping:
 
     def test_underflowing_charge_stays_positive(self):
         # the second row's mass, about 2^-2998, is far below binary64's range
-        a, p, weights, charge = spectral._drop_negligible(1.0, [1022, 3000], [1, 1], None)
-        assert (a.tolist(), p.tolist(), weights) == (1.0, [1022.0], [1])
+        a, p, weights, charge = spectral._drop_negligible(1.0, [1022, 3000], np.ones(2), None)
+        assert (a.tolist(), p.tolist(), weights.tolist()) == (1.0, [1022.0], [1.0])
         assert charge >= math.ulp(0.0)
 
 
@@ -644,16 +650,43 @@ class TestReducer:
     """Every route is one weighted sum of batched rows."""
 
     def test_plans_follow_the_route_table(self):
-        # (a_r, p_r, w_r, regrouped) at d = 9, k = 4; v(4) = (4, 10, 6, 1)
+        # (a_r, p_r, w_r, regrouped) at d = 9, k = 4; v(4) = (4, 10, 6, 1);
+        # the weights are a binary64 array, a and p scalars or arrays
         point = SpherePoint(9, 4)
-        assert spectral._plan(point, "direct") == (4, 10, [1], False)
-        assert spectral._plan(point, "chebyshev") == (4, 10, [1], True)
-        assert spectral._plan(point, "sum") == (
-            [0.5, 1.5, 2.5, 3.5], 9, [-1, 1, -1, 1], False
-        )
-        assert spectral._plan(point, "product_rule") == (
-            1.0, [10, 8, 6, 4], [-4, 10, -6, 1], False
-        )
+
+        def plan(method):
+            fields = spectral._plan(point, method)
+            assert fields[2].dtype == np.float64
+            return tuple(np.asarray(v).tolist() for v in fields)
+
+        assert plan("direct") == (4, 10, [1], False)
+        assert plan("chebyshev") == (4, 10, [1], True)
+        assert plan("sum") == ([0.5, 1.5, 2.5, 3.5], 9, [-1, 1, -1, 1], False)
+        assert plan("product_rule") == (1.0, [10, 8, 6, 4], [-4, 10, -6, 1], False)
+
+    @pytest.mark.parametrize("d,k", [(529, 264), (1015, 507)])
+    @pytest.mark.parametrize("method", ["sum", "product_rule"])
+    def test_float_weights_reduce_as_integer_weights(self, d, k, method):
+        # the reducer of integer weights w_r (each rounded to binary64 by
+        # int * float), on the rows that survive the skipping, gives the
+        # route's value and estimate bit for bit
+        point = SpherePoint(d, k)
+        if method == "sum":
+            ints = [(-1) ** (k - 1 - j) for j in range(k)]
+        else:
+            ints = [(-1) ** (k - 1 + j) * v for j, v in enumerate(spectral.v_coefficients(k).v)]
+            assert max(ints) > 2**53  # weights that binary64 rounds
+        a, p, weights, regrouped = spectral._plan(point, method)
+        kept_a, kept_p, _, skipped = spectral._drop_negligible(a, p, weights, None)
+        rows = list(zip(*(v.tolist() for v in np.broadcast_arrays(a, p))))
+        kept = list(zip(*(v.tolist() for v in np.broadcast_arrays(kept_a, kept_p))))
+        assert 0 < len(kept) < k and skipped > 0.0
+        kept_ints = [ints[rows.index(row)] for row in kept]
+        values, errs = spectral._integrals(kept_a, kept_p, None, regrouped)
+        value = point.sign * math.fsum(w * v for w, v in zip(kept_ints, values.tolist()))
+        err = math.fsum([*(abs(w) * e for w, e in zip(kept_ints, errs.tolist())), skipped])
+        res = logdet(point, method)
+        assert (res.value, res.err_estimate) == (value, err)
 
     @pytest.mark.parametrize("d,k", [(9, 4), (21, 10), (65, 32)])
     def test_product_rule_weights_bit_for_bit(self, d, k):
@@ -682,6 +715,40 @@ class TestReducer:
             assert (got.value.hex(), got.err_estimate.hex()) == (
                 want.value.hex(), want.err_estimate.hex()
             )
+
+
+class TestRouteErrors:
+    """A quadrature AccuracyError leaves ``logdet`` named by route and
+    point, raised from the original: in log-det units for a one-row plan,
+    with the failing row's unscaled fields for a larger one."""
+
+    POINT, TIGHT = SpherePoint(21, 10), Tolerance(rel_tol=1e-15)
+
+    def _raised(self, method):
+        with pytest.raises(errors.AccuracyError) as info:
+            logdet(self.POINT, method, self.TIGHT)
+        exc, raw = info.value, info.value.__cause__
+        assert type(raw) is errors.AccuracyError and str(raw).startswith("panel budget")
+        assert exc.panels_used == raw.panels_used
+        copy = pickle.loads(pickle.dumps(exc))
+        assert (str(copy), copy.value, copy.err_estimate, copy.panels_used) == (
+            str(exc), exc.value, exc.err_estimate, exc.panels_used
+        )
+        return exc, raw
+
+    @pytest.mark.parametrize("method", ["direct", "chebyshev"])
+    def test_one_row_plan_reports_log_det_units(self, method):
+        exc, raw = self._raised(method)
+        assert str(exc).startswith(f"{method} at d=21, k=10: panel budget exhausted")
+        assert (exc.value, exc.err_estimate) == (
+            self.POINT.sign * math.ldexp(raw.value, -20), math.ldexp(raw.err_estimate, -20)
+        )
+        assert abs(exc.value - logdet(self.POINT).value) <= exc.err_estimate
+
+    def test_multi_row_plan_keeps_the_row_fields(self):
+        exc, raw = self._raised("sum")
+        assert str(exc).startswith("sum at d=21, k=10 (one row's unscaled integral): ")
+        assert (exc.value, exc.err_estimate) == (raw.value, raw.err_estimate)
 
 
 class TestDispatch:
