@@ -35,7 +35,8 @@ class EvaluationError(RuntimeError):
 
 class AccuracyError(RuntimeError):
     """The panel budget ran out before the tolerance was met.  Carries the
-    best available value and its error estimate."""
+    best available value, its error estimate and the panels sampled for it,
+    counted as in ``IntegralResult``."""
 
     def __init__(self, message: str, value: float, err_estimate: float, panels_used: int):
         super().__init__(

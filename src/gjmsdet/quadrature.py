@@ -28,7 +28,7 @@ its |value|, and the row's tail bound then runs from its first pruned panel.
 Before the first sampling abs_tol, which no target is below, stands in for
 the target, and the panels pruned then are never sampled.  A row that would
 overrun its panel budget retires its unresolved panels the same way, kept
-at their values and charged their |value|.
+at their values and charged their |value|, and is flagged as failed.
 
 ``integrate_rows`` runs R independent integrals in lock-step sweeps.  Each
 row keeps the state a lone integral has: its truncation point and tail
@@ -107,11 +107,12 @@ class Tolerance:
     """Accuracy target and budget of an integral, shared by every row of a
     batch.  ``rel_tol`` is the target relative error, ``abs_tol`` an
     absolute floor used both for near-zero integrals and for choosing the
-    truncation point, ``max_panels`` the number of 32-node panel evaluations
-    each row may spend.  ``rel_tol`` must be positive and finite,
-    ``abs_tol`` finite and non-negative, ``max_panels`` an integer (an int
-    or a numpy integer, stored as an int) of at least 4; anything else
-    raises ParameterError."""
+    truncation point, ``max_panels`` the most 32-node panels a row may
+    evaluate, though its first layout (about log2(truncation point) + 2
+    panels, at least 5) is always sampled.  ``rel_tol`` must be positive
+    and finite, ``abs_tol`` finite and non-negative, ``max_panels`` an
+    integer (an int or a numpy integer, stored as an int) of at least 4;
+    anything else raises ParameterError."""
 
     rel_tol: float = 1e-11
     abs_tol: float = 1e-15
@@ -256,12 +257,14 @@ class _PlainIntegrand:
 
 class RowArrays(NamedTuple):
     """What ``integrate_staged`` returns, one entry per row: the fields of
-    ``IntegralResult`` as arrays."""
+    ``IntegralResult`` as arrays, and ``failed``, true where the row ran out
+    of ``max_panels``, yet has its best value and four-part estimate."""
 
     value: np.ndarray
     err_estimate: np.ndarray
     panels_used: np.ndarray
     truncation_point: np.ndarray
+    failed: np.ndarray
 
 
 def _abscissas(center: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -421,28 +424,31 @@ def integrate_rows(
     floor proportional to the absolute Gauss mass.
 
     Raises AccuracyError when a row runs out of ``tolerance.max_panels``
-    first, for the lowest such row: its unresolved panels retire as pruned
-    ones do, and the error carries the row's value and an estimate of the
-    same four parts; EvaluationError on a non-finite integrand sample or a
+    first, for the lowest such row, carrying that row's value, estimate and
+    panel count; EvaluationError on a non-finite integrand sample or a
     panel sum or integral that overflows binary64.  Overflow is reported by
     that error alone: numpy's overflow warnings are silenced for the call.
     """
     rows = integrate_staged(_PlainIntegrand(f), envelopes, tolerance)
-    return [IntegralResult(*fields) for fields in zip(*(a.tolist() for a in rows))]
+    if np.count_nonzero(rows.failed):
+        r = int(rows.failed.argmax())
+        fields = (a[r].item() for a in rows[:3])  # value, err_estimate, panels_used
+        raise AccuracyError("panel budget exhausted before tolerance was met", *fields)
+    return [IntegralResult(*fields) for fields in zip(*(a.tolist() for a in rows[:4]))]
 
 
 def integrate_staged(integrand, envelopes: Envelopes, tolerance: Tolerance) -> RowArrays:
     """``integrate_rows`` for a two-stage integrand, returning the rows'
-    results as arrays rather than IntegralResult objects.
+    results as arrays rather than IntegralResult objects, a row that runs
+    out of ``max_panels`` flagged in ``failed`` rather than raised.
 
     ``integrand.shared(x)`` takes a 2-D array of abscissas, one panel a
     line, and returns a sequence of arrays of its shape: the terms every row
     shares, the abscissas among them if the second stage needs them.
     ``integrand.per_pair(terms, row)`` takes those terms gathered to the
     panels of a chunk of (row, panel) pairs and a column of their rows, and
-    returns ``(log|f|, sign)``.  Each row's value, estimate and panel count,
-    and every error raised, are those of evaluating both stages on the
-    pairs' own abscissas.
+    returns ``(log|f|, sign)``.  Each row's fields, and every error raised,
+    are those of evaluating both stages on the pairs' own abscissas.
     """
     with np.errstate(over="ignore", divide="ignore"):
         return _integrate_rows(integrand, envelopes, tolerance)
@@ -540,19 +546,11 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
     flat = np.concatenate(accepted_vals)[np.argsort(all_rows, kind="stable")].tolist()
     ends = leaves.cumsum().tolist()
     err = accepted_err + tail + 8.0 * _EPS * accepted_mass
-    if np.count_nonzero(failed):
-        r = int(failed.argmax())
-        raise AccuracyError(
-            "panel budget exhausted before tolerance was met",
-            value=_fsum(flat[ends[r] - leaves[r]:ends[r]], float(x_max[r])),
-            err_estimate=float(err[r]),
-            panels_used=int(panels[r]),
-        )
     value = np.array([
         _fsum(flat[end - n:end], x)
         for end, n, x in zip(ends, leaves.tolist(), x_max.tolist())
     ])
-    return RowArrays(value, err, leaves - unsampled, x_max)
+    return RowArrays(value, err, leaves - unsampled, x_max, failed)
 
 
 def integrate_semi_infinite(f: LogIntegrand, spec: QuadratureSpec) -> IntegralResult:

@@ -249,18 +249,17 @@ def integrand_direct(point: SpherePoint, x):
     xs = _check_abscissas(x)
     f = _LogIntegrand(point.k, point.d + 1)
     flat = xs.reshape(-1)
-    logmag = f.per_pair(f.shared(flat), 0)[0].reshape(xs.shape)
+    with np.errstate(over="ignore"):  # x^2 overflows past 1e154; the limit is -inf
+        logmag = f.per_pair(f.shared(flat), 0)[0].reshape(xs.shape)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(logmag), 1
     return logmag, np.ones_like(logmag)
 
 
-def _integrals(
-    a, p, tolerance: Optional[Tolerance], regrouped: bool = False
-) -> Tuple[np.ndarray, np.ndarray]:
+def _integrals(a, p, tolerance: Optional[Tolerance], regrouped: bool = False) -> tuple:
     """2^-(p_r-2) times the integral over [0, inf) of ``_LogIntegrand`` at
-    (a_r, p_r), values and estimates as arrays, for every row r of one
-    batched quadrature call.
+    (a_r, p_r), for every row r of one batched quadrature call: values,
+    estimates, ``failed`` flags and panel counts as arrays.
 
     The scale is applied with ``np.ldexp``: exact while a value and its
     estimate stay normal.  Below 2^-1022 ldexp rounds each to the subnormal
@@ -274,17 +273,25 @@ def _integrals(
         Envelopes(log_const, rate),
         Tolerance() if tolerance is None else tolerance,
     )
-    return _scaled(rows.value, rows.err_estimate, integrand.p)
-
-
-def _scaled(value, err, p):
-    """2^-(p-2) ``value`` and ``err`` (arrays), ``err`` widened where that underflows."""
-    shift = 2 - np.asarray(p).astype(int)
-    value = np.ldexp(value, shift)
-    err = np.ldexp(err, shift)
+    shift = 2 - integrand.p.astype(int)
+    value = np.ldexp(rows.value, shift)
+    err = np.ldexp(rows.err_estimate, shift)
     tiny = np.minimum(np.abs(value), err) < sys.float_info.min
     if np.count_nonzero(tiny):
         err[tiny] = np.nextafter(err[tiny] + math.ulp(0.0), math.inf)
+    return value, err, rows.failed, rows.panels_used
+
+
+def _reduce(where: str, sign: int, weights, rows, skipped: float = 0.0) -> Tuple[float, float]:
+    """``sign`` times the exact (fsum) weighted sum of the ``_integrals``
+    ``rows``, and their estimates summed at |weight| plus ``skipped``; if
+    a row failed, instead one AccuracyError named ``where`` with these."""
+    values, errs, failed, panels = rows
+    value = sign * math.fsum((weights * values).tolist())
+    err = math.fsum([*(np.abs(weights) * errs).tolist(), skipped])
+    if np.count_nonzero(failed):
+        message = f"{where}: panel budget exhausted before tolerance was met"
+        raise AccuracyError(message, value, err, int(panels.sum()))
     return value, err
 
 
@@ -325,24 +332,14 @@ def logdet(
 
     A plan of more than one row first drops the rows whose bound mass
     |w_r| B_r is at most eps rel_tol max_s |w_s| B_s / n; their summed
-    bound mass is added to the estimate (see ``_drop_negligible``).  A
-    quadrature AccuracyError is raised again named by route and point."""
+    bound mass is added to the estimate (see ``_drop_negligible``).  Out
+    of panels, raises an AccuracyError named by route and point, in log-det units."""
     a, p, weights, regrouped = _plan(point, method)
     skipped = 0.0
     if weights.size > 1:
         a, p, weights, skipped = _drop_negligible(a, p, weights, tolerance)
-    try:
-        values, errs = _integrals(a, p, tolerance, regrouped)
-    except AccuracyError as exc:
-        value, err, where = exc.value, exc.err_estimate, f"{method} at d={point.d}, k={point.k}"
-        if weights.size == 1:  # of weight 1, so scaled its fields are the log det's
-            value, err = (v.item() for v in _scaled(np.array([value]), np.array([err]), p))
-            value *= point.sign
-        else:
-            where += " (one row's unscaled integral)"
-        raise AccuracyError(f"{where}: {exc._message}", value, err, exc.panels_used) from exc
-    value = point.sign * math.fsum((weights * values).tolist())
-    err = math.fsum([*(np.abs(weights) * errs).tolist(), skipped])
+    rows = _integrals(a, p, tolerance, regrouped)
+    value, err = _reduce(f"{method} at d={point.d}, k={point.k}", point.sign, weights, rows, skipped)
     return LogDetResult(value, err, method, point)
 
 
@@ -410,6 +407,7 @@ def logdet_factor(
     why this, and not (-1)^((d-1)/2 + j), is the convention consistent with
     the direct k-th order integral.  Requires 2 alpha_j < d for convergence:
     the decay rate of the cosh^d integrand is (d - 1 - 2 alpha_j)/2.
+    Raises AccuracyError, named by factor and d, if its panels run out.
     """
     if d % 2 == 0 or d < 3:
         raise ParameterError("d must be odd and >= 3")
@@ -418,5 +416,6 @@ def logdet_factor(
             f"factor integral diverges: 2*alpha = {2 * factor.alpha} >= d = {d}"
         )
     require_integer("d", d)  # last, so the rejections above keep their messages
-    value =_integrals(factor.alpha, d, tolerance)[0].item()
-    return -value if ((d - 1) // 2 + factor.j + 1) % 2 else value
+    sign = -1 if ((d - 1) // 2 + factor.j + 1) % 2 else 1
+    rows = _integrals(factor.alpha, d, tolerance)
+    return _reduce(f"factor j={factor.j} at d={d}", sign, np.ones(1), rows)[0]

@@ -18,7 +18,7 @@ from gjmsdet import (
     integrate_semi_infinite,
     truncation_point,
 )
-from gjmsdet.quadrature import _initial_panels, integrate_staged
+from gjmsdet.quadrature import RowArrays, _PlainIntegrand, _initial_panels, integrate_staged
 
 # np.trapz on numpy 1.x, renamed on 2.x
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -346,7 +346,9 @@ class _Staged:
 
 
 def _as_results(rows):
-    return [IntegralResult(*fields) for fields in zip(*(a.tolist() for a in rows))]
+    """The rows of ``integrate_staged`` as IntegralResults, none failed."""
+    assert not rows.failed.any()
+    return [IntegralResult(*fields) for fields in zip(*(a.tolist() for a in rows[:4]))]
 
 
 class TestSharedPanels:
@@ -390,16 +392,16 @@ class TestSharedPanels:
             one = _Staged([s], [r])
             _same_rows([row], _as_results(integrate_staged(one, one.envelopes(), Tolerance())))
 
+    # rows 0-6 are e^(-10 x), done within budget and sharing every panel;
+    # rows 7 and 8 hold width-0.05 spikes that 16 panels cannot resolve
+    CENTERS = np.array([0.0] * 7 + [2.0, 3.0])
+    SPIKES = Envelopes([0.0] * 7 + [3.001, 4.001], [10.0] * 7 + [1.0, 1.0])
+
+    def _spikes(self, x, row):
+        return np.where(row < 7, -10.0 * x, -400.0 * (x - self.CENTERS[row]) ** 2), 1.0
+
     def test_budget_exhaustion_reports_lowest_failing_row(self):
-        # rows 0-6 are e^(-10 x), done within budget and sharing every
-        # panel; rows 7 and 8 hold width-0.05 spikes that 16 panels cannot
-        # resolve
-        centers = np.array([0.0] * 7 + [2.0, 3.0])
-        f = lambda x, row: (
-            np.where(row < 7, -10.0 * x, -400.0 * (x - centers[row]) ** 2), 1.0
-        )
-        env = Envelopes([0.0] * 7 + [3.001, 4.001], [10.0] * 7 + [1.0, 1.0])
-        tol = Tolerance(max_panels=16)
+        f, env, tol = self._spikes, self.SPIKES, Tolerance(max_panels=16)
         with pytest.raises(AccuracyError) as batch_info:
             integrate_rows(f, env, tol)
         g = lambda x, row: (-400.0 * (x - 2.0) ** 2, 1.0)
@@ -409,6 +411,25 @@ class TestSharedPanels:
         assert (str(got), got.value, got.err_estimate, got.panels_used) == (
             str(want), want.value, want.err_estimate, want.panels_used
         )
+
+    def test_staged_call_flags_the_rows_out_of_budget(self):
+        # the rows above: integrate_staged returns every row, flags 7 and 8,
+        # and the error integrate_rows raises carries row 7's fields
+        tol = Tolerance(max_panels=16)
+        rows = integrate_staged(_PlainIntegrand(self._spikes), self.SPIKES, tol)
+        assert rows.failed.tolist() == [False] * 7 + [True] * 2
+        with pytest.raises(AccuracyError) as info:
+            integrate_rows(self._spikes, self.SPIKES, tol)
+        exc = info.value
+        assert (exc.value, exc.err_estimate, exc.panels_used) == tuple(
+            a[7].item() for a in rows[:3]
+        )
+        # the flagged rows keep honest values; the others are plain results
+        exact = math.sqrt(math.pi / 400.0)
+        assert np.all(np.abs(rows.value[7:] - exact) <= rows.err_estimate[7:])
+        first = Envelopes(0.0, 10.0)
+        lone = integrate_rows(lambda x, row: (-10.0 * x, 1.0), first, tol)
+        _same_rows(_as_results(RowArrays(*(a[:1] for a in rows))), lone)
 
     def test_nan_on_shared_panel_names_the_lone_abscissa(self):
         # every row truncates at 10; rows 4 and up turn NaN beyond x = 5

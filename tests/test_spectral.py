@@ -124,6 +124,14 @@ class TestIntegrand:
         assert math.isfinite(logmag)
         assert abs(logmag - asymptote) < 0.01
 
+    @pytest.mark.parametrize("x", [1e155, 1e300])
+    def test_huge_arguments_give_minus_infinity_quietly(self, x):
+        # x^2 overflows binary64 here; -inf is the limit, and no numpy
+        # warning escapes (the suite turns warnings into errors)
+        assert integrand_direct(SpherePoint(5, 2), x) == (-math.inf, 1)
+        logmag, _ = integrand_direct(SpherePoint(5, 2), np.array([1.0, x]))
+        assert math.isfinite(logmag[0]) and logmag[1] == -math.inf
+
     @pytest.mark.parametrize("d,k", [(3, 1), (9, 4), (21, 10)])
     def test_small_x_limit(self, d, k):
         # magnitude -> k x^2 / (2 pi) as x -> 0
@@ -398,10 +406,11 @@ class TestBatchedIntegrandRows:
         batch = _staged_rows(a, p, regrouped, tolerance)
         lone = [_staged_rows(ar, pr, regrouped, tolerance)[0] for ar, pr in zip(a, p)]
         assert batch == lone
-        values, errs = spectral._integrals(a, p, tolerance, regrouped)
+        # every field of the scaled rows too: value, estimate, failure flag, panels
+        fields = spectral._integrals(a, p, tolerance, regrouped)
         for r, (ar, pr) in enumerate(zip(a, p)):
-            value, err = spectral._integrals(ar, pr, tolerance, regrouped)
-            assert (values[r], errs[r]) == (value[0], err[0])
+            lone = spectral._integrals(ar, pr, tolerance, regrouped)
+            assert [f[r] for f in fields] == [f[0] for f in lone]
 
 
 class TestSharedWork:
@@ -503,7 +512,8 @@ class TestMassBound:
     def test_bounds_every_row_of_the_plan(self, d, k, method):
         a, p, _, regrouped = spectral._plan(SpherePoint(d, k), method)
         a, p = np.broadcast_arrays(np.asarray(a, float), np.asarray(p, float))
-        values, _ = spectral._integrals(a, p, None, regrouped)
+        values, _, failed, _ = spectral._integrals(a, p, None, regrouped)
+        assert not failed.any()
         assert np.all(np.log(values) <= spectral._log_mass_bound(a, p))
 
 
@@ -576,7 +586,8 @@ class TestRowSkipping:
         n, exact = np.count_nonzero(skipped), math.fsum(np.exp(mass[skipped]).tolist())
         eps = sys.float_info.epsilon
         assert 0.0 < exact <= charge <= exact * (1 + 4 * n * eps) + n * math.ulp(0.0)
-        _, errs = spectral._integrals(kept_a, kept_p, None, regrouped)
+        _, errs, failed, _ = spectral._integrals(kept_a, kept_p, None, regrouped)
+        assert not failed.any()
         terms = [abs(w) * e for w, e in zip(kept_w.tolist(), errs.tolist())]
         assert res.err_estimate == math.fsum([*terms, charge]) >= charge
 
@@ -682,7 +693,8 @@ class TestReducer:
         kept = list(zip(*(v.tolist() for v in np.broadcast_arrays(kept_a, kept_p))))
         assert 0 < len(kept) < k and skipped > 0.0
         kept_ints = [ints[rows.index(row)] for row in kept]
-        values, errs = spectral._integrals(kept_a, kept_p, None, regrouped)
+        values, errs, failed, _ = spectral._integrals(kept_a, kept_p, None, regrouped)
+        assert not failed.any()
         value = point.sign * math.fsum(w * v for w, v in zip(kept_ints, values.tolist()))
         err = math.fsum([*(abs(w) * e for w, e in zip(kept_ints, errs.tolist())), skipped])
         res = logdet(point, method)
@@ -718,37 +730,75 @@ class TestReducer:
 
 
 class TestRouteErrors:
-    """A quadrature AccuracyError leaves ``logdet`` named by route and
-    point, raised from the original: in log-det units for a one-row plan,
-    with the failing row's unscaled fields for a larger one."""
+    """A route or factor that runs out of panels raises one AccuracyError,
+    named by route (or factor) and point, whose value and estimate are in
+    log-det units: the value lies within its estimate of the value the
+    default tolerance returns."""
 
-    POINT, TIGHT = SpherePoint(21, 10), Tolerance(rel_tol=1e-15)
-
-    def _raised(self, method):
+    @staticmethod
+    def _raised(call, prefix, want):
         with pytest.raises(errors.AccuracyError) as info:
-            logdet(self.POINT, method, self.TIGHT)
-        exc, raw = info.value, info.value.__cause__
-        assert type(raw) is errors.AccuracyError and str(raw).startswith("panel budget")
-        assert exc.panels_used == raw.panels_used
+            call()
+        exc = info.value
+        assert str(exc).startswith(f"{prefix}: panel budget exhausted before tolerance was met")
+        assert abs(exc.value - want) <= exc.err_estimate
         copy = pickle.loads(pickle.dumps(exc))
         assert (str(copy), copy.value, copy.err_estimate, copy.panels_used) == (
             str(exc), exc.value, exc.err_estimate, exc.panels_used
         )
-        return exc, raw
+        return exc
+
+    def _route(self, d, k, rel_tol, method):
+        point, tol = SpherePoint(d, k), Tolerance(rel_tol=rel_tol)
+        exc = self._raised(
+            lambda: logdet(point, method, tol), f"{method} at d={d}, k={k}", logdet(point).value
+        )
+        # the fields are the reducer's sums over the integrated rows, bit for
+        # bit, and the panels those rows sampled
+        a, p, weights, regrouped = spectral._plan(point, method)
+        skipped = 0.0
+        if weights.size > 1:
+            a, p, weights, skipped = spectral._drop_negligible(a, p, weights, tol)
+        values, errs, failed, panels = spectral._integrals(a, p, tol, regrouped)
+        assert failed.any()
+        assert exc.value == point.sign * math.fsum((weights * values).tolist())
+        assert exc.err_estimate == math.fsum([*(np.abs(weights) * errs).tolist(), skipped])
+        assert exc.panels_used == panels.sum()
 
     @pytest.mark.parametrize("method", ["direct", "chebyshev"])
     def test_one_row_plan_reports_log_det_units(self, method):
-        exc, raw = self._raised(method)
-        assert str(exc).startswith(f"{method} at d=21, k=10: panel budget exhausted")
-        assert (exc.value, exc.err_estimate) == (
-            self.POINT.sign * math.ldexp(raw.value, -20), math.ldexp(raw.err_estimate, -20)
-        )
-        assert abs(exc.value - logdet(self.POINT).value) <= exc.err_estimate
+        self._route(21, 10, 1e-15, method)
 
-    def test_multi_row_plan_keeps_the_row_fields(self):
-        exc, raw = self._raised("sum")
-        assert str(exc).startswith("sum at d=21, k=10 (one row's unscaled integral): ")
-        assert (exc.value, exc.err_estimate) == (raw.value, raw.err_estimate)
+    @pytest.mark.parametrize("d,k,rel_tol", [(21, 10, 1e-15), (1023, 511, 1e-13)])
+    def test_multi_row_plan_reports_log_det_units(self, d, k, rel_tol):
+        # the failing row's unscaled integral was reported: 850.1 and 8.39e276
+        self._route(d, k, rel_tol, "sum")
+
+    def test_product_rule_meets_the_tight_tolerance(self):
+        # the one route of the four that (21, 10) at rel_tol 1e-15 does not fail
+        res = logdet(SpherePoint(21, 10), "product_rule", Tolerance(rel_tol=1e-15))
+        assert abs(res.value - logdet(SpherePoint(21, 10)).value) <= res.err_estimate
+
+    def test_factor_reports_log_det_units(self):
+        # once reported unscaled and unnamed: 21835.6 against 0.0416482
+        want = logdet_factor(21, FactorIndex(9))
+        assert want == pytest.approx(0.0416482, rel=1e-6)
+        self._raised(
+            lambda: logdet_factor(21, FactorIndex(9), Tolerance(rel_tol=1e-15)),
+            "factor j=9 at d=21", want,
+        )
+
+    def test_first_layout_is_sampled_whatever_the_budget(self):
+        # max_panels 4 is below the 12 panels of the first layout, which are
+        # sampled all the same; no bisection fits, so the error is theirs
+        point = SpherePoint(1023, 511)
+        want = logdet(point).value
+        assert want == pytest.approx(0.00218733, rel=1e-5)
+        exc = self._raised(
+            lambda: logdet(point, "direct", Tolerance(max_panels=4)),
+            "direct at d=1023, k=511", want,
+        )
+        assert exc.panels_used == 12
 
 
 class TestDispatch:
