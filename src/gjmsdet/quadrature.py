@@ -1,4 +1,4 @@
-"""Adaptive composite Gauss-Legendre integration on [0, inf), row-batched.
+"""Adaptive composite Gauss-Kronrod integration on [0, inf), row-batched.
 
 Intended for smooth integrands decaying exponentially: |f(x)| <= C e^(-L x)
 for x beyond some x0.  The semi-infinite range is truncated at a point X
@@ -16,10 +16,17 @@ receives an ndarray of abscissas and returns ``(log|f|, sign)``.  This keeps
 factors like cosh^(d+1)(x/2) representable where the plain product would
 overflow binary64 long before the integrand itself stops being tiny.
 
-The scheme is a fixed 32-node Gauss rule per panel with bisection
-refinement: a panel is accepted when its one-panel value and the sum over
-its two halves agree within the panel's share of the error budget, and the
-two-level difference is charged to the estimate.
+Each panel is sampled once, at the 65 nodes of the Gauss-Kronrod rule that
+extends the 32-node Gauss-Legendre rule (the Gauss nodes are its odd
+nodes, so both sums use the same samples).  The panel's value is the
+Kronrod sum K; it is accepted when the Gauss sum G lies within the panel's
+share of the error budget of it, and |G - K| is charged to the estimate.
+Only rejected panels are bisected, and their halves sampled in the next
+sweep.  As G and K share their samples, |G - K| does not see the rounding
+of the samples themselves, so each accepted panel is also charged a
+round-off floor: c eps (scale + 1) times its mass sum |w f| h, where the
+integrand supplies the scale, a bound over the panel on the summed
+magnitudes of the log terms each sample was built from.
 
 Panels are also pruned: one starting at or past its envelope's start and
 the point where the tail falls to eps b (eps the binary64 epsilon, b the
@@ -33,13 +40,13 @@ at their values and charged their |value|, and is flagged as failed.
 ``integrate_rows`` runs R independent integrals in lock-step sweeps.  Each
 row keeps the state a lone integral has: its truncation point and tail
 bound, its initial breaks, its target and per-panel budgets, and its count
-of panels evaluated.  The unresolved (row, panel) pairs of every row sit in
-flat arrays beside a row index, so one sweep bisects the panels of all rows
-and evaluates their children.  Acceptance is decided per panel against its
-own row's budget, and a row's value is the exactly rounded (fsum) sum of its
-accepted panels, so every row returns the same value and panel count as
-when it is integrated alone.  ``integrate_semi_infinite`` is the one-row
-call.
+of panels evaluated.  The pending (row, panel) pairs of every row sit in
+flat arrays beside a row index, so one sweep evaluates the pairs of all
+rows, accepts or prunes what it can, and bisects the rest.  Acceptance is
+decided per panel against its own row's budget, and a row's value is the
+exactly rounded (fsum) sum of its accepted panels, so every row returns
+the same value and panel count as when it is integrated alone.
+``integrate_semi_infinite`` is the one-row call.
 
 Rows of one batch often integrate over the same panels: their initial
 panels [0, 1], [1, 2], [2, 4], ... coincide up to each row's last one, and
@@ -93,12 +100,98 @@ RowIntegrand = Callable[
 ]
 
 _GAUSS_ORDER = 32
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
+
+
+def _laurie(n: int, b: np.ndarray) -> np.ndarray:
+    """The squared off-diagonal of the (2n+1)-point Jacobi-Kronrod matrix of
+    a symmetric weight (its diagonal is zero), from the first 3n/2 + 2
+    coefficients b of the weight's monic recurrence, b[0] its mass: the
+    algorithm of Laurie, "Calculation of Gauss-Kronrod quadrature rules",
+    Math. Comp. 66 (1997), with every diagonal coefficient a_j = 0."""
+    bk = np.zeros(2 * n + 1, dtype=b.dtype)
+    bk[:(3 * n + 1) // 2 + 1] = b[:(3 * n + 1) // 2 + 1]
+    s = np.zeros(n // 2 + 2, dtype=b.dtype)
+    t = s.copy()
+    t[1] = bk[n + 1]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        s[k + 1] = np.cumsum(bk[k + n + 1] * s[k] - bk[m - k] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        j = n - 1 - m + k
+        s[j + 1] = np.cumsum(bk[m - k] * s[j + 2] - bk[k + n + 1] * s[j + 1])
+        if m % 2:
+            bk[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+        s, t = t, s
+    return bk
+
+
+def _jacobi_rule(b: np.ndarray):
+    """Nodes and weights on [-1, 1] of the symmetric Jacobi matrix with zero
+    diagonal and squared off-diagonal b[1:] (Golub-Welsch), b[0] the mass.
+    The eigenvalues, made exactly symmetric, take one Newton step on the
+    matrix's characteristic polynomial, run in long double by its
+    three-term recurrence p_(j+1) = x p_j - b_j p_(j-1)."""
+    off = np.sqrt(b[1:].astype(float))
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    xl = (0.5 * (x - x[::-1])).astype(b.dtype)
+    p0, p1, d0, d1 = np.zeros_like(xl), np.ones_like(xl), np.zeros_like(xl), np.zeros_like(xl)
+    for bj in b:
+        p0, p1, d0, d1 = p1, xl * p1 - bj * p0, d1, p1 + xl * d1 - bj * d0
+    return (xl - p1 / d1).astype(float), float(b[0]) * v[0] ** 2
+
+
+def _refined(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The weights w at nodes x after one Newton step on the Legendre moment
+    equations sum_i w_i P_j(x_i) = 2 [j = 0], j < x.size, the residual taken
+    in long double (x87 extended precision on x86-64; where long double is
+    binary64 the step gains less); made exactly symmetric."""
+    xl = x.astype(np.longdouble)
+    legendre = np.empty((x.size, x.size), dtype=np.longdouble)
+    legendre[0], legendre[1] = 1, xl
+    for j in range(1, x.size - 1):
+        legendre[j + 1] = ((2 * j + 1) * xl * legendre[j] - j * legendre[j - 1]) / (j + 1)
+    residual = legendre @ w.astype(np.longdouble)
+    residual[0] -= 2
+    w = w - np.linalg.solve(legendre.astype(float), residual.astype(float))
+    return 0.5 * (w + w[::-1])
+
+
+def _gauss_kronrod(n: int):
+    """The (2n+1)-node Gauss-Kronrod rule on [-1, 1] and the n-node Gauss
+    rule embedded in it: (nodes, Kronrod weights, Gauss weights), the Gauss
+    nodes being nodes[1::2] exactly.  Both come from ``_jacobi_rule``: the
+    Gauss rule from the Legendre recurrence b_j = j^2 / (4 j^2 - 1), the
+    Kronrod rule from Laurie's matrix of it."""
+    j = np.arange(3 * n // 2 + 2, dtype=np.longdouble)
+    b = j * j / (4 * j * j - 1)
+    b[0] = 2
+    gauss_x, gauss_w = _jacobi_rule(b[:n])
+    x, w = _jacobi_rule(_laurie(n, b))
+    x[1::2] = gauss_x
+    return x, _refined(x, w), _refined(gauss_x, gauss_w)
+
+
+_NODES, _KRONROD_WEIGHTS, _GAUSS_WEIGHTS = _gauss_kronrod(_GAUSS_ORDER)
 _EPS = float(np.finfo(float).eps)
+# c eps in the round-off floor c eps (scale + 1) mass, with c = 2.  A
+# sample is the exp of a log built from terms t of summed magnitude
+# S <= scale.  Evaluating each term costs about an ulp of its size, and
+# summing them a rounding each: u S apiece (u = eps/2).  Rounding the
+# abscissa moves a term by x |t'(x)| u <= 2 (|t| + 1) u for these logs,
+# 2u (S + 1) in all.  That is 4u (S + 1) = 2 eps (S + 1) on the log, so on
+# the sample relatively.  The exp, the weight product and the panel's sum
+# add a few u that do not grow with S and go uncounted: the samples'
+# errors differ in sign, so the worst case is far from met, and on the 83
+# points of perfbench/oracle.json no error of direct, sum or chebyshev
+# reaches a tenth of its estimate.
+_ROUNDOFF = 2.0 * _EPS
 _MIN_TRUNCATION = 10.0
 _TAIL_TOL_FLOOR = 1e-300
-# Panels per integrand call: 4096 abscissas, so each temporary of one call
-# stays at 32 KB whatever the batch size.
+# Panels per integrand call: 8320 abscissas, so each temporary of one call
+# stays at 65 KB whatever the batch size.
 _CHUNK_PANELS = 128
 
 
@@ -107,7 +200,7 @@ class Tolerance:
     """Accuracy target and budget of an integral, shared by every row of a
     batch.  ``rel_tol`` is the target relative error, ``abs_tol`` an
     absolute floor used both for near-zero integrals and for choosing the
-    truncation point, ``max_panels`` the most 32-node panels a row may
+    truncation point, ``max_panels`` the most 65-node panels a row may
     evaluate, though its first layout (about log2(truncation point) + 2
     panels, at least 5) is always sampled.  ``rel_tol`` must be positive
     and finite, ``abs_tol`` finite and non-negative, ``max_panels`` an
@@ -251,8 +344,12 @@ class _PlainIntegrand:
         return (x,)
 
     def per_pair(self, terms, row: np.ndarray):
+        """``f``'s (log|f|, sign), and as each pair's scale max |log f| + 1
+        over its samples, a zero sample (log -inf) left out."""
         (x,) = terms
-        return self.f(x.reshape(-1), row.repeat(x.shape[1]))
+        logmag, sign = self.f(x.reshape(-1), row.repeat(x.shape[1]))
+        size = np.abs(np.asarray(logmag, dtype=float)).reshape(x.shape)
+        return logmag, sign, size.max(axis=1, where=size < np.inf, initial=0.0) + 1.0
 
 
 class RowArrays(NamedTuple):
@@ -272,20 +369,22 @@ def _abscissas(center: np.ndarray, half: np.ndarray) -> np.ndarray:
 
 
 def _eval_chunk(integrand, center, half, terms, pidx, row):
-    """Gauss value and absolute mass of each of a chunk of pairs: pair i
-    integrates row ``row[i]`` over table panel ``pidx[i]``, whose half-width
-    and shared terms are gathered to it here (its abscissas only to name
-    a non-finite sample)."""
+    """Kronrod value, its distance to the embedded Gauss value and the
+    round-off floor of each of a chunk of pairs: pair i integrates row
+    ``row[i]`` over table panel ``pidx[i]``, whose half-width and shared
+    terms are gathered to it here (its abscissas only to name a non-finite
+    sample)."""
     h = half[pidx]
-    logmag, sign = integrand.per_pair([t[pidx] for t in terms], row[:, None])
-    logmag = np.asarray(logmag, dtype=float).reshape(pidx.size, _GAUSS_ORDER)
+    logmag, sign, scale = integrand.per_pair([t[pidx] for t in terms], row[:, None])
+    logmag = np.asarray(logmag, dtype=float).reshape(pidx.size, _NODES.size)
     fx = np.exp(logmag)
     sign = np.asarray(sign, dtype=float)
     if sign.ndim:
         fx *= sign.reshape(fx.shape)
     elif sign != 1.0:
         fx *= sign
-    fx *= _WEIGHTS
+    gauss = (fx[:, 1::2] * _GAUSS_WEIGHTS).sum(axis=1) * h
+    fx *= _KRONROD_WEIGHTS
     vals = fx.sum(axis=1) * h
     # a scalar sign of 1 leaves every term positive, so the mass is the value
     mass = vals if sign.ndim == 0 and sign == 1.0 else np.abs(fx, out=fx).sum(axis=1) * h
@@ -295,7 +394,9 @@ def _eval_chunk(integrand, center, half, terms, pidx, row):
     if np.count_nonzero(bad):
         c = center[pidx[bad]]
         _raise_non_finite(_abscissas(c, h[bad]), logmag[bad], fx[bad], float(c[0]))
-    return vals, mass
+    # the rounding factor before the mass, so that a mass near the binary64
+    # limit cannot overflow
+    return vals, np.abs(gauss - vals), mass * ((scale + 1.0) * _ROUNDOFF)
 
 
 def _raise_non_finite(x, logmag, fx, center: float):
@@ -321,24 +422,31 @@ def _shared_stage(integrand, center: np.ndarray, half: np.ndarray):
     return parts[0] if len(parts) == 1 else [np.concatenate(t) for t in zip(*parts)]
 
 
-def _eval_panels(integrand, lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray, row: np.ndarray):
-    """Gauss values of each (row, panel) pair: pair i integrates row
-    ``row[i]`` over table panel [lo, hi][pidx[i]].  Also the absolute mass
-    sum |w f| h of each pair, used for the round-off floor.
+def _eval_panels(integrand, lo, hi, pidx, row, skip=None):
+    """Rows of value, difference and floor (see ``_eval_chunk``) of each
+    (row, panel) pair: pair i integrates row ``row[i]`` over table panel
+    [lo, hi][pidx[i]].  Pairs flagged in ``skip`` are not sampled and get
+    zeros.
 
     The shared stage runs once per table panel, the per-pair stage
     _CHUNK_PANELS pairs at a time on gathered shared terms."""
+    if skip is not None:
+        out = np.zeros((3, row.size))
+        sampled = ~skip
+        if np.count_nonzero(sampled):
+            table = _distinct(lo, hi, pidx[sampled])
+            out[:, sampled] = _eval_panels(integrand, *table, row[sampled])
+        return out
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     terms = _shared_stage(integrand, center, half)
     if row.size <= _CHUNK_PANELS:
         return _eval_chunk(integrand, center, half, terms, pidx, row)
-    vals = np.empty(row.size)
-    mass = np.empty(row.size)
+    out = np.empty((3, row.size))
     for s in range(0, row.size, _CHUNK_PANELS):
         e = s + _CHUNK_PANELS
-        vals[s:e], mass[s:e] = _eval_chunk(integrand, center, half, terms, pidx[s:e], row[s:e])
-    return vals, mass
+        out[:, s:e] = _eval_chunk(integrand, center, half, terms, pidx[s:e], row[s:e])
+    return out
 
 
 def _initial_panels(x_max: np.ndarray):
@@ -402,13 +510,6 @@ def _past(lo: np.ndarray, pidx: np.ndarray, row: np.ndarray, cut):
     return past if past is not None and np.count_nonzero(past) else None
 
 
-def _fsum(values: List[float], at: float) -> float:
-    try:
-        return math.fsum(values)
-    except OverflowError:
-        raise EvaluationError("integral overflowed up to the truncation point", at) from None
-
-
 def integrate_rows(
     f: RowIntegrand, envelopes: Envelopes, tolerance: Tolerance
 ) -> List[IntegralResult]:
@@ -416,12 +517,13 @@ def integrate_rows(
 
     ``f(x, row)`` evaluates, at each abscissa x[i], the integrand of row
     row[i] and returns ``(log|f|, sign)``; it receives at most
-    _CHUNK_PANELS * 32 abscissas a call.  Returns one IntegralResult per
+    _CHUNK_PANELS * 65 abscissas a call.  Returns one IntegralResult per
     row, each identical to what the row would give integrated alone; its
-    ``err_estimate`` adds four honest contributions: the accepted two-level
-    panel differences, the |value| of pruned panels, the analytic tail bound
-    from the truncation point or the first pruned panel, and a round-off
-    floor proportional to the absolute Gauss mass.
+    ``err_estimate`` adds four honest contributions: the accepted panels'
+    Gauss-Kronrod differences, the |value| of pruned panels, the analytic
+    tail bound from the truncation point or the first pruned panel, and a
+    round-off floor, the absolute mass of each accepted panel times
+    2 eps (max |log f| + 2) over its samples.
 
     Raises AccuracyError when a row runs out of ``tolerance.max_panels``
     first, for the lowest such row, carrying that row's value, estimate and
@@ -447,8 +549,10 @@ def integrate_staged(integrand, envelopes: Envelopes, tolerance: Tolerance) -> R
     shares, the abscissas among them if the second stage needs them.
     ``integrand.per_pair(terms, row)`` takes those terms gathered to the
     panels of a chunk of (row, panel) pairs and a column of their rows, and
-    returns ``(log|f|, sign)``.  Each row's fields, and every error raised,
-    are those of evaluating both stages on the pairs' own abscissas.
+    returns ``(log|f|, sign, scale)``, scale one number a pair that bounds
+    the summed magnitudes of the log terms behind each of its samples (see
+    ``_ROUNDOFF``).  Each row's fields, and every error raised, are those of
+    evaluating both stages on the pairs' own abscissas.
     """
     with np.errstate(over="ignore", divide="ignore"):
         return _integrate_rows(integrand, envelopes, tolerance)
@@ -462,95 +566,86 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
     tail = np.exp(log_c - rate * x_max) / rate
 
     lo, hi, pidx, row, counts = _initial_panels(x_max)
-    # unsampled panels enter valued 0.0; the first sweep, cutting no later, prunes them
+    # panels past the cut that abs_tol, which no target is below, gives are
+    # not sampled; valued 0.0, they are pruned by the first sweep's cut
     cut = _cutoffs(envelopes, tail, _EPS * (tolerance.abs_tol / counts))
     unsampled = _past(lo, pidx, row, cut)
-    if unsampled is None:
-        vals, unsampled = _eval_panels(integrand, lo, hi, pidx, row)[0], 0
-    else:
-        sampled, vals = ~unsampled, np.zeros(row.size)
-        if np.count_nonzero(sampled):
-            table = _distinct(lo, hi, pidx[sampled])
-            vals[sampled] = _eval_panels(integrand, *table, row[sampled])[0]
-        unsampled = np.bincount(row[unsampled], minlength=n_rows)
-    panels = counts - unsampled
-
-    # bincount adds each row's values in pair order, alone or in a batch
-    rough = np.bincount(row, vals, n_rows)
-    peak = np.zeros(n_rows)
-    np.maximum.at(peak, row, np.abs(vals))
-    target = np.maximum(
-        tolerance.abs_tol, tolerance.rel_tol * np.maximum(np.abs(rough), peak)
-    )
-    budgets = (target / counts)[row]
-    cut = _cutoffs(envelopes, tail, _EPS * (target / counts))
+    skipped = 0 if unsampled is None else np.bincount(row[unsampled], minlength=n_rows)
+    panels = counts - skipped
+    budgets = None
 
     min_width = 1e-12 * np.maximum(1.0, x_max)
     accepted_vals: List[np.ndarray] = []
     accepted_rows: List[np.ndarray] = []
-    accepted_err = np.zeros(n_rows)
-    accepted_mass = np.zeros(n_rows)
+    charged = np.zeros(n_rows)
     failed = np.zeros(n_rows, dtype=bool)
 
-    while row.size:
+    while True:
+        vals, diff, floor = _eval_panels(integrand, lo, hi, pidx, row, unsampled)
+        if budgets is None:
+            # the first layout, row by row, sets the targets; every row has
+            # at least 5 pairs in it, so no reduceat segment is empty
+            rough = np.bincount(row, vals, n_rows)
+            peak = np.maximum.reduceat(np.abs(vals), counts.cumsum() - counts)
+            target = np.maximum(
+                tolerance.abs_tol, tolerance.rel_tol * np.maximum(np.abs(rough), peak)
+            ) / counts
+            budgets = target[row]
+            cut = _cutoffs(envelopes, tail, _EPS * target)
+
+        # an accepted pair is charged its difference and floor, a retired
+        # one (pruned, or of a row out of budget) its |value|
+        charge = diff + floor
+        pending = diff > budgets
         retired = _past(lo, pidx, row, cut)
         if retired is not None:
             b_row = row[retired]
             b_lo, b_rate = lo[pidx[retired]], rate[b_row]
             # pruned panels run on to x_max, so the tail from the first covers all
             np.maximum.at(tail, b_row, np.exp(log_c[b_row] - b_rate * b_lo) / b_rate)
-        needed = 2 * np.bincount(row if retired is None else row[~retired], minlength=n_rows)
-        over = (needed > 0) & (panels + needed > tolerance.max_panels)
-        if np.count_nonzero(over):
-            # a row out of budget retires its pairs as pruned panels are retired
-            failed |= over
-            needed[over] = 0
-            retired = over[row] if retired is None else retired | over[row]
-        panels += needed
-        if retired is not None:
-            accepted_vals.append(vals[retired])
-            accepted_rows.append(row[retired])
-            accepted_err += np.bincount(row[retired], np.abs(vals[retired]), n_rows)
-            kept = ~retired
-            pidx, vals, row, budgets = pidx[kept], vals[kept], row[kept], budgets[kept]
-            if not row.size:
-                break
+            np.copyto(charge, np.abs(vals), where=retired)
+            pending &= ~retired
+        if np.count_nonzero(pending):
+            # a panel this narrow is accepted as it is
+            pending &= (hi - lo)[pidx] > min_width[row]
+            needed = 2 * np.bincount(row[pending], minlength=n_rows)
+            over = (needed > 0) & (panels + needed > tolerance.max_panels)
+            if np.count_nonzero(over):
+                failed |= over
+                needed[over] = 0
+                out = pending & over[row]
+                np.copyto(charge, np.abs(vals), where=out)
+                pending &= ~out
+            panels += needed
+        done = ~pending
+        accepted_vals.append(vals[done])
+        accepted_rows.append(row[done])
+        charged += np.bincount(row[done], charge[done], n_rows)
+        if not np.count_nonzero(pending):
+            break
 
-        lo, hi, pidx = _distinct(lo, hi, pidx)
-        width = (hi - lo)[pidx]
-        child_lo, child_hi, child_pidx = _bisect(lo, hi, pidx)
-        child_row = row.repeat(2)
-        child_vals, child_mass = _eval_panels(
-            integrand, child_lo, child_hi, child_pidx, child_row
-        )
-
-        pair = child_vals[0::2] + child_vals[1::2]
-        delta = np.abs(vals - pair)
-        accept = (delta <= budgets) | (width <= min_width[row])
-
-        if np.count_nonzero(accept):
-            taken = accept.repeat(2)
-            accepted_vals.append(child_vals[taken])
-            accepted_rows.append(child_row[taken])
-            accepted_err += np.bincount(row[accept], delta[accept], n_rows)
-            accepted_mass += np.bincount(child_row[taken], child_mass[taken], n_rows)
-
-        rejected = ~accept
-        taken = rejected.repeat(2)
-        lo, hi, pidx = child_lo, child_hi, child_pidx[taken]
-        vals, row = child_vals[taken], child_row[taken]
-        budgets = (budgets[rejected] * 0.5).repeat(2)
+        lo, hi, pidx = _bisect(*_distinct(lo, hi, pidx[pending]))
+        row = row[pending].repeat(2)
+        budgets = (budgets[pending] * 0.5).repeat(2)
+        unsampled = None
 
     all_rows = np.concatenate(accepted_rows)
     leaves = np.bincount(all_rows, minlength=n_rows)
     flat = np.concatenate(accepted_vals)[np.argsort(all_rows, kind="stable")].tolist()
     ends = leaves.cumsum().tolist()
-    err = accepted_err + tail + 8.0 * _EPS * accepted_mass
-    value = np.array([
-        _fsum(flat[end - n:end], x)
-        for end, n, x in zip(ends, leaves.tolist(), x_max.tolist())
-    ])
-    return RowArrays(value, err, leaves - unsampled, x_max, failed)
+    bounds = list(zip([0, *ends[:-1]], ends))
+    try:
+        value = [math.fsum(flat[s:e]) for s, e in bounds]
+    except OverflowError:
+        # found again on this failure path only: the first row whose sum overflows
+        for (s, e), at in zip(bounds, x_max.tolist()):
+            try:
+                math.fsum(flat[s:e])
+            except OverflowError:
+                raise EvaluationError(
+                    "integral overflowed up to the truncation point", at
+                ) from None
+    return RowArrays(np.array(value), charged + tail, leaves - skipped, x_max, failed)
 
 
 def integrate_semi_infinite(f: LogIntegrand, spec: QuadratureSpec) -> IntegralResult:

@@ -157,6 +157,13 @@ class _LogIntegrand:
     term too when every row has the same a, else it shares x itself; the
     per-pair stage adds the rest.  Both keep the operation order of the
     single expression, so a row's values do not depend on what it shares.
+
+    Each pair's rounding scale is the sum, over the log terms combined, of
+    the term's largest magnitude at the panel's two end nodes.  Every term
+    is monotone in x (log pi/(x^2+pi^2), p log cosh(x/2), the regrouped
+    sinh term) or its magnitude is quasi-convex (|log sinh|, which changes
+    sign once), so that sum bounds the terms' summed magnitudes at every
+    node of the panel.
     """
 
     __slots__ = ("a", "p", "regrouped", "common_a")
@@ -176,29 +183,42 @@ class _LogIntegrand:
         return log_sinh
 
     def shared(self, x):
-        """The row-free terms: the head, log pi/(x^2+pi^2) plus one or two
-        log sinh(x/2) and the sinh term if every row has the same a; log
-        cosh(x/2); and x if the rows' a differ."""
+        """The row-free terms of each panel (a line of ``x``): the head,
+        log pi/(x^2+pi^2) plus one or two log sinh(x/2) and the sinh term
+        if every row has the same a; log cosh(x/2); the head's part of the
+        rounding scale, one value a panel; and x if the rows' a differ."""
         half = 0.5 * x
         log_sinh_half = _log_sinh(half)
         head = x * x
         head += _PISQ
         np.log(head, out=head)
         np.subtract(_LNPI, head, out=head)
+        # log pi/(x^2+pi^2) < 0 falls with x: its magnitude peaks at the last node
+        scale = _end_magnitude(log_sinh_half) * (2.0 if self.regrouped else 1.0) - head[:, -1]
         head += 2.0 * log_sinh_half if self.regrouped else log_sinh_half
         if self.common_a is None:
-            return head, _log_cosh(half), x
-        head += self._sinh_term(self.common_a, x, log_sinh_half)
-        return head, _log_cosh(half)
+            return head, _log_cosh(half), scale, x
+        sinh_term = self._sinh_term(self.common_a, x, log_sinh_half)
+        scale += _end_magnitude(sinh_term)
+        head += sinh_term
+        return head, _log_cosh(half), scale
 
     def per_pair(self, terms, row):
-        head, log_cosh_half = terms[:2]
-        logmag = self.p[row] * log_cosh_half
+        head, log_cosh_half, scale = terms[:3]
         if self.common_a is None:
-            x = terms[2]
+            x = terms[3]
             log_sinh_half = _log_sinh(0.5 * x) if self.regrouped else None
-            head = head + self._sinh_term(self.a[row], x, log_sinh_half)
-        return np.subtract(head, logmag, out=logmag), 1.0
+            sinh_term = self._sinh_term(self.a[row], x, log_sinh_half)
+            head = head + sinh_term
+            scale = scale + _end_magnitude(sinh_term)
+        logmag = self.p[row] * log_cosh_half
+        scale = scale + logmag[:, -1]  # p log cosh(x/2) >= 0 grows with x
+        return np.subtract(head, logmag, out=logmag), 1.0, scale
+
+
+def _end_magnitude(term):
+    """max(|term|) over the first and last node of each panel (line)."""
+    return np.abs(term[:, [0, -1]]).max(axis=1)
 
 
 def _envelope(a, p):
@@ -248,9 +268,9 @@ def integrand_direct(point: SpherePoint, x):
     """
     xs = _check_abscissas(x)
     f = _LogIntegrand(point.k, point.d + 1)
-    flat = xs.reshape(-1)
+    column = xs.reshape(-1, 1)  # one abscissa a panel
     with np.errstate(over="ignore"):  # x^2 overflows past 1e154; the limit is -inf
-        logmag = f.per_pair(f.shared(flat), 0)[0].reshape(xs.shape)
+        logmag = f.per_pair(f.shared(column), 0)[0].reshape(xs.shape)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(logmag), 1
     return logmag, np.ones_like(logmag)

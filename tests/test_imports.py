@@ -48,6 +48,13 @@ def test_integrating_command_loads_numpy():
     assert _loads_numpy("from gjmsdet import cli\nassert cli.main(['eval', '--d', '5', '--k', '2']) == 0")
 
 
+def test_quadrature_rules_do_not_load_numpy_polynomial():
+    # the Gauss-Kronrod rule is built from its Jacobi matrix, not leggauss
+    code = "import sys, gjmsdet.quadrature\nprint('numpy.polynomial' in sys.modules)"
+    proc = _python("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_module_entry_point():
     proc = _python("-m", "gjmsdet.cli", "rules", "--k", "3")
     assert (proc.returncode, proc.stdout, proc.stderr) == (
