@@ -32,10 +32,12 @@ Panels are also pruned: one starting at or past its envelope's start and
 the point where the tail falls to eps b (eps the binary64 epsilon, b the
 row's target over its initial panel count) is accepted unbisected, charged
 its |value|, and the row's tail bound then runs from its first pruned panel.
-Before the first sampling abs_tol, which no target is below, stands in for
-the target, and the panels pruned then are never sampled.  A row that would
-overrun its panel budget retires its unresolved panels the same way, kept
-at their values and charged their |value|, and is flagged as failed.
+A panel already past that point when it is made, an initial panel or the
+half of a bisected one, is pruned without being sampled, valued 0; before
+the first sampling abs_tol, which no target is below, stands in for the
+target.  A row that would overrun its panel budget retires its unresolved
+panels the same way, kept at their values and charged their |value|, and
+is flagged as failed.
 
 ``integrate_rows`` runs R independent integrals in lock-step sweeps.  Each
 row keeps the state a lone integral has: its truncation point and tail
@@ -99,82 +101,58 @@ RowIntegrand = Callable[
     [np.ndarray, np.ndarray], Tuple[np.ndarray, Union[np.ndarray, float]]
 ]
 
-_GAUSS_ORDER = 32
+# The 65-node Gauss-Kronrod rule on [-1, 1] that extends the 32-node
+# Gauss-Legendre rule, stored as float.hex literals of its non-negative half:
+# the nodes from 0 up, the Kronrod weights at them, and the Gauss weights at
+# the odd ones (the Gauss nodes).  They were derived in extended precision
+# from one Jacobi-matrix routine (Golub-Welsch for the Gauss rule, and
+# Laurie's Jacobi-Kronrod matrix, "Calculation of Gauss-Kronrod quadrature
+# rules", Math. Comp. 66 (1997), for the Kronrod rule), with a Newton step
+# on the nodes and one on the weights' Legendre moment equations.  So the
+# Kronrod weights meet the moments of P_0..P_64 at these very nodes to
+# 1.5e-17 and those of P_65..P_97 to 4.7e-16, and |G - K| on a constant is
+# exactly 0; the tests check every moment exactly in rational arithmetic.
+_HALF_NODES = """
+    0x0.0p+0 0x1.8bbc8488cc499p-5 0x1.8b466970fe356p-4 0x1.27e0ea717f237p-3
+    0x1.896d9df035980p-3 0x1.ea0f7e19c094bp-3 0x1.24c63c4ca48a5p-2 0x1.53d55ce57bdf6p-2
+    0x1.82193e5354aa4p-2 0x1.af76b57c6f8f1p-2 0x1.dbd2456d8a559p-2 0x1.038862866b29dp-1
+    0x1.188c6b56e5f08p-1 0x1.2ce9146962ca4p-1 0x1.4091dffe104aap-1 0x1.537a89c487f8ap-1
+    0x1.65982a70c6cd0p-1 0x1.76e0931d693bap-1 0x1.8748ecea05065p-1 0x1.96c69481c4bc5p-1
+    0x1.a550e9fe8a69ep-1 0x1.b2e04fd686a13p-1 0x1.bf6bdbbd2a975p-1 0x1.caea9b4574cb9p-1
+    0x1.d556b90282312p-1 0x1.deac0259f7f42p-1 0x1.e6e3884ece544p-1 0x1.edf5518053baap-1
+    0x1.f3def105bf36ep-1 0x1.f8a212714bcdcp-1 0x1.fc39bde9182a8p-1 0x1.fe995e70409b6p-1
+    0x1.ffc47b00f32e4p-1
+"""
+_HALF_KRONROD_WEIGHTS = """
+    0x1.8be3c5d8332c2p-5 0x1.8b6dee9439e9dp-5 0x1.8a0b0b31d6966p-5 0x1.87bb8524fc1a1p-5
+    0x1.8483a9173ea59p-5 0x1.806498c66febdp-5 0x1.7b5c8076a9e74p-5 0x1.757068482ffccp-5
+    0x1.6ea9ab3499699p-5 0x1.67090588c01b3p-5 0x1.5e8b7941799a7p-5 0x1.553acfb2ba82bp-5
+    0x1.4b26353711451p-5 0x1.404d6d587bd34p-5 0x1.34aadd3baafa6p-5 0x1.284d81200e468p-5
+    0x1.1b4bf7c6e058bp-5 0x1.0da3ebc0d3e75p-5 0x1.fe947607e3c85p-6 0x1.e0a81d62f31f3p-6
+    0x1.c1c6723b8493ep-6 0x1.a1e2a3fcf07b7p-6 0x1.80ce30cbca512p-6 0x1.5ec37d7e308bdp-6
+    0x1.3c30ea095be17p-6 0x1.18fb7f209013fp-6 0x1.e96d1e4247820p-7 0x1.9f5e746b1f02ep-7
+    0x1.5592be7c63acbp-7 0x1.0bcbeec934b98p-7 0x1.7ed815b4f4377p-8 0x1.c128f5247c4d6p-9
+    0x1.40b25ad13682dp-10
+"""
+_HALF_GAUSS_WEIGHTS = """
+    0x1.8b6d9eaec77adp-4 0x1.87bc776f8c6d6p-4 0x1.8062fc0f6fefap-4 0x1.7572bdb3f6e52p-4
+    0x1.6705e18e13ecdp-4 0x1.553ee25ebebc8p-4 0x1.40483e126fd13p-4 0x1.2854103b35e13p-4
+    0x1.0d9b9a62cac09p-4 0x1.e0bd76c924987p-5 0x1.a1c6ae961fbf3p-5 0x1.5ee963a335499p-5
+    0x1.18c5800a355d1p-5 0x1.a0060a8532011p-6 0x1.0aa3c248696cdp-6 0x1.cbf8bc743cc38p-8
+"""
 
 
-def _laurie(n: int, b: np.ndarray) -> np.ndarray:
-    """The squared off-diagonal of the (2n+1)-point Jacobi-Kronrod matrix of
-    a symmetric weight (its diagonal is zero), from the first 3n/2 + 2
-    coefficients b of the weight's monic recurrence, b[0] its mass: the
-    algorithm of Laurie, "Calculation of Gauss-Kronrod quadrature rules",
-    Math. Comp. 66 (1997), with every diagonal coefficient a_j = 0."""
-    bk = np.zeros(2 * n + 1, dtype=b.dtype)
-    bk[:(3 * n + 1) // 2 + 1] = b[:(3 * n + 1) // 2 + 1]
-    s = np.zeros(n // 2 + 2, dtype=b.dtype)
-    t = s.copy()
-    t[1] = bk[n + 1]
-    for m in range(n - 1):
-        k = np.arange((m + 1) // 2, -1, -1)
-        s[k + 1] = np.cumsum(bk[k + n + 1] * s[k] - bk[m - k] * s[k + 1])
-        s, t = t, s
-    s[1:] = s[:-1].copy()
-    for m in range(n - 1, 2 * n - 2):
-        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
-        j = n - 1 - m + k
-        s[j + 1] = np.cumsum(bk[m - k] * s[j + 2] - bk[k + n + 1] * s[j + 1])
-        if m % 2:
-            bk[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
-        s, t = t, s
-    return bk
+def _unfold(half: str, sign: float, middle: int) -> np.ndarray:
+    """A rule array from a literal of its half from the middle out, mirrored
+    with ``sign``; its first ``middle`` entries (the node 0 and its Kronrod
+    weight) are not repeated."""
+    right = np.array([float.fromhex(h) for h in half.split()])
+    return np.concatenate((sign * right[middle:][::-1], right))
 
 
-def _jacobi_rule(b: np.ndarray):
-    """Nodes and weights on [-1, 1] of the symmetric Jacobi matrix with zero
-    diagonal and squared off-diagonal b[1:] (Golub-Welsch), b[0] the mass.
-    The eigenvalues, made exactly symmetric, take one Newton step on the
-    matrix's characteristic polynomial, run in long double by its
-    three-term recurrence p_(j+1) = x p_j - b_j p_(j-1)."""
-    off = np.sqrt(b[1:].astype(float))
-    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    xl = (0.5 * (x - x[::-1])).astype(b.dtype)
-    p0, p1, d0, d1 = np.zeros_like(xl), np.ones_like(xl), np.zeros_like(xl), np.zeros_like(xl)
-    for bj in b:
-        p0, p1, d0, d1 = p1, xl * p1 - bj * p0, d1, p1 + xl * d1 - bj * d0
-    return (xl - p1 / d1).astype(float), float(b[0]) * v[0] ** 2
-
-
-def _refined(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The weights w at nodes x after one Newton step on the Legendre moment
-    equations sum_i w_i P_j(x_i) = 2 [j = 0], j < x.size, the residual taken
-    in long double (x87 extended precision on x86-64; where long double is
-    binary64 the step gains less); made exactly symmetric."""
-    xl = x.astype(np.longdouble)
-    legendre = np.empty((x.size, x.size), dtype=np.longdouble)
-    legendre[0], legendre[1] = 1, xl
-    for j in range(1, x.size - 1):
-        legendre[j + 1] = ((2 * j + 1) * xl * legendre[j] - j * legendre[j - 1]) / (j + 1)
-    residual = legendre @ w.astype(np.longdouble)
-    residual[0] -= 2
-    w = w - np.linalg.solve(legendre.astype(float), residual.astype(float))
-    return 0.5 * (w + w[::-1])
-
-
-def _gauss_kronrod(n: int):
-    """The (2n+1)-node Gauss-Kronrod rule on [-1, 1] and the n-node Gauss
-    rule embedded in it: (nodes, Kronrod weights, Gauss weights), the Gauss
-    nodes being nodes[1::2] exactly.  Both come from ``_jacobi_rule``: the
-    Gauss rule from the Legendre recurrence b_j = j^2 / (4 j^2 - 1), the
-    Kronrod rule from Laurie's matrix of it."""
-    j = np.arange(3 * n // 2 + 2, dtype=np.longdouble)
-    b = j * j / (4 * j * j - 1)
-    b[0] = 2
-    gauss_x, gauss_w = _jacobi_rule(b[:n])
-    x, w = _jacobi_rule(_laurie(n, b))
-    x[1::2] = gauss_x
-    return x, _refined(x, w), _refined(gauss_x, gauss_w)
-
-
-_NODES, _KRONROD_WEIGHTS, _GAUSS_WEIGHTS = _gauss_kronrod(_GAUSS_ORDER)
+_NODES = _unfold(_HALF_NODES, -1.0, 1)
+_KRONROD_WEIGHTS = _unfold(_HALF_KRONROD_WEIGHTS, 1.0, 1)
+_GAUSS_WEIGHTS = _unfold(_HALF_GAUSS_WEIGHTS, 1.0, 0)
 _EPS = float(np.finfo(float).eps)
 # c eps in the round-off floor c eps (scale + 1) mass, with c = 2.  A
 # sample is the exp of a log built from terms t of summed magnitude
@@ -566,12 +544,11 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
     tail = np.exp(log_c - rate * x_max) / rate
 
     lo, hi, pidx, row, counts = _initial_panels(x_max)
-    # panels past the cut that abs_tol, which no target is below, gives are
-    # not sampled; valued 0.0, they are pruned by the first sweep's cut
+    # before the first sampling, the cut that abs_tol, which no target is
+    # below, gives
     cut = _cutoffs(envelopes, tail, _EPS * (tolerance.abs_tol / counts))
-    unsampled = _past(lo, pidx, row, cut)
-    skipped = 0 if unsampled is None else np.bincount(row[unsampled], minlength=n_rows)
-    panels = counts - skipped
+    panels = counts.copy()
+    skipped = np.zeros(n_rows, dtype=counts.dtype)
     budgets = None
 
     min_width = 1e-12 * np.maximum(1.0, x_max)
@@ -581,6 +558,12 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
     failed = np.zeros(n_rows, dtype=bool)
 
     while True:
+        # pairs past the cut are not sampled: valued 0.0, they are pruned below
+        unsampled = _past(lo, pidx, row, cut)
+        if unsampled is not None:
+            n_unsampled = np.bincount(row[unsampled], minlength=n_rows)
+            skipped += n_unsampled
+            panels -= n_unsampled
         vals, diff, floor = _eval_panels(integrand, lo, hi, pidx, row, unsampled)
         if budgets is None:
             # the first layout, row by row, sets the targets; every row has
@@ -627,7 +610,6 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
         lo, hi, pidx = _bisect(*_distinct(lo, hi, pidx[pending]))
         row = row[pending].repeat(2)
         budgets = (budgets[pending] * 0.5).repeat(2)
-        unsampled = None
 
     all_rows = np.concatenate(accepted_rows)
     leaves = np.bincount(all_rows, minlength=n_rows)
