@@ -30,7 +30,7 @@ EXIT_IO = 4
 
 def __getattr__(name: str):
     # Kept for the tracer in perfbench/spans.py, which reads and rebinds these
-    # three names, until ROADMAP item 4.  The commands do not use them.
+    # three names, until ROADMAP item 1.  The commands do not use them.
     if name not in ("logdet", "write_csv", "write_svg"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import scans

@@ -33,11 +33,12 @@ the point where the tail falls to eps b (eps the binary64 epsilon, b the
 row's target over its initial panel count) is accepted unbisected, charged
 its |value|, and the row's tail bound then runs from its first pruned panel.
 A panel already past that point when it is made, an initial panel or the
-half of a bisected one, is pruned without being sampled, valued 0; before
-the first sampling abs_tol, which no target is below, stands in for the
-target.  A row that would overrun its panel budget retires its unresolved
-panels the same way, kept at their values and charged their |value|, and
-is flagged as failed.
+half of a bisected one, is dropped before its sweep: it is never sampled
+and adds nothing to its row's value or panel count, only to its tail
+bound.  Before the first sampling abs_tol, which no target is below,
+stands in for the target.  A row that would overrun its panel budget
+retires its unresolved panels as pruned ones, kept at their values and
+charged their |value|, and is flagged as failed.
 
 ``integrate_rows`` runs R independent integrals in lock-step sweeps.  Each
 row keeps the state a lone integral has: its truncation point and tail
@@ -168,8 +169,9 @@ _EPS = float(np.finfo(float).eps)
 _ROUNDOFF = 2.0 * _EPS
 _MIN_TRUNCATION = 10.0
 _TAIL_TOL_FLOOR = 1e-300
-# Panels per integrand call: 8320 abscissas, so each temporary of one call
-# stays at 65 KB whatever the batch size.
+# Pairs per per-pair call: 8320 abscissas, so each temporary of one call
+# stays at 65 KB whatever the batch size.  The shared stage runs on the
+# whole table at once, which holds no more panels than there are pairs.
 _CHUNK_PANELS = 128
 
 
@@ -180,10 +182,18 @@ class Tolerance:
     absolute floor used both for near-zero integrals and for choosing the
     truncation point, ``max_panels`` the most 65-node panels a row may
     evaluate, though its first layout (about log2(truncation point) + 2
-    panels, at least 5) is always sampled.  ``rel_tol`` must be positive
-    and finite, ``abs_tol`` finite and non-negative, ``max_panels`` an
-    integer (an int or a numpy integer, stored as an int) of at least 4;
-    anything else raises ParameterError."""
+    panels, at least 5) is sampled whatever it is, but for the panels the
+    envelope prunes.  ``rel_tol`` must be positive and finite, ``abs_tol``
+    finite and non-negative, ``max_panels`` an integer (an int or a numpy
+    integer, stored as an int) of at least 4; anything else raises
+    ParameterError.
+
+    A panel is accepted on its Gauss-Kronrod difference alone, so a
+    ``rel_tol`` that puts its budget below its round-off floor (see
+    ``_ROUNDOFF``) is not met by bisecting it.  At d = 21, k = 10 with
+    ``rel_tol=1e-15``, the ``direct`` route spends 1858 panels and fails
+    with an estimate of 1.5e-3, and ``sum`` returns an estimate of 1.7e-15,
+    about 40 times its 4e-17 target."""
 
     rel_tol: float = 1e-11
     abs_tol: float = 1e-15
@@ -390,36 +400,16 @@ def _raise_non_finite(x, logmag, fx, center: float):
     raise EvaluationError("panel Gauss sum overflowed", center)
 
 
-def _shared_stage(integrand, center: np.ndarray, half: np.ndarray):
-    """The shared stage at the abscissas of every panel of a table,
-    _CHUNK_PANELS panels a call."""
-    parts = [
-        integrand.shared(_abscissas(center[s:s + _CHUNK_PANELS], half[s:s + _CHUNK_PANELS]))
-        for s in range(0, center.size, _CHUNK_PANELS)
-    ]
-    return parts[0] if len(parts) == 1 else [np.concatenate(t) for t in zip(*parts)]
-
-
-def _eval_panels(integrand, lo, hi, pidx, row, skip=None):
+def _eval_panels(integrand, lo, hi, pidx, row):
     """Rows of value, difference and floor (see ``_eval_chunk``) of each
     (row, panel) pair: pair i integrates row ``row[i]`` over table panel
-    [lo, hi][pidx[i]].  Pairs flagged in ``skip`` are not sampled and get
-    zeros.
+    [lo, hi][pidx[i]].
 
-    The shared stage runs once per table panel, the per-pair stage
+    The shared stage runs once on the whole table, the per-pair stage
     _CHUNK_PANELS pairs at a time on gathered shared terms."""
-    if skip is not None:
-        out = np.zeros((3, row.size))
-        sampled = ~skip
-        if np.count_nonzero(sampled):
-            table = _distinct(lo, hi, pidx[sampled])
-            out[:, sampled] = _eval_panels(integrand, *table, row[sampled])
-        return out
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    terms = _shared_stage(integrand, center, half)
-    if row.size <= _CHUNK_PANELS:
-        return _eval_chunk(integrand, center, half, terms, pidx, row)
+    terms = integrand.shared(_abscissas(center, half))
     out = np.empty((3, row.size))
     for s in range(0, row.size, _CHUNK_PANELS):
         e = s + _CHUNK_PANELS
@@ -435,8 +425,8 @@ def _initial_panels(x_max: np.ndarray):
     n + 1 the most panels of any row, the table holds [0, 1], [1, 2], ...,
     [2^(n-2), 2^(n-1)] once, shared by every row up to its own last panel,
     then each row's last panel in row order.  This relies on every x_max
-    being at least _MIN_TRUNCATION = 10: every row then has at least 5
-    panels, and a lone row's table is its own panels in order.
+    being at least _MIN_TRUNCATION = 10: every row's first panel is then
+    the shared [0, 1], and a lone row's table is its own panels in order.
     """
     mant, exp = np.frexp(x_max)  # x_max = mant 2^exp, 1/2 <= mant < 1
     counts = exp + 1 - (mant == 0.5)
@@ -482,10 +472,18 @@ def _cutoffs(envelopes: Envelopes, tail: np.ndarray, bound):
         return _truncation(envelopes.log_const, envelopes.rate, np.log(bound), envelopes.start)
 
 
-def _past(lo: np.ndarray, pidx: np.ndarray, row: np.ndarray, cut):
-    """Mask of the pairs starting at or past their row's cutoff, or None."""
+def _prune(tail, envelopes: Envelopes, lo, pidx, row, cut):
+    """Mask of the pairs starting at or past their row's cutoff, or None.
+    Each such pair raises its row's ``tail`` to the envelope's tail from its
+    panel's start: pruned panels run on to x_max, so the tail from the first
+    covers them all."""
     past = None if cut is None else lo[pidx] >= cut[row]
-    return past if past is not None and np.count_nonzero(past) else None
+    if past is None or not np.count_nonzero(past):
+        return None
+    r = row[past]
+    rate = envelopes.rate[r]
+    np.maximum.at(tail, r, np.exp(envelopes.log_const[r] - rate * lo[pidx[past]]) / rate)
+    return past
 
 
 def integrate_rows(
@@ -543,12 +541,15 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
     x_max = np.maximum(_truncation(log_c, rate, math.log(tail_tol)), envelopes.start)
     tail = np.exp(log_c - rate * x_max) / rate
 
+    # the tail bound charged, from x_max or from a row's first pruned panel;
+    # tail itself stays at x_max, where _cutoffs reads it
+    pruned_tail = tail.copy()
+
     lo, hi, pidx, row, counts = _initial_panels(x_max)
     # before the first sampling, the cut that abs_tol, which no target is
     # below, gives
     cut = _cutoffs(envelopes, tail, _EPS * (tolerance.abs_tol / counts))
     panels = counts.copy()
-    skipped = np.zeros(n_rows, dtype=counts.dtype)
     budgets = None
 
     min_width = 1e-12 * np.maximum(1.0, x_max)
@@ -558,18 +559,20 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
     failed = np.zeros(n_rows, dtype=bool)
 
     while True:
-        # pairs past the cut are not sampled: valued 0.0, they are pruned below
-        unsampled = _past(lo, pidx, row, cut)
-        if unsampled is not None:
-            n_unsampled = np.bincount(row[unsampled], minlength=n_rows)
-            skipped += n_unsampled
-            panels -= n_unsampled
-        vals, diff, floor = _eval_panels(integrand, lo, hi, pidx, row, unsampled)
+        # a pair past the cut is pruned unsampled: it adds only to its tail bound
+        dropped = _prune(pruned_tail, envelopes, lo, pidx, row, cut)
+        if dropped is not None:
+            panels -= np.bincount(row[dropped], minlength=n_rows)
+            kept = ~dropped
+            row = row[kept]
+            budgets = None if budgets is None else budgets[kept]
+            lo, hi, pidx = _distinct(lo, hi, pidx[kept])
+        vals, diff, floor = _eval_panels(integrand, lo, hi, pidx, row)
         if budgets is None:
-            # the first layout, row by row, sets the targets; every row has
-            # at least 5 pairs in it, so no reduceat segment is empty
+            # the first layout, row by row, sets the targets
             rough = np.bincount(row, vals, n_rows)
-            peak = np.maximum.reduceat(np.abs(vals), counts.cumsum() - counts)
+            peak = np.zeros(n_rows)
+            np.maximum.at(peak, row, np.abs(vals))
             target = np.maximum(
                 tolerance.abs_tol, tolerance.rel_tol * np.maximum(np.abs(rough), peak)
             ) / counts
@@ -580,12 +583,8 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
         # one (pruned, or of a row out of budget) its |value|
         charge = diff + floor
         pending = diff > budgets
-        retired = _past(lo, pidx, row, cut)
+        retired = _prune(pruned_tail, envelopes, lo, pidx, row, cut)
         if retired is not None:
-            b_row = row[retired]
-            b_lo, b_rate = lo[pidx[retired]], rate[b_row]
-            # pruned panels run on to x_max, so the tail from the first covers all
-            np.maximum.at(tail, b_row, np.exp(log_c[b_row] - b_rate * b_lo) / b_rate)
             np.copyto(charge, np.abs(vals), where=retired)
             pending &= ~retired
         if np.count_nonzero(pending):
@@ -627,7 +626,7 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
                 raise EvaluationError(
                     "integral overflowed up to the truncation point", at
                 ) from None
-    return RowArrays(np.array(value), charged + tail, leaves - skipped, x_max, failed)
+    return RowArrays(np.array(value), charged + pruned_tail, leaves, x_max, failed)
 
 
 def integrate_semi_infinite(f: LogIntegrand, spec: QuadratureSpec) -> IntegralResult:

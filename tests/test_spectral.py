@@ -422,19 +422,20 @@ class TestSharedWork:
     counts, so that losing the sharing or the pruning fails here rather
     than only in a timing).  The batches are every row of the route's plan,
     integrated through ``_integrals``, since ``logdet`` skips the rows its
-    mass bound proves negligible."""
+    mass bound proves negligible; the sweep count is that of ``logdet``."""
 
     @staticmethod
-    def _abscissas(method, monkeypatch):
-        """Abscissas each stage sees for all 510 rows of ``method`` at
-        (1021, 510)."""
-        seen = {"shared": 0, "per_pair": 0}
+    def _counting(monkeypatch):
+        """Counts of the abscissas each stage of ``_LogIntegrand`` sees and
+        of its shared-stage calls, one a sweep, from here on."""
+        seen = {"shared": 0, "per_pair": 0, "sweeps": 0}
 
         class Counting(spectral._LogIntegrand):
             __slots__ = ()
 
             def shared(self, x):
                 seen["shared"] += x.size
+                seen["sweeps"] += 1
                 return super().shared(x)
 
             def per_pair(self, terms, row):
@@ -442,8 +443,14 @@ class TestSharedWork:
                 return super().per_pair(terms, row)
 
         monkeypatch.setattr(spectral, "_LogIntegrand", Counting)
+        return seen
+
+    def _abscissas(self, method, monkeypatch):
+        """The counts for all 510 rows of ``method`` at (1021, 510), and the
+        panels the rows report as used."""
+        seen = self._counting(monkeypatch)
         a, p, _, regrouped = spectral._plan(SpherePoint(1021, 510), method)
-        spectral._integrals(a, p, None, regrouped)
+        seen["panels_used"] = int(spectral._integrals(a, p, None, regrouped)[3].sum())
         return seen
 
     @pytest.mark.parametrize("method, bound", [("product_rule", 0.05), ("sum", 0.25)])
@@ -452,13 +459,26 @@ class TestSharedWork:
         assert seen["per_pair"] > 510 * 65
         assert seen["shared"] <= bound * seen["per_pair"]
 
-    # per-pair abscissas without pruning: 2554 and 2642 (row, panel) pairs
+    # per-pair abscissas without pruning: 2554 and 2642 (row, panel) pairs;
+    # with it 1175 and 1790, all accepted in the first sweep
     @pytest.mark.parametrize(
         "method, unpruned, share", [("product_rule", 166_010, 0.6), ("sum", 171_730, 0.7)]
     )
     def test_pruning_halves_per_pair_abscissas(self, method, unpruned, share, monkeypatch):
         seen = self._abscissas(method, monkeypatch)
         assert 510 * 65 < seen["per_pair"] <= share * unpruned
+        # a pruned pair is neither sampled nor counted as used, and no
+        # sampled panel is bisected and so left uncounted
+        assert seen["per_pair"] == 65 * seen["panels_used"]
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("d", [3, 65, 385, 1021, 1025])
+    def test_diagonal_routes_accept_their_first_layout(self, method, d, monkeypatch):
+        # the README's claim: on the diagonal every route accepts its first
+        # layout whole, so its one quadrature call runs one sweep
+        seen = self._counting(monkeypatch)
+        logdet(SpherePoint(d, (d - 1) // 2), method)
+        assert seen["sweeps"] == 1
 
 
 # log 2^-(p-2) I(a, p) of the rows tests/_oracles.py BOUND_ROWS, from
