@@ -28,27 +28,28 @@ round-off floor: c eps (scale + 1) times its mass sum |w f| h, where the
 integrand supplies the scale, a bound over the panel on the summed
 magnitudes of the log terms each sample was built from.
 
-Panels are also pruned: one starting at or past its envelope's start and
-the point where the tail falls to eps b (eps the binary64 epsilon, b the
-row's target over its initial panel count) is accepted unbisected, charged
-its |value|, and the row's tail bound then runs from its first pruned panel.
-A panel already past that point when it is made, an initial panel or the
-half of a bisected one, is dropped before its sweep: it is never sampled
-and adds nothing to its row's value or panel count, only to its tail
-bound.  Before the first sampling abs_tol, which no target is below,
-stands in for the target.  A row that would overrun its panel budget
-retires its unresolved panels as pruned ones, kept at their values and
-charged their |value|, and is flagged as failed.
+Panels are also pruned, in one place: at the top of each sweep, a panel
+starting at or past its envelope's start and the point where the tail
+falls to eps b (eps the binary64 epsilon, b the row's target over its
+initial panel count) is dropped.  It is never sampled and adds nothing to
+its row's value or panel count; the row's tail bound then runs from its
+first dropped panel.  Before the first sampling abs_tol, which no target
+is below, stands in for the target, so a first-layout panel past the
+target's cut is sampled and then judged, like any other, by its
+Gauss-Kronrod difference.  A row that would overrun its panel budget
+retires its unresolved panels, kept at their values and charged their
+|value|, and is flagged as failed.
 
 ``integrate_rows`` runs R independent integrals in lock-step sweeps.  Each
 row keeps the state a lone integral has: its truncation point and tail
 bound, its initial breaks, its target and per-panel budgets, and its count
 of panels evaluated.  The pending (row, panel) pairs of every row sit in
-flat arrays beside a row index, so one sweep evaluates the pairs of all
-rows, accepts or prunes what it can, and bisects the rest.  Acceptance is
-decided per panel against its own row's budget, and a row's value is the
-exactly rounded (fsum) sum of its accepted panels, so every row returns
-the same value and panel count as when it is integrated alone.
+flat arrays beside a row index, so one sweep drops the pairs of all rows
+past their cut, evaluates the rest, accepts what it can, and bisects the
+others.  Acceptance is decided per panel against its own row's budget,
+and a row's value is the exactly rounded (fsum) sum of its accepted
+panels, so every row returns the same value and panel count as when it
+is integrated alone.
 ``integrate_semi_infinite`` is the one-row call.
 
 Rows of one batch often integrate over the same panels: their initial
@@ -236,7 +237,7 @@ class Envelopes:
         if not np.abs(self.log_const).max() < np.inf:
             raise ParameterError("envelope constants must be positive and finite")
         if not (self.start.min() >= 0 and self.start.max() < np.inf):
-            raise ParameterError("env_start must be non-negative")
+            raise ParameterError("env_start must be non-negative and finite")
 
     def __len__(self) -> int:
         return self.rate.size
@@ -473,10 +474,10 @@ def _cutoffs(envelopes: Envelopes, tail: np.ndarray, bound):
 
 
 def _prune(tail, envelopes: Envelopes, lo, pidx, row, cut):
-    """Mask of the pairs starting at or past their row's cutoff, or None.
-    Each such pair raises its row's ``tail`` to the envelope's tail from its
-    panel's start: pruned panels run on to x_max, so the tail from the first
-    covers them all."""
+    """Mask of the pairs starting at or past their row's cutoff, which a
+    sweep drops unsampled, or None.  Each such pair raises its row's
+    ``tail`` to the envelope's tail from its panel's start: dropped panels
+    run on to x_max, so the tail from the first covers them all."""
     past = None if cut is None else lo[pidx] >= cut[row]
     if past is None or not np.count_nonzero(past):
         return None
@@ -496,10 +497,10 @@ def integrate_rows(
     _CHUNK_PANELS * 65 abscissas a call.  Returns one IntegralResult per
     row, each identical to what the row would give integrated alone; its
     ``err_estimate`` adds four honest contributions: the accepted panels'
-    Gauss-Kronrod differences, the |value| of pruned panels, the analytic
-    tail bound from the truncation point or the first pruned panel, and a
-    round-off floor, the absolute mass of each accepted panel times
-    2 eps (max |log f| + 2) over its samples.
+    Gauss-Kronrod differences, the |value| of the panels retired when their
+    row ran out of panels, the analytic tail bound from the truncation point
+    or the first dropped panel, and a round-off floor, the absolute mass of
+    each accepted panel times 2 eps (max |log f| + 2) over its samples.
 
     Raises AccuracyError when a row runs out of ``tolerance.max_panels``
     first, for the lowest such row, carrying that row's value, estimate and
@@ -515,6 +516,7 @@ def integrate_rows(
     return [IntegralResult(*fields) for fields in zip(*(a.tolist() for a in rows[:4]))]
 
 
+@np.errstate(over="ignore", divide="ignore")
 def integrate_staged(integrand, envelopes: Envelopes, tolerance: Tolerance) -> RowArrays:
     """``integrate_rows`` for a two-stage integrand, returning the rows'
     results as arrays rather than IntegralResult objects, a row that runs
@@ -530,18 +532,13 @@ def integrate_staged(integrand, envelopes: Envelopes, tolerance: Tolerance) -> R
     ``_ROUNDOFF``).  Each row's fields, and every error raised, are those of
     evaluating both stages on the pairs' own abscissas.
     """
-    with np.errstate(over="ignore", divide="ignore"):
-        return _integrate_rows(integrand, envelopes, tolerance)
-
-
-def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> RowArrays:
     n_rows = len(envelopes)
     log_c, rate = envelopes.log_const, envelopes.rate
     tail_tol = max(tolerance.abs_tol, _TAIL_TOL_FLOOR)
     x_max = np.maximum(_truncation(log_c, rate, math.log(tail_tol)), envelopes.start)
     tail = np.exp(log_c - rate * x_max) / rate
 
-    # the tail bound charged, from x_max or from a row's first pruned panel;
+    # the tail bound charged, from x_max or from a row's first dropped panel;
     # tail itself stays at x_max, where _cutoffs reads it
     pruned_tail = tail.copy()
 
@@ -559,7 +556,8 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
     failed = np.zeros(n_rows, dtype=bool)
 
     while True:
-        # a pair past the cut is pruned unsampled: it adds only to its tail bound
+        # the one pruning step: a pair past the cut is dropped unsampled, and
+        # adds only to its row's tail bound
         dropped = _prune(pruned_tail, envelopes, lo, pidx, row, cut)
         if dropped is not None:
             panels -= np.bincount(row[dropped], minlength=n_rows)
@@ -579,14 +577,10 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
             budgets = target[row]
             cut = _cutoffs(envelopes, tail, _EPS * target)
 
-        # an accepted pair is charged its difference and floor, a retired
-        # one (pruned, or of a row out of budget) its |value|
+        # an accepted pair is charged its difference and floor, one retired
+        # as its row ran out of panels its |value|
         charge = diff + floor
         pending = diff > budgets
-        retired = _prune(pruned_tail, envelopes, lo, pidx, row, cut)
-        if retired is not None:
-            np.copyto(charge, np.abs(vals), where=retired)
-            pending &= ~retired
         if np.count_nonzero(pending):
             # a panel this narrow is accepted as it is
             pending &= (hi - lo)[pidx] > min_width[row]
@@ -614,19 +608,15 @@ def _integrate_rows(integrand, envelopes: Envelopes, tolerance: Tolerance) -> Ro
     leaves = np.bincount(all_rows, minlength=n_rows)
     flat = np.concatenate(accepted_vals)[np.argsort(all_rows, kind="stable")].tolist()
     ends = leaves.cumsum().tolist()
-    bounds = list(zip([0, *ends[:-1]], ends))
-    try:
-        value = [math.fsum(flat[s:e]) for s, e in bounds]
-    except OverflowError:
-        # found again on this failure path only: the first row whose sum overflows
-        for (s, e), at in zip(bounds, x_max.tolist()):
-            try:
-                math.fsum(flat[s:e])
-            except OverflowError:
-                raise EvaluationError(
-                    "integral overflowed up to the truncation point", at
-                ) from None
-    return RowArrays(np.array(value), charged + pruned_tail, leaves, x_max, failed)
+    value = np.empty(n_rows)
+    for r, (s, e) in enumerate(zip([0, *ends[:-1]], ends)):
+        try:
+            value[r] = math.fsum(flat[s:e])
+        except OverflowError:
+            raise EvaluationError(
+                "integral overflowed up to the truncation point", float(x_max[r])
+            ) from None
+    return RowArrays(value, charged + pruned_tail, leaves, x_max, failed)
 
 
 def integrate_semi_infinite(f: LogIntegrand, spec: QuadratureSpec) -> IntegralResult:

@@ -172,16 +172,14 @@ def read_csv(path: str) -> list[ScanRow]:
         return parse_csv(fh.read())
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi] with a 1-2-5 step."""
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    """Round tick positions covering [lo, hi], lo < hi, with a 1-2-5 step
+    that gives at most five intervals."""
     span = hi - lo
-    if span <= 0:
-        return [lo]
-    raw = span / max(target, 1)
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(span / 5))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
-        if span / step <= target:
+        if span / step <= 5:
             break
     first = math.ceil(lo / step) * step
     ticks = []

@@ -598,6 +598,9 @@ class TestSpecValidation:
             Envelopes(math.inf, 1.0)
         with pytest.raises(ParameterError):
             Envelopes(0.0, 1.0, -1.0)
+        for start in (math.inf, math.nan):
+            with pytest.raises(ParameterError, match="finite"):
+                Envelopes(0.0, 1.0, start)
         with pytest.raises(ParameterError):
             Envelopes([], [])
         assert len(Envelopes([0.0, 1.0, 2.0], 1.0)) == 3

@@ -480,6 +480,17 @@ class TestSharedWork:
         logdet(SpherePoint(d, (d - 1) // 2), method)
         assert seen["sweeps"] == 1
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_grid_and_scan_routes_accept_their_first_layout(self, method, monkeypatch):
+        # the same for every call of the 55-point grid (d = 3..21) and of
+        # scan_k(35) at the default tolerance
+        seen = self._counting(monkeypatch)
+        grid = [(d, k) for d in range(3, 22, 2) for k in range(1, (d - 1) // 2 + 1)]
+        for d, k in grid + [(35, k) for k in range(1, 18)]:
+            seen["sweeps"] = 0
+            logdet(SpherePoint(d, k), method)
+            assert seen["sweeps"] == 1, (d, k)
+
 
 # log 2^-(p-2) I(a, p) of the rows tests/_oracles.py BOUND_ROWS, from
 # mpmath quadrature at 30 digits

@@ -1,0 +1,119 @@
+"""Print one line per outcome of a fixed set of route and quadrature calls.
+
+A line names the call (the point and route, or the batch and its row), the
+tolerance, then either ``float.hex`` of the value and the estimate and the
+panel count, or the error's type and message.  Run it on two checkouts and
+``diff`` the outputs to see every value, estimate, panel count and error a
+change moves:
+
+    PYTHONPATH=src python tools/outcomes.py > outcomes.txt
+
+The set: the four routes on the 55-point grid (d = 3..21), the points of
+``scan_k(35)``, the diagonal k = (d-1)/2 for d = 3..1025, k in {1, 2, 3,
+(d-1)//4} at d in {101, 301, 1023, 1025} and six points past the diagonal's
+easy cases, at the default ``Tolerance`` and at ``max_panels`` 4 and 16,
+and at ``rel_tol`` 1e-12 and 1e-15 for d <= 301; then a spike batch and a
+signed batch of ``integrate_staged`` at four tolerances.  A route's panel
+count is that of its one batched quadrature call (``spectral._integrals``).
+"""
+
+from __future__ import annotations
+
+from itertools import chain
+
+import numpy as np
+
+from gjmsdet import METHODS, SpherePoint, spectral
+from gjmsdet.quadrature import Envelopes, Tolerance, _PlainIntegrand, integrate_staged
+
+
+def points():
+    """The (d, k) of every route outcome, in order."""
+    grid = {(d, k) for d in range(3, 22, 2) for k in range(1, (d - 1) // 2 + 1)}
+    grid |= {(35, k) for k in range(1, 18)}
+    grid |= {(d, (d - 1) // 2) for d in range(3, 1026, 2)}
+    grid |= {(d, k) for d in (101, 301, 1023, 1025) for k in (1, 2, 3, (d - 1) // 4)}
+    grid |= {(1035, 517), (1023, 100), (301, 40), (1075, 1), (1101, 1), (301, 150)}
+    return sorted(grid)
+
+
+def _tol(t: Tolerance) -> str:
+    return f"rel_tol={t.rel_tol!r},abs_tol={t.abs_tol!r},max_panels={t.max_panels}"
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def route_lines(panels: list):
+    """The route outcomes; ``panels`` collects the panel counts of the
+    quadrature calls of each route call."""
+    wide = [Tolerance(), Tolerance(max_panels=4), Tolerance(max_panels=16)]
+    tight = [Tolerance(rel_tol=1e-12), Tolerance(rel_tol=1e-15)]
+    for d, k in points():
+        for tol in wide + (tight if d <= 301 else []):
+            for method in METHODS:
+                panels.clear()
+                try:
+                    res = spectral.logdet(SpherePoint(d, k), method, tol)
+                    out = f"{res.value.hex()} {res.err_estimate.hex()} {sum(panels)}"
+                except Exception as exc:  # every error is an outcome to compare
+                    out = _error(exc)
+                yield f"({d}, {k}) {method} {_tol(tol)}: {out}"
+
+
+# rows 0-6 are e^(-10 x); rows 7 and 8 hold width-0.0005 spikes at x = 2, 3
+_SPIKE_CENTERS = np.array([0.0] * 7 + [2.0, 3.0])
+_SPIKES = Envelopes([0.0] * 7 + [3.001, 4.001], [10.0] * 7 + [1.0, 1.0])
+
+
+def _spikes(x, row):
+    return np.where(row < 7, -10.0 * x, -4e6 * (x - _SPIKE_CENTERS[row]) ** 2), 1.0
+
+
+# e^(-r x) cos(w x) over a spread of decay rates r and frequencies w; at
+# r = 8 the first layout's last panel [8, 10] is sampled, yet lies past the
+# cut its row's target sets
+_RATES = np.array([0.5, 1.0, 2.0, 5.0, 8.0, 10.0, 50.0, 400.0])
+_FREQS = np.array([3.0, 1.0, 7.0, 2.0, 3.0, 20.0, 5.0, 1.0])
+_SIGNED = Envelopes(0.0, _RATES)
+
+
+def _signed(x, row):
+    c = np.cos(_FREQS[row] * x)
+    return np.log(np.abs(c)) - _RATES[row] * x, np.sign(c)
+
+
+def batch_lines():
+    tols = [Tolerance(), Tolerance(rel_tol=1e-13), Tolerance(rel_tol=1e-15),
+            Tolerance(max_panels=16)]
+    for name, f, env in (("spikes", _spikes, _SPIKES), ("signed", _signed, _SIGNED)):
+        for tol in tols:
+            try:
+                rows = integrate_staged(_PlainIntegrand(f), env, tol)
+            except Exception as exc:
+                yield f"{name} {_tol(tol)}: {_error(exc)}"
+                continue
+            for r, (v, e, n, failed) in enumerate(
+                zip(rows.value.tolist(), rows.err_estimate.tolist(),
+                    rows.panels_used.tolist(), rows.failed.tolist())
+            ):
+                yield f"{name} row {r} {_tol(tol)}: {v.hex()} {e.hex()} {n} failed={failed}"
+
+
+def main() -> None:
+    panels = []
+    integrals = spectral._integrals
+
+    def counted(*args, **kwargs):
+        rows = integrals(*args, **kwargs)
+        panels.append(int(rows[3].sum()))
+        return rows
+
+    spectral._integrals = counted
+    for line in chain(route_lines(panels), batch_lines()):
+        print(line)
+
+
+if __name__ == "__main__":
+    main()
