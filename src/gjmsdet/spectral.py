@@ -43,7 +43,23 @@ at most eps rel_tol max_s |w_s| B_s / n (eps binary64 epsilon, n rows)
 and adds the skipped rows' |w_r| B_r to the estimate, as their binary64
 sum rounded up by the factor 1 + 2 m eps (m rows skipped).  On the
 diagonal ``sum`` then integrates 13 of its 510 rows at d = 1021 and 17 of
-192 at d = 385, ``product_rule`` 215 and 125; at d <= 65 no row is skipped.
+192 at d = 385, and ``product_rule``'s plans keep 215 and 125 (but are
+refused, below); at d <= 65 no row is skipped.
+
+Before the skipping, a plan that binary64 cannot resolve is refused.
+``_log_mass_lower`` bounds each scaled row integral from below by L(a, p)
+in closed form, and the round-off floor that every
+accepted panel is charged puts the result's estimate above 2 eps
+sum_r |w_r| L_r.  Where eps sum_r |w_r| L_r exceeds max(abs_tol, rel_tol
+2/(pi (d-2k))), 2/(pi (d-2k)) bounding |log det P_2k(d)|, the estimate
+could not meet the tolerance, and ``logdet`` raises
+UnsupportedArgumentError instead.  At the default ``Tolerance`` this
+refuses ``product_rule``, whose binomial weights cancel, on the diagonal
+from d = 91 on, and at no point of the 55-point grid or of ``scan_k(35)``.
+The floor of ``sum``, whose weights are +-1, stays below 1e-17, so it is
+not refused at an abs_tol of 1e-15 or more; ``direct`` and ``chebyshev``
+have one row and are never refused.  Every result still returned is
+unchanged, bit for bit.
 
 The numpy-free exact layer (``SpherePoint``, ``LogDetResult``, ``METHODS``,
 ``zeta_odd``, ``ClosedForm`` and ``closed_form_p4``) lives in ``exact`` and
@@ -57,6 +73,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -218,7 +235,7 @@ class _LogIntegrand:
 
 def _end_magnitude(term):
     """max(|term|) over the first and last node of each panel (line)."""
-    return np.abs(term[:, [0, -1]]).max(axis=1)
+    return np.maximum(np.abs(term[:, 0]), np.abs(term[:, -1]))
 
 
 def _envelope(a, p):
@@ -256,6 +273,30 @@ def _log_mass_bound(a, p):
         + p / (12.0 * u * w)  # 1/(12u) + 1/(12w)
         + np.log((a + a) / (w - 1.0))  # 4a/(p-2a-1)
         + _LOG_BOUND_CONST
+    )
+
+
+# log of (sqrt(pi) erf(2)/4 - e^-4)/2, half of int_0^2 t^2 e^(-t^2) dt
+_LOG_LOWER_CONST = math.log(0.5 * (0.25 * math.sqrt(math.pi) * math.erf(2.0) - math.exp(-4.0)))
+
+
+def _log_mass_lower(a, p):
+    """log of a lower bound L(a, p) on the scaled row integral
+    2^-(p-2) I(a, p), elementwise for rows with a > 0:
+
+        L = a 2^-(p-2) pi/(32/p + pi^2) (8/p)^(3/2)
+            (sqrt(pi) erf(2)/4 - e^-4) / 2.
+
+    On [0, X] with X^2 = 32/p, pi/(x^2+pi^2) >= pi/(X^2+pi^2),
+    sinh(x/2) sinh(a x) >= a x^2/2 and cosh^p(x/2) <= e^(p x^2/8), and
+    int_0^X x^2 e^(-p x^2/8) dx = (8/p)^(3/2) (sqrt(pi) erf(2)/4 - e^-4).
+    It lies within e^0.06 of the integral at (1, 1022) and within e^1.6 at
+    (1, 4), and far below it where a nears p/2 and the integrand peaks past
+    X.  Its rounding, a relative few eps p on the log, is far inside the
+    factor-2 margin of the refusal that uses it (``_check_round_off_floor``)."""
+    return (
+        np.log(a) - (p - 2.0) * _LN2 + _LNPI - np.log(32.0 / p + _PISQ)
+        + 1.5 * np.log(8.0 / p) + _LOG_LOWER_CONST
     )
 
 
@@ -315,6 +356,30 @@ def _reduce(where: str, sign: int, weights, rows, skipped: float = 0.0) -> Tuple
     return value, err
 
 
+def _alternating(k: int):
+    """(-1)^(k-1-j) for j < k, as binary64."""
+    return np.where(np.arange(k - 1, -1, -1) % 2, -1.0, 1.0)
+
+
+@lru_cache(maxsize=None)
+def _product_weights(k: int):
+    """The ``product_rule`` weights (-1)^(k-1+j) v_j(k), j < k, as a
+    read-only binary64 array (each power rounded once), built once per k.
+    Raises UnsupportedArgumentError where a power passes the binary64 range."""
+    rule = v_coefficients(k)
+    try:
+        powers = np.array(rule.v, dtype=float)
+    except OverflowError:  # from k = 742 on
+        raise UnsupportedArgumentError(
+            f"product rule at k = {k} needs powers v_j(k) up to "
+            f"2^{max(rule.v).bit_length() - 1}, past the binary64 limit "
+            f"{sys.float_info.max:.4g}"
+        ) from None
+    weights = _alternating(k) * powers
+    weights.flags.writeable = False
+    return weights
+
+
 def _plan(point: SpherePoint, method: str) -> tuple:
     """The rows (a, p), scalars or arrays, the weights as a binary64 array
     (each rounded once, as int * float rounds it) and the regrouping flag
@@ -322,20 +387,10 @@ def _plan(point: SpherePoint, method: str) -> tuple:
     d, k = point.d, point.k
     if method in ("direct", "chebyshev"):
         return k, d + 1, np.ones(1), method == "chebyshev"
-    signs = np.where(np.arange(k - 1, -1, -1) % 2, -1.0, 1.0)  # (-1)^(k-1-j)
     if method == "sum":
-        return np.arange(k) + 0.5, d, signs, False
+        return np.arange(k) + 0.5, d, _alternating(k), False
     if method == "product_rule":
-        rule = v_coefficients(k)
-        try:
-            powers = np.array(rule.v, dtype=float)
-        except OverflowError:  # from k = 742 on
-            raise UnsupportedArgumentError(
-                f"product rule at k = {k} needs powers v_j(k) up to "
-                f"2^{max(rule.v).bit_length() - 1}, past the binary64 limit "
-                f"{sys.float_info.max:.4g}"
-            ) from None
-        return 1.0, np.arange(d + 1, d - 2 * k + 1, -2), signs * powers, False
+        return 1.0, np.arange(d + 1, d - 2 * k + 1, -2), _product_weights(k), False
     raise UnsupportedArgumentError(
         f"unknown method {method!r}; expected one of {METHODS}"
     )
@@ -350,17 +405,60 @@ def logdet(
     the route's rows integrated in one batch, then s(d,k) times their
     weighted sum, with the estimates summed at the weights' magnitudes.
 
-    A plan of more than one row first drops the rows whose bound mass
-    |w_r| B_r is at most eps rel_tol max_s |w_s| B_s / n; their summed
+    A plan of more than one row is first refused, with
+    UnsupportedArgumentError, if its round-off floor alone would put the
+    estimate past max(abs_tol, rel_tol 2/(pi (d-2k))) (see
+    ``_check_round_off_floor``): ``product_rule`` on the diagonal from
+    d = 91 at the default tolerance.  Else it drops the rows whose bound
+    mass |w_r| B_r is at most eps rel_tol max_s |w_s| B_s / n; their summed
     bound mass is added to the estimate (see ``_drop_negligible``).  Out
     of panels, raises an AccuracyError named by route and point, in log-det units."""
+    where = f"{method} at d={point.d}, k={point.k}"
     a, p, weights, regrouped = _plan(point, method)
     skipped = 0.0
     if weights.size > 1:
+        # |log det P_2k(d)| <= 2/(pi (d-2k)) at every point: the derivation
+        # is in the docstring of test_criterion_5_additive_spread_window
+        value_bound = 2.0 / (math.pi * (point.d - 2 * point.k))
+        _check_round_off_floor(where, a, p, weights, tolerance, value_bound)
         a, p, weights, skipped = _drop_negligible(a, p, weights, tolerance)
     rows = _integrals(a, p, tolerance, regrouped)
-    value, err = _reduce(f"{method} at d={point.d}, k={point.k}", point.sign, weights, rows, skipped)
+    value, err = _reduce(where, point.sign, weights, rows, skipped)
     return LogDetResult(value, err, method, point)
+
+
+def _check_round_off_floor(
+    where: str, a, p, weights, tolerance: Optional[Tolerance], value_bound: float
+) -> None:
+    """Raise UnsupportedArgumentError named ``where`` when the plan's
+    eps sum_r |w_r| L_r (L from ``_log_mass_lower``) exceeds the target
+    max(abs_tol, rel_tol value_bound), ``value_bound`` bounding |value|.
+
+    Every accepted panel is charged 2 eps (scale + 1) times its mass
+    (quadrature._ROUNDOFF), so each row's estimate is at least 2 eps times
+    its value; a skipped row is charged B_r >= J_r >= L_r, J_r its scaled
+    integral.  So the result's estimate is at least 2 eps sum |w_r| L_r,
+    and where eps sum |w_r| L_r > max(abs_tol, rel_tol value_bound) it
+    exceeds max(abs_tol, rel_tol |value|): the result would be outside its
+    tolerance.  The left side takes eps, not 2 eps, as a safety margin."""
+    tol = Tolerance() if tolerance is None else tolerance
+    # in log space: the weights reach 2^1023 and rel_tol may be subnormal
+    lower = _log_mass_lower(np.asarray(a, dtype=float), np.asarray(p, dtype=float))
+    lower += np.log(np.abs(weights))
+    top = lower.max()
+    log_floor = math.log(_EPS) + top + math.log(np.exp(lower - top).sum())
+    log_target = max(
+        math.log(tol.abs_tol) if tol.abs_tol else -math.inf,
+        math.log(tol.rel_tol) + math.log(value_bound),
+    )
+    if log_floor > log_target:
+        # 2 eps sum |w_r| L_r < 2 eps n 2^1024, as every L_r < 1: exp cannot overflow
+        raise UnsupportedArgumentError(
+            f"{where}: binary64 round-off puts a floor of at least "
+            f"{2.0 * math.exp(log_floor):.3g} under its estimate, over twice the "
+            f"target max(abs_tol, rel_tol * {value_bound:.3g}) = "
+            f"{max(tol.abs_tol, tol.rel_tol * value_bound):.3g}; refused before integrating"
+        )
 
 
 def _drop_negligible(a, p, weights, tolerance: Optional[Tolerance]) -> tuple:
@@ -414,7 +512,9 @@ def logdet_product_rule(
     point: SpherePoint, tolerance: Optional[Tolerance] = None
 ) -> LogDetResult:
     """log det P_2k(d) = sum_j v_j(k) log det P_2(d - 2j).  Raises
-    UnsupportedArgumentError where a power passes the binary64 range."""
+    UnsupportedArgumentError where a power passes the binary64 range, and
+    where the weights' cancellation leaves a round-off floor above the
+    target (see ``logdet``)."""
     return logdet(point, "product_rule", tolerance)
 
 

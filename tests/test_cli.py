@@ -123,6 +123,22 @@ class TestEval:
         assert out == ""
         assert "k = 742" in err
 
+    def test_product_rule_round_off_floor_is_usage_error(self, capsys):
+        # its weights cancel past what binary64 resolves: refused before integrating
+        code, out, err = run(
+            ["eval", "--d", "301", "--k", "150", "--method", "product"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "product_rule at d=301, k=150" in err and "floor" in err
+
+    def test_method_all_stops_on_the_product_rule_refusal(self, capsys):
+        # at the default --tol from d = 91 on the diagonal, and not at d = 89
+        assert run(["eval", "--d", "89", "--k", "44"], capsys)[0] == 0
+        code, out, err = run(["eval", "--d", "91", "--k", "45"], capsys)
+        assert (code, out) == (2, "")
+        assert "product_rule at d=91, k=45" in err
+
     def test_underflowed_zero_carries_the_sign_on_every_route(self, capsys):
         # s(1101, 1) = -1, and every route's value underflows to zero
         code, out, _ = run(["eval", "--d", "1101", "--k", "1"], capsys)

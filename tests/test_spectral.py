@@ -301,8 +301,20 @@ class TestLogdetProductRule:
             logdet_product_rule(SpherePoint(1485, 742))
 
     def test_last_order_with_binary64_powers(self):
-        res = logdet_product_rule(SpherePoint(1483, 741))
-        assert math.isfinite(res.value) and math.isfinite(res.err_estimate)
+        # every power of k = 741 is a binary64 number, so the point is
+        # refused for its round-off floor, not for the range of its powers
+        weights = spectral._product_weights(741)
+        assert np.isfinite(weights).all() and np.abs(weights).max() > 2.0**1000
+        with pytest.raises(UnsupportedArgumentError, match="d=1483, k=741: binary64 round-off"):
+            logdet_product_rule(SpherePoint(1483, 741))
+
+    def test_weights_are_built_once_per_k(self):
+        weights = spectral._product_weights(9)
+        assert spectral._plan(SpherePoint(19, 9), "product_rule")[2] is weights
+        assert spectral._plan(SpherePoint(21, 9), "product_rule")[2] is weights
+        assert not weights.flags.writeable
+        powers = spectral.v_coefficients(9).v
+        assert weights.tolist() == [(-1) ** (9 - 1 + j) * v for j, v in enumerate(powers)]
 
 
 class TestPastBinary64Envelope:
@@ -316,9 +328,15 @@ class TestPastBinary64Envelope:
         assert abs(res.value - REF_D1025K512) <= 10.0 * res.err_estimate
 
     def test_product_rule_runs_at_d1025(self):
-        # its value is lost to cancellation along the diagonal, but the base
-        # integrals no longer fail
-        assert math.isfinite(logdet_product_rule(SpherePoint(1025, 512)).value)
+        # its base integrals past the binary64 envelope do not fail: at k = 42
+        # its value lies within the estimates of direct's; on the diagonal its
+        # cancellation leaves a round-off floor far above the target, and the
+        # point is refused before integrating
+        point = SpherePoint(1025, 42)
+        res, ref = logdet_product_rule(point), logdet_direct(point)
+        assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
+        with pytest.raises(UnsupportedArgumentError, match="d=1025, k=512: binary64 round-off"):
+            logdet_product_rule(SpherePoint(1025, 512))
 
     @pytest.mark.parametrize("method", ["direct", "sum", "chebyshev"])
     def test_overflowing_integral_raises_evaluation_error(self, method):
@@ -378,6 +396,16 @@ class TestEveryPointEndsCleanly:
         # a rel_tol past n / eps once made the row-skipping cut positive and
         # emptied the plan, which raised a raw IndexError
         _ends_cleanly(point, Tolerance(rel_tol, abs_tol, max_panels))
+
+
+def _run_anyway(point, method, tolerance=None):
+    """(value, estimate) that ``logdet`` would return at ``point`` without
+    its round-off refusal: the plan's rows left by the skipping, integrated
+    and reduced."""
+    a, p, weights, regrouped = spectral._plan(point, method)
+    a, p, weights, skipped = spectral._drop_negligible(a, p, weights, tolerance)
+    rows = spectral._integrals(a, p, tolerance, regrouped)
+    return spectral._reduce(method, point.sign, weights, rows, skipped)
 
 
 def _staged_rows(a, p, regrouped, tolerance):
@@ -475,10 +503,27 @@ class TestSharedWork:
     @pytest.mark.parametrize("d", [3, 65, 385, 1021, 1025])
     def test_diagonal_routes_accept_their_first_layout(self, method, d, monkeypatch):
         # the README's claim: on the diagonal every route accepts its first
-        # layout whole, so its one quadrature call runs one sweep
+        # layout whole, so its one quadrature call runs one sweep; from
+        # d = 91 product_rule is refused before any sweep, and accepts its
+        # first layout at k = 42 instead
         seen = self._counting(monkeypatch)
-        logdet(SpherePoint(d, (d - 1) // 2), method)
+        point = SpherePoint(d, (d - 1) // 2)
+        if method == "product_rule" and d >= 91:
+            with pytest.raises(UnsupportedArgumentError, match="round-off"):
+                logdet(point, method)
+            assert seen["sweeps"] == 0
+            point = SpherePoint(d, 42)
+        logdet(point, method)
         assert seen["sweeps"] == 1
+
+    def test_end_magnitude_is_the_end_nodes_max(self):
+        # bit for bit the max over the fancy-indexed end columns, inf and NaN too
+        rng = np.random.default_rng(7)
+        t = rng.standard_normal((64, 65)) * 1e3
+        t[3, 0], t[4, -1], t[5, 0], t[6, -1] = -np.inf, np.inf, np.nan, np.nan
+        got = spectral._end_magnitude(t)
+        want = np.abs(t[:, [0, -1]]).max(axis=1)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("method", METHODS)
     def test_grid_and_scan_routes_accept_their_first_layout(self, method, monkeypatch):
@@ -529,6 +574,22 @@ class TestMassBound:
         assert LOG_ROW_REFS[row] <= log_bound <= LOG_ROW_REFS[row] + 3.5
         assert LOG_ROW_REFS[row] <= log_bound - math.log(2.0) + 1e-9
 
+    @pytest.mark.parametrize("row", LOG_ROW_REFS)
+    def test_lower_bound_lies_below_the_row_integral(self, row):
+        # L(a, p) of ``_log_mass_lower``: within e^0.1 where the integrand
+        # sits near x = 0 (a = 1, p large), and below B(a, p) everywhere
+        a, p = np.array(row, dtype=float)
+        lower = spectral._log_mass_lower(a, p)
+        assert lower <= LOG_ROW_REFS[row] <= spectral._log_mass_bound(a, p)
+        if a == 1 and p >= 194:
+            assert LOG_ROW_REFS[row] - lower < 0.1
+
+    def test_lower_bound_lies_below_the_upper_bound(self):
+        p = np.arange(3.0, 4002.0)
+        for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+            a = 0.5 + frac * 0.5 * (p - 3.0)  # 1/2 <= a <= (p-2)/2
+            assert np.all(spectral._log_mass_lower(a, p) < spectral._log_mass_bound(a, p))
+
     @pytest.mark.parametrize("p", [3, 4, 9, 64, 65, 385, 1022, 4001])
     def test_stirling_forms_bound_the_gamma_ratio(self, p):
         # without its log 2 margin the bound exceeds the exact Gamma form by
@@ -556,8 +617,8 @@ class TestRowSkipping:
     estimate (deterministic work counts)."""
 
     @staticmethod
-    def _integrated(point, method, monkeypatch):
-        """The result of ``logdet`` and the (a, p) rows it integrated."""
+    def _recording(monkeypatch):
+        """The list of the (a, p) rows ``_integrals`` integrates from here on."""
         seen = []
         integrals = spectral._integrals
 
@@ -567,12 +628,28 @@ class TestRowSkipping:
             return integrals(a, p, *args)
 
         monkeypatch.setattr(spectral, "_integrals", recording)
+        return seen
+
+    def _integrated(self, point, method, monkeypatch):
+        """The result of ``logdet`` and the (a, p) rows it integrated."""
+        seen = self._recording(monkeypatch)
         return logdet(point, method), seen
 
     @pytest.mark.parametrize("method, most", [("sum", 20), ("product_rule", 0.6 * 510)])
     def test_diagonal_integrates_few_rows(self, method, most, monkeypatch):
-        _, seen = self._integrated(SpherePoint(1021, 510), method, monkeypatch)
-        assert 0 < len(seen) <= most
+        point = SpherePoint(1021, 510)
+        if method == "sum":
+            _, seen = self._integrated(point, method, monkeypatch)
+            assert 0 < len(seen) <= most
+            return
+        # product_rule is refused with no row integrated, and its plan's
+        # skipping, run anyway, keeps few rows
+        seen = self._recording(monkeypatch)
+        with pytest.raises(UnsupportedArgumentError, match="round-off"):
+            logdet(point, method)
+        assert seen == []
+        kept = spectral._drop_negligible(*spectral._plan(point, method)[:3], None)[2]
+        assert 0 < kept.size <= most
 
     @pytest.mark.parametrize("d,k,method", [
         (1021, 510, "direct"), (1021, 510, "chebyshev"),
@@ -601,38 +678,65 @@ class TestRowSkipping:
         (1029, 178, "sum"), (1025, 42, "product_rule"),
     ])
     def test_skipped_mass_is_charged_to_the_estimate(self, d, k, method, monkeypatch):
-        # the threshold eps rel_tol max_s |w_s| B_s / n, recomputed here
+        # the threshold eps rel_tol max_s |w_s| B_s / n, recomputed here; a
+        # product_rule plan refused on the diagonal is checked as run anyway,
+        # and its estimate must then miss the target that refused it
         point = SpherePoint(d, k)
-        res, seen = self._integrated(point, method, monkeypatch)
+        refused = method == "product_rule" and k == (d - 1) // 2
+        seen = self._recording(monkeypatch)
+        if refused:
+            with pytest.raises(UnsupportedArgumentError, match="round-off"):
+                logdet(point, method)
+            assert seen == []
+        else:
+            res = logdet(point, method)
         plan = spectral._plan(point, method)
         weights, regrouped = plan[2:]
         a, p = np.broadcast_arrays(np.asarray(plan[0], float), np.asarray(plan[1], float))
         mass = spectral._log_mass_bound(a, p) + np.log(np.abs(weights))
         cut = mass.max() + math.log(sys.float_info.epsilon * Tolerance().rel_tol / k)
         skipped = mass <= cut
-        rows = zip(a.tolist(), p.tolist())
-        assert seen == [row for row, s in zip(rows, skipped.tolist()) if not s]
         kept_a, kept_p, kept_w, charge = spectral._drop_negligible(*plan[:3], None)
+        kept = list(zip(*(v.tolist() for v in np.broadcast_arrays(kept_a, kept_p))))
+        rows = zip(a.tolist(), p.tolist())
+        assert kept == [row for row, s in zip(rows, skipped.tolist()) if not s]
+        if not refused:
+            assert seen == kept
         # the charge bounds the skipped masses' exact sum from above, and
         # tightly: within 4 n eps, plus the n 2^-1074 that the underflow
         # widening adds below the normal range
         n, exact = np.count_nonzero(skipped), math.fsum(np.exp(mass[skipped]).tolist())
         eps = sys.float_info.epsilon
         assert 0.0 < exact <= charge <= exact * (1 + 4 * n * eps) + n * math.ulp(0.0)
-        _, errs, failed, _ = spectral._integrals(kept_a, kept_p, None, regrouped)
+        values, errs, failed, _ = spectral._integrals(kept_a, kept_p, None, regrouped)
         assert not failed.any()
         terms = [abs(w) * e for w, e in zip(kept_w.tolist(), errs.tolist())]
-        assert res.err_estimate == math.fsum([*terms, charge]) >= charge
+        err = math.fsum([*terms, charge])
+        assert err >= charge
+        if refused:
+            value = math.fsum((kept_w * values).tolist())
+            assert err > max(Tolerance().abs_tol, Tolerance().rel_tol * abs(value))
+        else:
+            assert res.err_estimate == err
 
     @pytest.mark.parametrize("d,k,method", [
         (5, 2, "sum"), (21, 10, "product_rule"), (385, 192, "product_rule"),
         (1021, 510, "product_rule"),
     ])
     def test_tiny_rel_tol_still_integrates(self, d, k, method):
-        # eps rel_tol / n underflows to zero here, so the cut is taken in log space
-        res = logdet(SpherePoint(d, k), method, Tolerance(rel_tol=1e-310))
-        ref = logdet(SpherePoint(d, k), method)
-        assert abs(res.value - ref.value) <= res.err_estimate + ref.err_estimate
+        # eps rel_tol / n underflows to zero here, so the cut is taken in log
+        # space; product_rule from d = 91 is refused at both tolerances and
+        # checked as run anyway
+        point, tiny = SpherePoint(d, k), Tolerance(rel_tol=1e-310)
+        if d < 91:
+            res, ref = logdet(point, method, tiny), logdet(point, method)
+            res, ref = (res.value, res.err_estimate), (ref.value, ref.err_estimate)
+        else:
+            for tol in (tiny, None):
+                with pytest.raises(UnsupportedArgumentError, match="round-off"):
+                    logdet(point, method, tol)
+            res, ref = _run_anyway(point, method, tiny), _run_anyway(point, method)
+        assert abs(res[0] - ref[0]) <= res[1] + ref[1]
 
     def test_tiny_rel_tol_fails_only_as_the_quadrature_does(self):
         # a target past what binary64 can meet exhausts the panel budget
@@ -644,6 +748,73 @@ class TestRowSkipping:
         a, p, weights, charge = spectral._drop_negligible(1.0, [1022, 3000], np.ones(2), None)
         assert (a.tolist(), p.tolist(), weights.tolist()) == (1.0, [1022.0], [1.0])
         assert charge >= math.ulp(0.0)
+
+
+class TestRoundOffRefusal:
+    """A plan whose round-off floor, eps sum_r |w_r| L_r, exceeds its
+    target max(abs_tol, rel_tol 2/(pi (d-2k))) is refused before any row is
+    integrated; at the default tolerance that is product_rule on the
+    diagonal from d = 91, and no point of the grid or of scan_k(35)."""
+
+    @staticmethod
+    def _no_quadrature(monkeypatch):
+        def unused(*args):
+            raise AssertionError("a refused plan integrates nothing")
+
+        monkeypatch.setattr(spectral, "_integrals", unused)
+
+    def test_returns_where_binary64_resolves_the_weights(self):
+        points = [(d, (d - 1) // 2) for d in range(3, 90, 2)]
+        points += [(d, k) for d in range(3, 22, 2) for k in range(1, (d - 1) // 2 + 1)]
+        points += [(35, k) for k in range(1, 18)]
+        for d, k in points:
+            res = logdet(SpherePoint(d, k), "product_rule")
+            assert math.isfinite(res.value) and math.isfinite(res.err_estimate), (d, k)
+
+    def test_refuses_where_the_floor_exceeds_the_target(self, monkeypatch):
+        self._no_quadrature(monkeypatch)
+        points = [(d, (d - 1) // 2) for d in range(91, 1026, 2)] + [(1483, 741)]
+        for d, k in points:
+            with pytest.raises(UnsupportedArgumentError) as info:
+                logdet(SpherePoint(d, k), "product_rule")
+            message = str(info.value)
+            assert message.startswith(f"product_rule at d={d}, k={k}: binary64 round-off")
+            assert "floor" in message and "target" in message
+        # the other routes of these points are not refused
+        for method in ("direct", "sum", "chebyshev"):
+            with pytest.raises(AssertionError, match="integrates nothing"):
+                logdet(SpherePoint(301, 150), method)
+
+    @pytest.mark.parametrize("rel_tol, first", [(1e-8, 129), (1e-11, 91), (1e-12, 77)])
+    def test_the_first_refusal_moves_with_the_tolerance(self, rel_tol, first):
+        tol = Tolerance(rel_tol=rel_tol)
+        for d in range(3, first + 1, 2):
+            point = SpherePoint(d, (d - 1) // 2)
+            if d < first:
+                logdet(point, "product_rule", tol)
+            else:
+                with pytest.raises(UnsupportedArgumentError, match="round-off"):
+                    logdet(point, "product_rule", tol)
+
+    def test_refused_results_would_miss_their_tolerance(self):
+        # run anyway, each refused diagonal plan up to d = 301 returns an
+        # estimate above the floor the refusal names (2 eps sum |w_r| L_r)
+        # and above max(abs_tol, rel_tol |value|)
+        tol = Tolerance()
+        for d in range(91, 302, 2):
+            point = SpherePoint(d, (d - 1) // 2)
+            value, err = _run_anyway(point, "product_rule")
+            a, p, weights, _ = spectral._plan(point, "product_rule")
+            lower = np.exp(spectral._log_mass_lower(a, p.astype(float))) * np.abs(weights)
+            assert err >= 2.0 * sys.float_info.epsilon * math.fsum(lower.tolist()), d
+            assert err > max(tol.abs_tol, tol.rel_tol * abs(value)), d
+
+    def test_sum_is_not_refused_at_an_attainable_tolerance(self):
+        # rows of ``sum`` have weights +-1: their floor stays below 1e-17
+        for d in range(5, 1026, 2):
+            a, p, weights, _ = spectral._plan(SpherePoint(d, (d - 1) // 2), "sum")
+            lower = spectral._log_mass_lower(a, float(p)) + np.log(np.abs(weights))
+            assert math.log(sys.float_info.epsilon) + np.logaddexp.reduce(lower) < math.log(1e-17)
 
 
 # 30-digit references at the 83 points of the benchmark: the diagonal from
@@ -684,18 +855,24 @@ class TestAPrioriValueBound:
     """|log det P_2k(d)| = 2^-(d-1) I(k, d+1) <= B(k, d+1), the mass bound of
     the direct row, so every route's value lies within its estimate of
     that bound: a check in Gamma-function arithmetic that shares nothing
-    with the quadrature."""
+    with the quadrature.  product_rule is refused on the diagonal from
+    d = 91 and checked at (1025, 42) and (1023, 100) too."""
 
     POINTS = sorted(
         {(d, k) for d in range(3, 22, 2) for k in range(1, (d - 1) // 2 + 1)}
         | {(35, k) for k in range(1, 18)}
         | {(d, (d - 1) // 2) for d in (65, 127, 131, 255, 301, 511, 1023, 1025)}
+        | {(1025, 42), (1023, 100)}
     )
 
     @pytest.mark.parametrize("method", METHODS)
     def test_value_within_the_direct_row_bound(self, method):
-        assert len(self.POINTS) == 80
+        assert len(self.POINTS) == 82
         for d, k in self.POINTS:
+            if method == "product_rule" and d >= 91 and k == (d - 1) // 2:
+                with pytest.raises(UnsupportedArgumentError, match="round-off"):
+                    logdet(SpherePoint(d, k), method)
+                continue
             res = logdet(SpherePoint(d, k), method)
             bound = math.exp(spectral._log_mass_bound(float(k), float(d + 1)))
             assert abs(res.value) <= bound + res.err_estimate, (d, k)
@@ -742,12 +919,15 @@ class TestReducer:
         assert plan("sum") == ([0.5, 1.5, 2.5, 3.5], 9, [-1, 1, -1, 1], False)
         assert plan("product_rule") == (1.0, [10, 8, 6, 4], [-4, 10, -6, 1], False)
 
-    @pytest.mark.parametrize("d,k", [(529, 264), (1015, 507)])
-    @pytest.mark.parametrize("method", ["sum", "product_rule"])
-    def test_float_weights_reduce_as_integer_weights(self, d, k, method):
+    @pytest.mark.parametrize("method,d,k", [
+        ("sum", 529, 264), ("sum", 1015, 507), ("product_rule", 529, 264),
+        ("product_rule", 1015, 507), ("product_rule", 1025, 42),
+    ])
+    def test_float_weights_reduce_as_integer_weights(self, method, d, k):
         # the reducer of integer weights w_r (each rounded to binary64 by
         # int * float), on the rows that survive the skipping, gives the
-        # route's value and estimate bit for bit
+        # route's value and estimate bit for bit; product_rule on the
+        # diagonal is refused and checked as run anyway
         point = SpherePoint(d, k)
         if method == "sum":
             ints = [(-1) ** (k - 1 - j) for j in range(k)]
@@ -764,8 +944,13 @@ class TestReducer:
         assert not failed.any()
         value = point.sign * math.fsum(w * v for w, v in zip(kept_ints, values.tolist()))
         err = math.fsum([*(abs(w) * e for w, e in zip(kept_ints, errs.tolist())), skipped])
-        res = logdet(point, method)
-        assert (res.value, res.err_estimate) == (value, err)
+        if method == "product_rule" and k == (d - 1) // 2:
+            with pytest.raises(UnsupportedArgumentError, match="round-off"):
+                logdet(point, method)
+            assert _run_anyway(point, method) == (value, err)
+        else:
+            res = logdet(point, method)
+            assert (res.value, res.err_estimate) == (value, err)
 
     @pytest.mark.parametrize("d,k", [(9, 4), (21, 10), (65, 32)])
     def test_product_rule_weights_bit_for_bit(self, d, k):

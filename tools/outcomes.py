@@ -12,7 +12,7 @@ The set: the four routes on the 55-point grid (d = 3..21), the points of
 ``scan_k(35)``, the diagonal k = (d-1)/2 for d = 3..1025, k in {1, 2, 3,
 (d-1)//4} at d in {101, 301, 1023, 1025} and six points past the diagonal's
 easy cases, at the default ``Tolerance`` and at ``max_panels`` 4 and 16,
-and at ``rel_tol`` 1e-12 and 1e-15 for d <= 301; then a spike batch and a
+and at ``rel_tol`` 1e-8, 1e-12 and 1e-15 for d <= 301; then a spike batch and a
 signed batch of ``integrate_staged`` at four tolerances.  A route's panel
 count is that of its one batched quadrature call (``spectral._integrals``).
 """
@@ -49,7 +49,7 @@ def route_lines(panels: list):
     """The route outcomes; ``panels`` collects the panel counts of the
     quadrature calls of each route call."""
     wide = [Tolerance(), Tolerance(max_panels=4), Tolerance(max_panels=16)]
-    tight = [Tolerance(rel_tol=1e-12), Tolerance(rel_tol=1e-15)]
+    tight = [Tolerance(rel_tol=1e-8), Tolerance(rel_tol=1e-12), Tolerance(rel_tol=1e-15)]
     for d, k in points():
         for tol in wide + (tight if d <= 301 else []):
             for method in METHODS:
