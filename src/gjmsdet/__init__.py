@@ -60,14 +60,12 @@ def __getattr__(name: str):
 
 __version__ = "0.1.0"
 
-__all__ = [
+# every name imported above, and every name of _LAZY
+__all__ = sorted([
     "AccuracyError",
     "ClosedForm",
     "DivergentIntegralError",
-    "Envelopes",
     "EvaluationError",
-    "FactorIndex",
-    "IntegralResult",
     "InternalConsistencyError",
     "LogDetResult",
     "METHODS",
@@ -75,30 +73,12 @@ __all__ = [
     "OddChebyshev",
     "ParameterError",
     "ProductRule",
-    "QuadratureSpec",
-    "ScanRow",
     "SpherePoint",
-    "Tolerance",
     "UnsupportedArgumentError",
     "closed_form_p4",
     "eval_u",
-    "integrand_direct",
-    "integrate_rows",
-    "integrate_semi_infinite",
-    "logdet",
-    "logdet_chebyshev",
-    "logdet_direct",
-    "logdet_factor",
-    "logdet_product_rule",
-    "logdet_sum",
-    "read_csv",
-    "scan_k",
-    "scan_limiting",
-    "scan_paneitz",
-    "truncation_point",
     "u_coefficients",
     "v_coefficients",
-    "write_csv",
-    "write_svg",
     "zeta_odd",
-]
+    *_LAZY,
+])

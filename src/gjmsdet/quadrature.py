@@ -176,6 +176,12 @@ _TAIL_TOL_FLOOR = 1e-300
 _CHUNK_PANELS = 128
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is an int, a float or a numpy integer or float, the
+    reals the numpy arithmetic here takes (a Fraction is not); a bool is not."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Accuracy target and budget of an integral, shared by every row of a
@@ -184,8 +190,9 @@ class Tolerance:
     truncation point, ``max_panels`` the most 65-node panels a row may
     evaluate, though its first layout (about log2(truncation point) + 2
     panels, at least 5) is sampled whatever it is, but for the panels the
-    envelope prunes.  ``rel_tol`` must be positive and finite, ``abs_tol``
-    finite and non-negative, ``max_panels`` an integer (an int or a numpy
+    envelope prunes.  ``rel_tol`` must be a positive and finite real number,
+    ``abs_tol`` a finite and non-negative one (an int, a float or a numpy
+    integer or float, not a bool or a Fraction), ``max_panels`` an integer (an int or a numpy
     integer, stored as an int) of at least 4; anything else raises
     ParameterError.
 
@@ -202,9 +209,9 @@ class Tolerance:
 
     def __post_init__(self) -> None:
         # written so that NaN, which fails every comparison, is rejected too
-        if not 0 < self.rel_tol < math.inf:
+        if not (_is_real(self.rel_tol) and 0 < self.rel_tol < math.inf):
             raise ParameterError("rel_tol must be positive and finite")
-        if not 0 <= self.abs_tol < math.inf:
+        if not (_is_real(self.abs_tol) and 0 <= self.abs_tol < math.inf):
             raise ParameterError("abs_tol must be non-negative and finite")
         if not is_integer(self.max_panels):
             raise ParameterError("max_panels must be an integer")
@@ -218,13 +225,17 @@ class Envelopes:
     |f_r(x)| <= exp(log_const[r]) * e^(-rate[r] x) for x >= start[r].
 
     Scalars broadcast against the arrays; the attributes are 1-D float
-    arrays of the common length R.
+    arrays of the common length R.  A field that is not real (a str, a
+    bool, a complex number, None) raises ParameterError.
     """
 
     __slots__ = ("log_const", "rate", "start")
 
     def __init__(self, log_const, rate, start=0.0) -> None:
-        fields = [np.array(v, dtype=float, ndmin=1) for v in (log_const, rate, start)]
+        fields = [np.asarray(v) for v in (log_const, rate, start)]
+        if any(v.dtype.kind not in "iuf" for v in fields):
+            raise ParameterError("envelope fields must be real numbers")
+        fields = [np.array(v, dtype=float, ndmin=1) for v in fields]
         n_rows = max(v.size for v in fields)
         if n_rows == 0 or any(v.ndim != 1 or v.size not in (1, n_rows) for v in fields):
             raise ParameterError("envelope fields must be scalars or 1-D arrays of one length")
@@ -252,26 +263,25 @@ class QuadratureSpec:
 
     ``decay_rate`` is the exponent L of the envelope |f(x)| <= env_const *
     e^(-L x), valid for x >= env_start.  ``rel_tol``, ``abs_tol`` and
-    ``max_panels`` are as in ``Tolerance``.
+    ``max_panels`` are as in ``Tolerance``, and so are their defaults and
+    checks; ``decay_rate`` and ``env_start`` are checked by ``Envelopes``.
     """
 
     decay_rate: float
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-15
-    max_panels: int = 4096
+    rel_tol: float = Tolerance.rel_tol
+    abs_tol: float = Tolerance.abs_tol
+    max_panels: int = Tolerance.max_panels
     env_const: float = 1.0
     env_start: float = 0.0
 
     def __post_init__(self) -> None:
-        # written, as in Tolerance, so that NaN is rejected too
-        if not 0 < self.decay_rate < math.inf:
-            raise DivergentIntegralError("decay_rate must be positive and finite")
         # validates the tolerance fields and stores max_panels as an int
         object.__setattr__(self, "max_panels", self.tolerance.max_panels)
-        if not 0 < self.env_const < math.inf:
+        # before the math.log of it in ``envelope``; written, as in
+        # Tolerance, so that NaN is rejected too
+        if not (_is_real(self.env_const) and 0 < self.env_const < math.inf):
             raise ParameterError("env_const must be positive and finite")
-        if not 0 <= self.env_start < math.inf:
-            raise ParameterError("env_start must be non-negative and finite")
+        self.envelope  # checks decay_rate and env_start
 
     @property
     def tolerance(self) -> Tolerance:
@@ -279,8 +289,10 @@ class QuadratureSpec:
 
     @property
     def envelope(self) -> Envelopes:
-        """The one-row envelope of this spec."""
-        return Envelopes(math.log(self.env_const), self.decay_rate, self.env_start)
+        """The one-row envelope of this spec; a field given as a sequence or
+        an array, which ``Envelopes`` would read as rows, is 2-D here and
+        raises ParameterError."""
+        return Envelopes(math.log(self.env_const), [self.decay_rate], [self.env_start])
 
 
 @dataclass(frozen=True)

@@ -22,18 +22,27 @@ whether the integrand is regrouped:
     sum            j+1/2    d          (-1)^(k-1-j)               no
     product_rule   1        d-2j+1     (-1)^(k-1+j) v_j(k)        no
 
+``_plan`` is this table's one statement in code: a route's plan is its
+a_r, p_r and w_r as float64 arrays of one length (1 for ``direct`` and
+``chebyshev``, k for the others) and its regrouping flag, and every later
+step (the bounds, the refusal, the skipping, the integrand) takes those
+arrays as they are.  ``integrand_direct`` evaluates the ``direct`` plan's
+row.
+
 ``direct`` is the single integral; ``chebyshev`` regroups it through
 sinh(kx)/sinh(x/2) = U_{2k-1}(cosh(x/2)); ``sum`` integrates the factors
 log det(B^2 - alpha_j^2), alpha_j = j + 1/2; ``product_rule`` takes the
 integer powers v_j(k) of the k = 1 determinants at d, d-2, ..., d-2k+2.
 
 Sign convention: the per-factor representation is implemented with sign
-(-1)^((d-1)/2 + j + 1).  Summing the factors through the geometric identity
-sum_{j<k} (-1)^j sinh((j+1/2)x) = (-1)^(k-1) sinh(kx) / (2 cosh(x/2)) then
-reproduces s(d,k) above exactly, which is why ``sum`` has the weights
-(-1)^(k-1-j); the opposite per-factor sign would flip every k and
-contradict the k = 1 case.  A route's value is s(d,k) times the weighted
-sum, so a result that underflows to zero still carries s(d,k).
+(-1)^((d-1)/2 + j + 1), that is s(d, j+1), as factor j is the last row of
+``sum`` at k = j+1, of weight +1.  Summing the factors through the
+geometric identity sum_{j<k} (-1)^j sinh((j+1/2)x) = (-1)^(k-1) sinh(kx) /
+(2 cosh(x/2)) then reproduces s(d,k) above exactly, which is why ``sum``
+has the weights (-1)^(k-1-j); the opposite per-factor sign would flip
+every k and contradict the k = 1 case.  A route's value is s(d,k) times
+the weighted sum, so a result that underflows to zero still carries
+s(d,k).
 
 Rows that cannot matter are not integrated.  ``_log_mass_bound`` bounds
 each scaled row integral 2^-(p-2) I(a, p) by B(a, p) in closed form (Gamma
@@ -163,9 +172,8 @@ class _LogIntegrand:
     for the rows r of ``a`` and ``p``, evaluated in the quadrature's two
     stages.
 
-    The one integrand behind every route: the direct integral is a = k,
-    p = d+1; factor j of ``sum`` is a = j+1/2, p = d; base j of
-    ``product_rule`` is a = 1, p = d-2j+1.  With ``regrouped`` it is the
+    The one integrand behind every route, at the rows of its plan
+    (``_plan``), equal-length float arrays.  With ``regrouped`` it is the
     Chebyshev regrouping of ``chebyshev``: sinh^2(x/2) U_{2a-1}(cosh(x/2))
     replaces sinh(x/2) sinh(a x), with U in its hyperbolic form
     sinh(a x)/sinh(x/2) so the log-space pipeline stays finite at large x.
@@ -186,11 +194,8 @@ class _LogIntegrand:
     __slots__ = ("a", "p", "regrouped", "common_a")
 
     def __init__(self, a, p, regrouped: bool = False) -> None:
-        a = np.array(a, dtype=float, ndmin=1)
-        p = np.array(p, dtype=float, ndmin=1)
+        self.a, self.p, self.regrouped = a, p, regrouped
         self.common_a = float(a[0]) if a.size == 1 or (a == a[0]).all() else None
-        self.a, self.p = (a, p) if a.size == p.size else np.broadcast_arrays(a, p)
-        self.regrouped = regrouped
 
     def _sinh_term(self, a, x, log_sinh_half):
         """log sinh(a x), or log(sinh(a x)/sinh(x/2)) when regrouped."""
@@ -305,10 +310,10 @@ def integrand_direct(point: SpherePoint, x):
 
     The integrand  pi/(x^2+pi^2) sinh(x/2) sinh(kx) / cosh^(d+1)(x/2)  is
     strictly positive, so the sign is always +1.  Accepts a scalar or an
-    ndarray of abscissas.
+    ndarray of abscissas.  The row is the ``direct`` plan's.
     """
     xs = _check_abscissas(x)
-    f = _LogIntegrand(point.k, point.d + 1)
+    f = _LogIntegrand(*_plan(point, "direct")[:2])
     column = xs.reshape(-1, 1)  # one abscissa a panel
     with np.errstate(over="ignore"):  # x^2 overflows past 1e154; the limit is -inf
         logmag = f.per_pair(f.shared(column), 0)[0].reshape(xs.shape)
@@ -317,24 +322,19 @@ def integrand_direct(point: SpherePoint, x):
     return logmag, np.ones_like(logmag)
 
 
-def _integrals(a, p, tolerance: Optional[Tolerance], regrouped: bool = False) -> tuple:
+def _integrals(a, p, tolerance: Tolerance, regrouped: bool = False) -> tuple:
     """2^-(p_r-2) times the integral over [0, inf) of ``_LogIntegrand`` at
-    (a_r, p_r), for every row r of one batched quadrature call: values,
-    estimates, ``failed`` flags and panel counts as arrays.
+    (a_r, p_r), for every row r of the equal-length float arrays ``a`` and
+    ``p``, in one batched quadrature call: values, estimates, ``failed``
+    flags and panel counts as arrays.
 
     The scale is applied with ``np.ldexp``: exact while a value and its
     estimate stay normal.  Below 2^-1022 ldexp rounds each to the subnormal
     spacing 2^-1074 (a value may round to 0), so the estimate is then
     widened to cover both roundings and is never lost to underflow.
     """
-    integrand = _LogIntegrand(a, p, regrouped)
-    log_const, rate = _envelope(integrand.a, integrand.p)
-    rows = integrate_staged(
-        integrand,
-        Envelopes(log_const, rate),
-        Tolerance() if tolerance is None else tolerance,
-    )
-    shift = 2 - integrand.p.astype(int)
+    rows = integrate_staged(_LogIntegrand(a, p, regrouped), Envelopes(*_envelope(a, p)), tolerance)
+    shift = 2 - p.astype(int)
     value = np.ldexp(rows.value, shift)
     err = np.ldexp(rows.err_estimate, shift)
     tiny = np.minimum(np.abs(value), err) < sys.float_info.min
@@ -381,19 +381,28 @@ def _product_weights(k: int):
 
 
 def _plan(point: SpherePoint, method: str) -> tuple:
-    """The rows (a, p), scalars or arrays, the weights as a binary64 array
-    (each rounded once, as int * float rounds it) and the regrouping flag
-    of the route ``method`` at ``point``: the module docstring's table."""
+    """The module docstring's table, and its one statement in code: the rows
+    a and p and the weights (each rounded once, as int * float rounds it) of
+    the route ``method`` at ``point``, as float64 arrays of one length, and
+    the regrouping flag."""
     d, k = point.d, point.k
     if method in ("direct", "chebyshev"):
-        return k, d + 1, np.ones(1), method == "chebyshev"
+        return np.full(1, float(k)), np.full(1, d + 1.0), np.ones(1), method == "chebyshev"
     if method == "sum":
-        return np.arange(k) + 0.5, d, _alternating(k), False
+        return np.arange(k) + 0.5, np.full(k, float(d)), _alternating(k), False
     if method == "product_rule":
-        return 1.0, np.arange(d + 1, d - 2 * k + 1, -2), _product_weights(k), False
+        return np.ones(k), np.arange(d + 1.0, d - 2 * k + 1, -2), _product_weights(k), False
     raise UnsupportedArgumentError(
         f"unknown method {method!r}; expected one of {METHODS}"
     )
+
+
+def _resolved(tolerance: Optional[Tolerance]) -> Tolerance:
+    """``tolerance``, or the default for None; else ParameterError, before
+    any field of it is read."""
+    if not isinstance(tolerance, (Tolerance, type(None))):
+        raise ParameterError(f"tolerance must be a Tolerance, not {type(tolerance).__name__}")
+    return Tolerance() if tolerance is None else tolerance
 
 
 def logdet(
@@ -412,8 +421,10 @@ def logdet(
     d = 91 at the default tolerance.  Else it drops the rows whose bound
     mass |w_r| B_r is at most eps rel_tol max_s |w_s| B_s / n; their summed
     bound mass is added to the estimate (see ``_drop_negligible``).  Out
-    of panels, raises an AccuracyError named by route and point, in log-det units."""
+    of panels, raises an AccuracyError named by route and point, in log-det units.
+    A ``tolerance`` that is neither a Tolerance nor None raises ParameterError."""
     where = f"{method} at d={point.d}, k={point.k}"
+    tolerance = _resolved(tolerance)
     a, p, weights, regrouped = _plan(point, method)
     skipped = 0.0
     if weights.size > 1:
@@ -428,7 +439,7 @@ def logdet(
 
 
 def _check_round_off_floor(
-    where: str, a, p, weights, tolerance: Optional[Tolerance], value_bound: float
+    where: str, a, p, weights, tol: Tolerance, value_bound: float
 ) -> None:
     """Raise UnsupportedArgumentError named ``where`` when the plan's
     eps sum_r |w_r| L_r (L from ``_log_mass_lower``) exceeds the target
@@ -441,9 +452,8 @@ def _check_round_off_floor(
     and where eps sum |w_r| L_r > max(abs_tol, rel_tol value_bound) it
     exceeds max(abs_tol, rel_tol |value|): the result would be outside its
     tolerance.  The left side takes eps, not 2 eps, as a safety margin."""
-    tol = Tolerance() if tolerance is None else tolerance
     # in log space: the weights reach 2^1023 and rel_tol may be subnormal
-    lower = _log_mass_lower(np.asarray(a, dtype=float), np.asarray(p, dtype=float))
+    lower = _log_mass_lower(a, p)
     lower += np.log(np.abs(weights))
     top = lower.max()
     log_floor = math.log(_EPS) + top + math.log(np.exp(lower - top).sum())
@@ -461,16 +471,13 @@ def _check_round_off_floor(
         )
 
 
-def _drop_negligible(a, p, weights, tolerance: Optional[Tolerance]) -> tuple:
+def _drop_negligible(a, p, weights, tolerance: Tolerance) -> tuple:
     """The plan without its rows of bound mass |w_r| B_r at most
     eps rel_tol max_s |w_s| B_s / n (B from ``_log_mass_bound``, n rows),
-    the row of largest mass always kept: the rest's (a, p, weights), as
-    arrays, and the skipped rows' summed mass, rounded up, to charge to
-    the estimate."""
-    rel_tol = (Tolerance() if tolerance is None else tolerance).rel_tol
+    the row of largest mass always kept: the rest's (a, p, weights), and
+    the skipped rows' summed mass, rounded up, to charge to the estimate."""
     # in log space, since eps rel_tol / n may underflow for a small rel_tol
-    log_cut = math.log(_EPS) + math.log(rel_tol) - math.log(weights.size)
-    a, p = np.asarray(a, dtype=float), np.asarray(p, dtype=float)
+    log_cut = math.log(_EPS) + math.log(tolerance.rel_tol) - math.log(weights.size)
     mass = _log_mass_bound(a, p) + np.log(np.abs(weights))
     skip = mass <= mass.max() + log_cut
     skip[mass.argmax()] = False  # the cut is positive once rel_tol >= n / eps
@@ -484,7 +491,7 @@ def _drop_negligible(a, p, weights, tolerance: Optional[Tolerance]) -> tuple:
     if skipped < sys.float_info.min:  # each exp may have lost 2^-1074 to underflow
         skipped += tail.size * math.ulp(0.0)
     keep = ~skip
-    return a[keep] if a.ndim else a, p[keep] if p.ndim else p, weights[keep], skipped
+    return a[keep], p[keep], weights[keep], skipped
 
 
 def logdet_direct(
@@ -523,11 +530,13 @@ def logdet_factor(
 ) -> float:
     """log det(B^2 - alpha_j^2) on the odd d-sphere, alpha_j = j + 1/2.
 
-    Carries the sign (-1)^((d-1)/2 + j + 1); see the module docstring for
-    why this, and not (-1)^((d-1)/2 + j), is the convention consistent with
-    the direct k-th order integral.  Requires 2 alpha_j < d for convergence:
+    Carries the sign s(d, j+1) = (-1)^((d-1)/2 + j + 1) of ``SpherePoint(d,
+    j + 1)``; see the module docstring for why this, and not
+    (-1)^((d-1)/2 + j), is the convention consistent with the direct k-th
+    order integral.  Requires 2 alpha_j < d for convergence:
     the decay rate of the cosh^d integrand is (d - 1 - 2 alpha_j)/2.
-    Raises AccuracyError, named by factor and d, if its panels run out.
+    Raises AccuracyError, named by factor and d, if its panels run out, and
+    ParameterError for a ``tolerance`` that is neither a Tolerance nor None.
     """
     if d % 2 == 0 or d < 3:
         raise ParameterError("d must be odd and >= 3")
@@ -536,6 +545,7 @@ def logdet_factor(
             f"factor integral diverges: 2*alpha = {2 * factor.alpha} >= d = {d}"
         )
     require_integer("d", d)  # last, so the rejections above keep their messages
-    sign = -1 if ((d - 1) // 2 + factor.j + 1) % 2 else 1
-    rows = _integrals(factor.alpha, d, tolerance)
-    return _reduce(f"factor j={factor.j} at d={d}", sign, np.ones(1), rows)[0]
+    # factor j is the last row of ``sum`` at k = j + 1, of weight +1: its sign is s(d, j+1)
+    point = SpherePoint(d, factor.j + 1)
+    rows = _integrals(np.full(1, factor.alpha), np.full(1, float(d)), _resolved(tolerance))
+    return _reduce(f"factor j={factor.j} at d={d}", point.sign, np.ones(1), rows)[0]

@@ -553,6 +553,16 @@ class TestToleranceValidation:
         dict(max_panels=np.int64(3)),
         dict(max_panels=np.float64(4096.0)),
         dict(max_panels=np.bool_(True)),
+        # not real numbers, or bools: each once raised TypeError or passed
+        dict(rel_tol="1e-8"),
+        dict(rel_tol=None),
+        dict(rel_tol=True),
+        dict(rel_tol=np.bool_(True)),
+        dict(abs_tol=1j),
+        dict(abs_tol=False),
+        # a Fraction passed, then raised TypeError in the first numpy log
+        dict(rel_tol=Fraction(1, 10**8)),
+        dict(abs_tol=Fraction(0)),
     ]
 
     @pytest.mark.parametrize("fields", BAD)
@@ -565,6 +575,9 @@ class TestToleranceValidation:
     def test_accepts_edges(self):
         tol = Tolerance(rel_tol=1e-300, abs_tol=0.0, max_panels=4)
         assert (tol.rel_tol, tol.abs_tol, tol.max_panels) == (1e-300, 0.0, 4)
+        # any int, float or numpy integer or float, stored as given
+        tol = Tolerance(rel_tol=np.float32(1e-6), abs_tol=np.int64(0), max_panels=4)
+        assert (tol.rel_tol, tol.abs_tol) == (np.float32(1e-6), 0)
         for n in (np.int64(4), np.int32(4096)):
             for fields in (Tolerance(max_panels=n), QuadratureSpec(1.0, max_panels=n)):
                 assert fields.max_panels == n and type(fields.max_panels) is int
@@ -588,6 +601,42 @@ class TestSpecValidation:
         with pytest.raises(ParameterError):
             QuadratureSpec(decay_rate=1.0, max_panels=2)
 
+    def test_one_bad_field_keeps_its_error(self):
+        # the checks of decay_rate and env_start are those of Envelopes
+        for spec, error, message in [
+            (dict(decay_rate=-1.0), DivergentIntegralError,
+             "decay_rate must be positive and finite"),
+            (dict(rel_tol=math.nan), ParameterError, "rel_tol must be positive and finite"),
+            (dict(abs_tol=-1.0), ParameterError, "abs_tol must be non-negative and finite"),
+            (dict(max_panels=4.0), ParameterError, "max_panels must be an integer"),
+            (dict(env_const=0.0), ParameterError, "env_const must be positive and finite"),
+            (dict(env_start=-1.0), ParameterError, "env_start must be non-negative and finite"),
+        ]:
+            with pytest.raises(error, match=f"^{message}$"):
+                QuadratureSpec(**{"decay_rate": 1.0, **spec})
+
+    @pytest.mark.parametrize("fields", [
+        dict(decay_rate="1"),
+        dict(decay_rate=1.0, env_const="2"),
+        dict(decay_rate=1.0, env_const=True),
+        dict(decay_rate=1.0, env_start="0"),
+        dict(decay_rate=1j),
+        dict(decay_rate=[1.0, 2.0]),
+        dict(decay_rate=1.0, env_start=np.array([0.0, 1.0])),
+    ])
+    def test_rejects_malformed_fields(self, fields):
+        # each once raised TypeError or ValueError, or passed; a spec is one row
+        with pytest.raises(ParameterError):
+            QuadratureSpec(**fields)
+
+    @pytest.mark.parametrize("fields", [
+        ("a", 1), (0.0, "1"), (0.0, 1j), (0.0, True), (None, 1.0), (0.0, 1.0, [0.0, "x"]),
+    ])
+    def test_envelopes_reject_fields_that_are_not_real(self, fields):
+        # ("a", 1) once raised a bare ValueError
+        with pytest.raises(ParameterError, match="^envelope fields must be real numbers$"):
+            Envelopes(*fields)
+
     def test_envelopes_validation(self):
         for rate in (0.0, math.nan, math.inf):
             with pytest.raises(DivergentIntegralError):
@@ -610,6 +659,7 @@ class TestSpecValidation:
         assert spec.rel_tol == 1e-11
         assert spec.abs_tol == 1e-15
         assert spec.max_panels == 4096
+        assert spec.tolerance == Tolerance()
 
 
 class TestIntegralResultValidation:

@@ -23,6 +23,7 @@ from gjmsdet import (
     METHODS,
     FactorIndex,
     ParameterError,
+    QuadratureSpec,
     SpherePoint,
     Tolerance,
     UnsupportedArgumentError,
@@ -34,6 +35,7 @@ from gjmsdet import (
     logdet_factor,
     logdet_product_rule,
     logdet_sum,
+    scan_k,
     zeta_odd,
 )
 from gjmsdet.quadrature import Envelopes, integrate_staged
@@ -250,6 +252,20 @@ class TestLogdetFactor:
         with pytest.raises(DivergentIntegralError, match="2\\*alpha = 7.0 >= d = 5.5"):
             logdet_factor(5.5, FactorIndex(3))
 
+    @pytest.mark.parametrize("d", [3, 5, 7, 21, 35, 101, 1025])
+    def test_sign_is_that_of_the_sum_row(self, d):
+        # factor j is the last row of ``sum`` at k = j + 1, of weight +1, so
+        # it carries s(d, j+1)
+        for j in range((d - 1) // 2):
+            value = logdet_factor(d, FactorIndex(j))
+            assert math.copysign(1.0, value) == SpherePoint(d, j + 1).sign, (d, j)
+
+    def test_zero_carries_the_sign(self):
+        # at d = 1101 the first factors underflow to a signed 0
+        for j in range(4):
+            value = logdet_factor(1101, FactorIndex(j))
+            assert value == 0.0 and math.copysign(1.0, value) == SpherePoint(1101, j + 1).sign
+
 
 class TestLogdetSum:
     def test_single_term_equals_direct(self):
@@ -398,7 +414,7 @@ class TestEveryPointEndsCleanly:
         _ends_cleanly(point, Tolerance(rel_tol, abs_tol, max_panels))
 
 
-def _run_anyway(point, method, tolerance=None):
+def _run_anyway(point, method, tolerance=Tolerance()):
     """(value, estimate) that ``logdet`` would return at ``point`` without
     its round-off refusal: the plan's rows left by the skipping, integrated
     and reduced."""
@@ -410,8 +426,7 @@ def _run_anyway(point, method, tolerance=None):
 
 def _staged_rows(a, p, regrouped, tolerance):
     integrand = spectral._LogIntegrand(a, p, regrouped)
-    envelopes = Envelopes(*spectral._envelope(integrand.a, integrand.p))
-    rows = integrate_staged(integrand, envelopes, tolerance)
+    rows = integrate_staged(integrand, Envelopes(*spectral._envelope(a, p)), tolerance)
     return list(zip(*(field.tolist() for field in rows)))
 
 
@@ -422,24 +437,25 @@ class TestBatchedIntegrandRows:
     plain or regrouped."""
 
     CASES = {
-        "same a": (1.0, [36 - 2 * j for j in range(17)], False),
-        "different a": ([j + 0.5 for j in range(17)], 35, False),
-        "regrouped, same a": (3, [9, 13, 21, 35, 65, 129, 257, 1025], True),
-        "regrouped, different a": ([1, 2, 3, 4, 5, 6, 7, 8, 9], 41, True),
+        "same a": ([1.0] * 17, [36 - 2 * j for j in range(17)], False),
+        "different a": ([j + 0.5 for j in range(17)], [35] * 17, False),
+        "regrouped, same a": ([3] * 8, [9, 13, 21, 35, 65, 129, 257, 1025], True),
+        "regrouped, different a": ([1, 2, 3, 4, 5, 6, 7, 8, 9], [41] * 9, True),
     }
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("tolerance", [Tolerance(), TIGHT])
     def test_rows_match_lone_calls_bit_for_bit(self, case, tolerance):
         a, p, regrouped = self.CASES[case]
-        a, p = (v.tolist() for v in np.broadcast_arrays(np.array(a, float), np.array(p, float)))
+        a, p = np.array(a, float), np.array(p, float)
         batch = _staged_rows(a, p, regrouped, tolerance)
-        lone = [_staged_rows(ar, pr, regrouped, tolerance)[0] for ar, pr in zip(a, p)]
+        rows = range(a.size)
+        lone = [_staged_rows(a[r:r + 1], p[r:r + 1], regrouped, tolerance)[0] for r in rows]
         assert batch == lone
         # every field of the scaled rows too: value, estimate, failure flag, panels
         fields = spectral._integrals(a, p, tolerance, regrouped)
-        for r, (ar, pr) in enumerate(zip(a, p)):
-            lone = spectral._integrals(ar, pr, tolerance, regrouped)
+        for r in rows:
+            lone = spectral._integrals(a[r:r + 1], p[r:r + 1], tolerance, regrouped)
             assert [f[r] for f in fields] == [f[0] for f in lone]
 
 
@@ -478,7 +494,7 @@ class TestSharedWork:
         panels the rows report as used."""
         seen = self._counting(monkeypatch)
         a, p, _, regrouped = spectral._plan(SpherePoint(1021, 510), method)
-        seen["panels_used"] = int(spectral._integrals(a, p, None, regrouped)[3].sum())
+        seen["panels_used"] = int(spectral._integrals(a, p, Tolerance(), regrouped)[3].sum())
         return seen
 
     @pytest.mark.parametrize("method, bound", [("product_rule", 0.05), ("sum", 0.25)])
@@ -605,8 +621,7 @@ class TestMassBound:
     @pytest.mark.parametrize("method", ["sum", "product_rule"])
     def test_bounds_every_row_of_the_plan(self, d, k, method):
         a, p, _, regrouped = spectral._plan(SpherePoint(d, k), method)
-        a, p = np.broadcast_arrays(np.asarray(a, float), np.asarray(p, float))
-        values, _, failed, _ = spectral._integrals(a, p, None, regrouped)
+        values, _, failed, _ = spectral._integrals(a, p, Tolerance(), regrouped)
         assert not failed.any()
         assert np.all(np.log(values) <= spectral._log_mass_bound(a, p))
 
@@ -623,8 +638,7 @@ class TestRowSkipping:
         integrals = spectral._integrals
 
         def recording(a, p, *args):
-            rows = np.broadcast_arrays(np.array(a, float, ndmin=1), np.array(p, float, ndmin=1))
-            seen.extend(zip(*(r.tolist() for r in rows)))
+            seen.extend(zip(a.tolist(), p.tolist()))
             return integrals(a, p, *args)
 
         monkeypatch.setattr(spectral, "_integrals", recording)
@@ -648,7 +662,7 @@ class TestRowSkipping:
         with pytest.raises(UnsupportedArgumentError, match="round-off"):
             logdet(point, method)
         assert seen == []
-        kept = spectral._drop_negligible(*spectral._plan(point, method)[:3], None)[2]
+        kept = spectral._drop_negligible(*spectral._plan(point, method)[:3], Tolerance())[2]
         assert 0 < kept.size <= most
 
     @pytest.mark.parametrize("d,k,method", [
@@ -690,14 +704,12 @@ class TestRowSkipping:
             assert seen == []
         else:
             res = logdet(point, method)
-        plan = spectral._plan(point, method)
-        weights, regrouped = plan[2:]
-        a, p = np.broadcast_arrays(np.asarray(plan[0], float), np.asarray(plan[1], float))
+        a, p, weights, regrouped = spectral._plan(point, method)
         mass = spectral._log_mass_bound(a, p) + np.log(np.abs(weights))
         cut = mass.max() + math.log(sys.float_info.epsilon * Tolerance().rel_tol / k)
         skipped = mass <= cut
-        kept_a, kept_p, kept_w, charge = spectral._drop_negligible(*plan[:3], None)
-        kept = list(zip(*(v.tolist() for v in np.broadcast_arrays(kept_a, kept_p))))
+        kept_a, kept_p, kept_w, charge = spectral._drop_negligible(a, p, weights, Tolerance())
+        kept = list(zip(kept_a.tolist(), kept_p.tolist()))
         rows = zip(a.tolist(), p.tolist())
         assert kept == [row for row, s in zip(rows, skipped.tolist()) if not s]
         if not refused:
@@ -708,7 +720,7 @@ class TestRowSkipping:
         n, exact = np.count_nonzero(skipped), math.fsum(np.exp(mass[skipped]).tolist())
         eps = sys.float_info.epsilon
         assert 0.0 < exact <= charge <= exact * (1 + 4 * n * eps) + n * math.ulp(0.0)
-        values, errs, failed, _ = spectral._integrals(kept_a, kept_p, None, regrouped)
+        values, errs, failed, _ = spectral._integrals(kept_a, kept_p, Tolerance(), regrouped)
         assert not failed.any()
         terms = [abs(w) * e for w, e in zip(kept_w.tolist(), errs.tolist())]
         err = math.fsum([*terms, charge])
@@ -745,8 +757,10 @@ class TestRowSkipping:
 
     def test_underflowing_charge_stays_positive(self):
         # the second row's mass, about 2^-2998, is far below binary64's range
-        a, p, weights, charge = spectral._drop_negligible(1.0, [1022, 3000], np.ones(2), None)
-        assert (a.tolist(), p.tolist(), weights.tolist()) == (1.0, [1022.0], [1.0])
+        a, p, weights, charge = spectral._drop_negligible(
+            np.ones(2), np.array([1022.0, 3000.0]), np.ones(2), Tolerance()
+        )
+        assert (a.tolist(), p.tolist(), weights.tolist()) == ([1.0], [1022.0], [1.0])
         assert charge >= math.ulp(0.0)
 
 
@@ -805,7 +819,7 @@ class TestRoundOffRefusal:
             point = SpherePoint(d, (d - 1) // 2)
             value, err = _run_anyway(point, "product_rule")
             a, p, weights, _ = spectral._plan(point, "product_rule")
-            lower = np.exp(spectral._log_mass_lower(a, p.astype(float))) * np.abs(weights)
+            lower = np.exp(spectral._log_mass_lower(a, p)) * np.abs(weights)
             assert err >= 2.0 * sys.float_info.epsilon * math.fsum(lower.tolist()), d
             assert err > max(tol.abs_tol, tol.rel_tol * abs(value)), d
 
@@ -813,7 +827,7 @@ class TestRoundOffRefusal:
         # rows of ``sum`` have weights +-1: their floor stays below 1e-17
         for d in range(5, 1026, 2):
             a, p, weights, _ = spectral._plan(SpherePoint(d, (d - 1) // 2), "sum")
-            lower = spectral._log_mass_lower(a, float(p)) + np.log(np.abs(weights))
+            lower = spectral._log_mass_lower(a, p) + np.log(np.abs(weights))
             assert math.log(sys.float_info.epsilon) + np.logaddexp.reduce(lower) < math.log(1e-17)
 
 
@@ -901,23 +915,88 @@ class TestSignedZero:
         assert math.copysign(1.0, res.value) == point.sign == -1
 
 
+class TestPlanContract:
+    """``_plan`` is the one statement of a route's rows: a, p and the
+    weights as float64 arrays of one length, 1 for ``direct`` and
+    ``chebyshev`` and k for ``sum`` and ``product_rule``, holding the module
+    docstring's table."""
+
+    POINTS = [(d, k) for d in range(3, 22, 2) for k in range(1, (d - 1) // 2 + 1)]
+    POINTS += [(1021, 510), (1025, 1)]
+
+    @staticmethod
+    def _table(d, k, method):
+        """The table's rows (a_r, p_r, w_r), in integers and halves."""
+        if method in ("direct", "chebyshev"):
+            return [(k, d + 1, 1)]
+        if method == "sum":
+            return [(j + 0.5, d, (-1) ** (k - 1 - j)) for j in range(k)]
+        powers = spectral.v_coefficients(k).v
+        return [(1, d - 2 * j + 1, (-1) ** (k - 1 + j) * powers[j]) for j in range(k)]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_plan_is_the_route_table(self, method):
+        for d, k in self.POINTS:
+            *fields, regrouped = spectral._plan(SpherePoint(d, k), method)
+            rows = self._table(d, k, method)
+            assert len(rows) == (k if method in ("sum", "product_rule") else 1)
+            for v in fields:
+                assert type(v) is np.ndarray and v.dtype == np.float64
+                assert v.shape == (len(rows),)
+            # each weight rounded once, as int * float rounds it
+            want = [(float(a), float(p), w * 1.0) for a, p, w in rows]
+            assert list(zip(*(v.tolist() for v in fields))) == want, (d, k)
+            assert regrouped is (method == "chebyshev")
+
+
+class TestToleranceArgument:
+    """A ``tolerance`` that is neither a Tolerance nor None raises
+    ParameterError, before any field of it is read (it once raised
+    AttributeError from deep in the pipeline); None is the default."""
+
+    MESSAGE = "^tolerance must be a Tolerance, not "
+
+    @pytest.mark.parametrize("tolerance", [1e-8, "1e-8", {"rel_tol": 1e-8}, QuadratureSpec(1.0)])
+    def test_rejects_what_is_not_a_tolerance(self, tolerance):
+        point = SpherePoint(5, 2)
+        for method in METHODS:
+            with pytest.raises(ParameterError, match=self.MESSAGE):
+                logdet(point, method, tolerance)
+        for call in (
+            lambda: logdet_sum(point, tolerance),
+            lambda: logdet_factor(5, FactorIndex(0), tolerance),
+            lambda: scan_k(35, "direct", tolerance),
+            lambda: scan_k(35, "all", tolerance),
+        ):
+            with pytest.raises(ParameterError, match=self.MESSAGE):
+                call()
+
+    def test_none_is_the_default_tolerance(self):
+        point = SpherePoint(9, 4)
+        for method in METHODS:
+            assert logdet(point, method, None) == logdet(point, method, Tolerance())
+        factor = FactorIndex(2)
+        assert logdet_factor(9, factor, None) == logdet_factor(9, factor, Tolerance())
+        assert scan_k(9, "all", None) == scan_k(9, "all", Tolerance())
+
+
 class TestReducer:
     """Every route is one weighted sum of batched rows."""
 
     def test_plans_follow_the_route_table(self):
         # (a_r, p_r, w_r, regrouped) at d = 9, k = 4; v(4) = (4, 10, 6, 1);
-        # the weights are a binary64 array, a and p scalars or arrays
+        # a, p and the weights are binary64 arrays of one length
         point = SpherePoint(9, 4)
 
         def plan(method):
-            fields = spectral._plan(point, method)
-            assert fields[2].dtype == np.float64
-            return tuple(np.asarray(v).tolist() for v in fields)
+            *rows, regrouped = spectral._plan(point, method)
+            assert all(v.dtype == np.float64 and v.shape == rows[2].shape for v in rows)
+            return (*(v.tolist() for v in rows), regrouped)
 
-        assert plan("direct") == (4, 10, [1], False)
-        assert plan("chebyshev") == (4, 10, [1], True)
-        assert plan("sum") == ([0.5, 1.5, 2.5, 3.5], 9, [-1, 1, -1, 1], False)
-        assert plan("product_rule") == (1.0, [10, 8, 6, 4], [-4, 10, -6, 1], False)
+        assert plan("direct") == ([4], [10], [1], False)
+        assert plan("chebyshev") == ([4], [10], [1], True)
+        assert plan("sum") == ([0.5, 1.5, 2.5, 3.5], [9] * 4, [-1, 1, -1, 1], False)
+        assert plan("product_rule") == ([1] * 4, [10, 8, 6, 4], [-4, 10, -6, 1], False)
 
     @pytest.mark.parametrize("method,d,k", [
         ("sum", 529, 264), ("sum", 1015, 507), ("product_rule", 529, 264),
@@ -935,12 +1014,12 @@ class TestReducer:
             ints = [(-1) ** (k - 1 + j) * v for j, v in enumerate(spectral.v_coefficients(k).v)]
             assert max(ints) > 2**53  # weights that binary64 rounds
         a, p, weights, regrouped = spectral._plan(point, method)
-        kept_a, kept_p, _, skipped = spectral._drop_negligible(a, p, weights, None)
-        rows = list(zip(*(v.tolist() for v in np.broadcast_arrays(a, p))))
-        kept = list(zip(*(v.tolist() for v in np.broadcast_arrays(kept_a, kept_p))))
+        kept_a, kept_p, _, skipped = spectral._drop_negligible(a, p, weights, Tolerance())
+        rows = list(zip(a.tolist(), p.tolist()))
+        kept = list(zip(kept_a.tolist(), kept_p.tolist()))
         assert 0 < len(kept) < k and skipped > 0.0
         kept_ints = [ints[rows.index(row)] for row in kept]
-        values, errs, failed, _ = spectral._integrals(kept_a, kept_p, None, regrouped)
+        values, errs, failed, _ = spectral._integrals(kept_a, kept_p, Tolerance(), regrouped)
         assert not failed.any()
         value = point.sign * math.fsum(w * v for w, v in zip(kept_ints, values.tolist()))
         err = math.fsum([*(abs(w) * e for w, e in zip(kept_ints, errs.tolist())), skipped])
@@ -1057,7 +1136,7 @@ class TestRouteErrors:
         res = logdet(SpherePoint(1023, 511), "direct", tol)
         ref = Fraction("0.00218732879529453388428623819942")  # perfbench/oracle.json
         assert abs(Fraction(res.value) - ref) <= Fraction(res.err_estimate)
-        _, _, failed, panels = spectral._integrals(511, 1024, tol)
+        _, _, failed, panels = spectral._integrals(np.full(1, 511.0), np.full(1, 1024.0), tol)
         assert (failed.tolist(), panels.tolist()) == ([False], [12])
 
 

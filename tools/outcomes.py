@@ -12,9 +12,13 @@ The set: the four routes on the 55-point grid (d = 3..21), the points of
 ``scan_k(35)``, the diagonal k = (d-1)/2 for d = 3..1025, k in {1, 2, 3,
 (d-1)//4} at d in {101, 301, 1023, 1025} and six points past the diagonal's
 easy cases, at the default ``Tolerance`` and at ``max_panels`` 4 and 16,
-and at ``rel_tol`` 1e-8, 1e-12 and 1e-15 for d <= 301; then a spike batch and a
-signed batch of ``integrate_staged`` at four tolerances.  A route's panel
-count is that of its one batched quadrature call (``spectral._integrals``).
+and at ``rel_tol`` 1e-8, 1e-12 and 1e-15 for d <= 301; ``logdet_factor`` at
+every j, its divergent j = (d-1)/2 included, at d in {3, 5, 21, 35, 101}, at
+the default ``Tolerance`` and at ``rel_tol`` 1e-13; ``float.hex`` of
+``integrand_direct`` at x in {1e-3, 1, 7, 100} on the grid and the diagonal;
+then a spike batch and a signed batch of ``integrate_staged`` at four
+tolerances.  A route's or a factor's panel count is that of its quadrature
+calls (``spectral._integrals``).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-from gjmsdet import METHODS, SpherePoint, spectral
+from gjmsdet import METHODS, FactorIndex, SpherePoint, spectral
 from gjmsdet.quadrature import Envelopes, Tolerance, _PlainIntegrand, integrate_staged
 
 
@@ -60,6 +64,28 @@ def route_lines(panels: list):
                 except Exception as exc:  # every error is an outcome to compare
                     out = _error(exc)
                 yield f"({d}, {k}) {method} {_tol(tol)}: {out}"
+
+
+def factor_lines(panels: list):
+    for d in (3, 5, 21, 35, 101):
+        for tol in (Tolerance(), Tolerance(rel_tol=1e-13)):
+            for j in range((d - 1) // 2 + 1):
+                panels.clear()
+                try:
+                    value = spectral.logdet_factor(d, FactorIndex(j), tol)
+                    out = f"{value.hex()} {sum(panels)}"
+                except Exception as exc:
+                    out = _error(exc)
+                yield f"factor j={j} at d={d} {_tol(tol)}: {out}"
+
+
+def integrand_lines():
+    x = np.array([1e-3, 1.0, 7.0, 100.0])
+    grid = [(d, k) for d in range(3, 22, 2) for k in range(1, (d - 1) // 2 + 1)]
+    for d, k in grid + [(d, (d - 1) // 2) for d in range(23, 1026, 2)]:
+        logmag, sign = spectral.integrand_direct(SpherePoint(d, k), x)
+        out = " ".join(v.hex() for v in logmag.tolist())
+        yield f"integrand_direct ({d}, {k}): {out} sign={sign.tolist()}"
 
 
 # rows 0-6 are e^(-10 x); rows 7 and 8 hold width-0.0005 spikes at x = 2, 3
@@ -111,7 +137,7 @@ def main() -> None:
         return rows
 
     spectral._integrals = counted
-    for line in chain(route_lines(panels), batch_lines()):
+    for line in chain(route_lines(panels), factor_lines(panels), integrand_lines(), batch_lines()):
         print(line)
 
 
