@@ -10,7 +10,9 @@ operator on the 5- and 7-spheres provide quadrature-independent anchors.
 
 Only the exact layer (``errors``, ``chebyshev`` and ``exact``) is imported
 with the package.  The names of ``quadrature``, ``spectral`` and ``scans``,
-which need numpy, are imported on first access.
+which need numpy, are imported on first access.  Every record derives from
+``exact.Record``, which imports nothing; the standard library's record
+decorator it replaces took about half of the import's time (see ``exact``).
 """
 
 import importlib

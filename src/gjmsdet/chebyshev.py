@@ -35,12 +35,11 @@ to share between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalConsistencyError, ParameterError
-from .exact import is_integer
+from .exact import Record, is_integer
 
 __all__ = [
     "OddChebyshev",
@@ -51,54 +50,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OddChebyshev:
+class OddChebyshev(Record):
     """Exact coefficients of U_{2k-1} in odd-polynomial form.
 
     ``u[j]`` is the integer coefficient of x^(2j+1); ``len(u) == k``.
     """
 
-    k: int
-    u: tuple[int, ...]
+    __slots__ = ("k", "u")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, k: int, u: tuple[int, ...]) -> None:
+        if k < 1:
             raise ParameterError("k must be a positive integer")
-        if len(self.u) != self.k:
-            raise InternalConsistencyError(
-                f"expected {self.k} odd coefficients, got {len(self.u)}"
-            )
-        if self.u[-1] != 1 << (2 * self.k - 1):
-            raise InternalConsistencyError(
-                f"leading coefficient {self.u[-1]} != 2^{2 * self.k - 1}"
-            )
-        for j, c in enumerate(self.u):
-            if (c > 0) != ((self.k - 1 - j) % 2 == 0):
+        if len(u) != k:
+            raise InternalConsistencyError(f"expected {k} odd coefficients, got {len(u)}")
+        if u[-1] != 1 << (2 * k - 1):
+            raise InternalConsistencyError(f"leading coefficient {u[-1]} != 2^{2 * k - 1}")
+        for j, c in enumerate(u):
+            if (c > 0) != ((k - 1 - j) % 2 == 0):
                 raise InternalConsistencyError(
                     f"u[{j}] = {c} breaks the (-1)^(k-1-j) sign pattern"
                 )
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "u", u)
 
 
-@dataclass(frozen=True)
-class ProductRule:
+class ProductRule(Record):
     """Positive integer exponents v_j(k) of the determinant product rule."""
 
-    k: int
-    v: tuple[int, ...]
+    __slots__ = ("k", "v")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+    def __init__(self, k: int, v: tuple[int, ...]) -> None:
+        if k < 1:
             raise ParameterError("k must be a positive integer")
-        if len(self.v) != self.k:
-            raise InternalConsistencyError(
-                f"expected {self.k} powers, got {len(self.v)}"
-            )
-        if any(p <= 0 for p in self.v):
-            raise InternalConsistencyError(f"non-positive power in {self.v}")
-        if self.v[0] != self.k or self.v[-1] != 1:
-            raise InternalConsistencyError(
-                f"powers {self.v} break v[0] = k, v[k-1] = 1"
-            )
+        if len(v) != k:
+            raise InternalConsistencyError(f"expected {k} powers, got {len(v)}")
+        if any(p <= 0 for p in v):
+            raise InternalConsistencyError(f"non-positive power in {v}")
+        if v[0] != k or v[-1] != 1:
+            raise InternalConsistencyError(f"powers {v} break v[0] = k, v[k-1] = 1")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "v", v)
 
 
 def _check_order(k) -> int:

@@ -108,7 +108,14 @@ def _cmd_rules(args) -> int:
     factors = []
     for j, power in enumerate(rule.v):
         dim = "d" if j == 0 else f"d-{2 * j}"
-        factors.append(f"P_2^{power}({dim})")
+        try:
+            factors.append(f"P_2^{power}({dim})")
+        except ValueError:  # the power has more digits than str() may print
+            raise UnsupportedArgumentError(
+                f"power v_{j}(k) at k = {args.k} has more than the interpreter's limit of "
+                f"{sys.get_int_max_str_digits()} digits for integer string conversion; "
+                "raise it with PYTHONINTMAXSTRDIGITS or sys.set_int_max_str_digits"
+            ) from None
     print(f"P_{2 * args.k}(d) ~ " + " ".join(factors))
     return EXIT_OK
 

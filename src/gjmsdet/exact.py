@@ -6,6 +6,9 @@ Nothing here integrates, so nothing here needs numpy: ``import gjmsdet``
 and the ``rules`` and ``closed-form`` commands run on this module,
 ``chebyshev`` and ``errors`` alone.  ``spectral`` imports these names back
 and adds the quadrature routes.  Everything is pure and immutable.
+``Record``, the base of every record of the package, replaces the standard
+library's record decorator, which loads ``inspect`` and builds methods with
+``exec``: about half of what ``import gjmsdet.cli`` cost.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Tuple
@@ -60,23 +62,56 @@ def require_integer(name: str, value) -> None:
         raise ParameterError(f"{name} must be an integer")
 
 
-@dataclass(frozen=True)
-class SpherePoint:
+class Record:
+    """An immutable record.  Its fields are its class's ``__slots__``, in
+    order, each set once in ``__init__`` with ``object.__setattr__``; records
+    compare (within one class), hash and pickle by them and print as
+    ``SpherePoint(d=5, k=2)``.  Assigning or deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class SpherePoint(Record):
     """A validated (dimension, order) pair for one determinant evaluation.
     Any integer type is accepted; the fields hold plain ints."""
 
-    d: int
-    k: int
+    __slots__ = ("d", "k")
 
-    def __post_init__(self) -> None:
-        require_integer("d", self.d)
-        object.__setattr__(self, "d", int(self.d))
-        if self.d % 2 == 0 or self.d < 3:
+    def __init__(self, d: int, k: int) -> None:
+        require_integer("d", d)
+        d = int(d)
+        if d % 2 == 0 or d < 3:
             raise ParameterError("d must be odd and >= 3")
-        require_integer("k", self.k)
-        object.__setattr__(self, "k", int(self.k))
-        if not 1 <= self.k <= (self.d - 1) // 2:
+        require_integer("k", k)
+        k = int(k)
+        if not 1 <= k <= (d - 1) // 2:
             raise ParameterError("k must satisfy 1 <= k <= (d - 1)/2")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
 
     @property
     def sign(self) -> int:
@@ -84,14 +119,16 @@ class SpherePoint:
         return -1 if ((self.d - 1) // 2 + self.k) % 2 else 1
 
 
-@dataclass(frozen=True)
-class LogDetResult:
+class LogDetResult(Record):
     """A computed log-determinant with its error estimate and provenance."""
 
-    value: float
-    err_estimate: float
-    method: str
-    point: SpherePoint
+    __slots__ = ("value", "err_estimate", "method", "point")
+
+    def __init__(self, value: float, err_estimate: float, method: str, point: SpherePoint) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "err_estimate", err_estimate)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "point", point)
 
 
 # Terms of Borwein's series: its truncation error is below 3 (3+sqrt 8)^-24,
@@ -143,16 +180,19 @@ def zeta_odd(n: int) -> float:
     return float(-series / (d[-1] * (1 - Fraction(1, 2 ** (n - 1)))))
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(Record):
     """Exact-rational closed form: overall * (log2_coeff * log 2
     + sum_m coeff_m * zeta(m) / pi^(m-1))."""
 
-    d: int
-    overall: Fraction
-    log2_coeff: Fraction
-    zeta_terms: Tuple[Tuple[int, Fraction], ...]
-    reference: float
+    __slots__ = ("d", "overall", "log2_coeff", "zeta_terms", "reference")
+
+    def __init__(self, d: int, overall: Fraction, log2_coeff: Fraction,
+                 zeta_terms: Tuple[Tuple[int, Fraction], ...], reference: float) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "overall", overall)
+        object.__setattr__(self, "log2_coeff", log2_coeff)
+        object.__setattr__(self, "zeta_terms", zeta_terms)
+        object.__setattr__(self, "reference", reference)
 
     def evaluate(self) -> Tuple[float, float]:
         """Value and a propagated error estimate from the zeta tolerance."""

@@ -78,13 +78,12 @@ as the integrand itself is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Tuple, Union
 
 import numpy as np
 
 from .errors import AccuracyError, DivergentIntegralError, EvaluationError, ParameterError
-from .exact import is_integer
+from .exact import Record, is_integer
 
 __all__ = [
     "Tolerance",
@@ -182,8 +181,7 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
-@dataclass(frozen=True)
-class Tolerance:
+class Tolerance(Record):
     """Accuracy target and budget of an integral, shared by every row of a
     batch.  ``rel_tol`` is the target relative error, ``abs_tol`` an
     absolute floor used both for near-zero integrals and for choosing the
@@ -203,21 +201,25 @@ class Tolerance:
     with an estimate of 1.5e-3, and ``sum`` returns an estimate of 1.7e-15,
     about 40 times its 4e-17 target."""
 
-    rel_tol: float = 1e-11
-    abs_tol: float = 1e-15
-    max_panels: int = 4096
+    __slots__ = ("rel_tol", "abs_tol", "max_panels")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rel_tol: float = 1e-11, abs_tol: float = 1e-15, max_panels: int = 4096) -> None:
         # written so that NaN, which fails every comparison, is rejected too
-        if not (_is_real(self.rel_tol) and 0 < self.rel_tol < math.inf):
+        if not (_is_real(rel_tol) and 0 < rel_tol < math.inf):
             raise ParameterError("rel_tol must be positive and finite")
-        if not (_is_real(self.abs_tol) and 0 <= self.abs_tol < math.inf):
+        if not (_is_real(abs_tol) and 0 <= abs_tol < math.inf):
             raise ParameterError("abs_tol must be non-negative and finite")
-        if not is_integer(self.max_panels):
+        if not is_integer(max_panels):
             raise ParameterError("max_panels must be an integer")
-        object.__setattr__(self, "max_panels", int(self.max_panels))
-        if self.max_panels < 4:
+        max_panels = int(max_panels)
+        if max_panels < 4:
             raise ParameterError("max_panels must allow at least a few panels")
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "max_panels", max_panels)
+
+
+_DEFAULT_TOLERANCE = Tolerance()
 
 
 class Envelopes:
@@ -226,14 +228,18 @@ class Envelopes:
 
     Scalars broadcast against the arrays; the attributes are 1-D float
     arrays of the common length R.  A field that is not real (a str, a
-    bool, a complex number, None) raises ParameterError.
+    bool, a complex number, None, a ragged sequence) raises ParameterError.
     """
 
     __slots__ = ("log_const", "rate", "start")
 
     def __init__(self, log_const, rate, start=0.0) -> None:
-        fields = [np.asarray(v) for v in (log_const, rate, start)]
-        if any(v.dtype.kind not in "iuf" for v in fields):
+        try:  # numpy raises ValueError on a ragged field, such as [1.0, [2.0, 3.0]]
+            fields = [np.asarray(v) for v in (log_const, rate, start)]
+            real = all(v.dtype.kind in "iuf" for v in fields)
+        except ValueError:
+            real = False
+        if not real:
             raise ParameterError("envelope fields must be real numbers")
         fields = [np.array(v, dtype=float, ndmin=1) for v in fields]
         n_rows = max(v.size for v in fields)
@@ -254,8 +260,7 @@ class Envelopes:
         return self.rate.size
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     """Tolerances, budget and decay envelope for one semi-infinite integral:
     the argument of ``integrate_semi_infinite`` and nothing else.  The
     log-determinant routes, the scans and the CLI take a ``Tolerance``, as
@@ -267,19 +272,23 @@ class QuadratureSpec:
     checks; ``decay_rate`` and ``env_start`` are checked by ``Envelopes``.
     """
 
-    decay_rate: float
-    rel_tol: float = Tolerance.rel_tol
-    abs_tol: float = Tolerance.abs_tol
-    max_panels: int = Tolerance.max_panels
-    env_const: float = 1.0
-    env_start: float = 0.0
+    __slots__ = ("decay_rate", "rel_tol", "abs_tol", "max_panels", "env_const", "env_start")
 
-    def __post_init__(self) -> None:
-        # validates the tolerance fields and stores max_panels as an int
-        object.__setattr__(self, "max_panels", self.tolerance.max_panels)
+    def __init__(self, decay_rate: float, rel_tol: float = _DEFAULT_TOLERANCE.rel_tol,
+                 abs_tol: float = _DEFAULT_TOLERANCE.abs_tol,
+                 max_panels: int = _DEFAULT_TOLERANCE.max_panels,
+                 env_const: float = 1.0, env_start: float = 0.0) -> None:
+        # validates the tolerance fields and gives max_panels as an int
+        max_panels = Tolerance(rel_tol, abs_tol, max_panels).max_panels
+        object.__setattr__(self, "decay_rate", decay_rate)
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "max_panels", max_panels)
+        object.__setattr__(self, "env_const", env_const)
+        object.__setattr__(self, "env_start", env_start)
         # before the math.log of it in ``envelope``; written, as in
         # Tolerance, so that NaN is rejected too
-        if not (_is_real(self.env_const) and 0 < self.env_const < math.inf):
+        if not (_is_real(env_const) and 0 < env_const < math.inf):
             raise ParameterError("env_const must be positive and finite")
         self.envelope  # checks decay_rate and env_start
 
@@ -295,21 +304,22 @@ class QuadratureSpec:
         return Envelopes(math.log(self.env_const), [self.decay_rate], [self.env_start])
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(Record):
     """``panels_used`` counts the panels sampled for the value (0 when the
     envelope bounds the whole integral); malformed fields raise ParameterError."""
 
-    value: float
-    err_estimate: float
-    panels_used: int
-    truncation_point: float
+    __slots__ = ("value", "err_estimate", "panels_used", "truncation_point")
 
-    def __post_init__(self) -> None:
-        used = self.panels_used  # the comparisons reject NaN too
-        if not (-math.inf < self.value < math.inf and 0 <= self.err_estimate < math.inf
-                and 0 < self.truncation_point < math.inf and type(used) is int and used >= 0):
+    def __init__(self, value: float, err_estimate: float, panels_used: int,
+                 truncation_point: float) -> None:
+        used = panels_used  # the comparisons reject NaN too
+        if not (-math.inf < value < math.inf and 0 <= err_estimate < math.inf
+                and 0 < truncation_point < math.inf and type(used) is int and used >= 0):
             raise ParameterError("malformed integral result")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "err_estimate", err_estimate)
+        object.__setattr__(self, "panels_used", panels_used)
+        object.__setattr__(self, "truncation_point", truncation_point)
 
 
 def _truncation(log_c, decay_rate, log_tol, floor=_MIN_TRUNCATION):

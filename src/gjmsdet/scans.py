@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import MethodDisagreementError, ParameterError
-from .exact import require_integer, select_methods
+from .exact import Record, require_integer, select_methods
 from .quadrature import Tolerance
 from .spectral import SpherePoint, logdet
 
@@ -43,13 +42,15 @@ _AGREE_ABS = 1e-9
 _AGREE_REL = 1e-8
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    d: int
-    k: int
-    method: str
-    value: float
-    err_estimate: float
+class ScanRow(Record):
+    __slots__ = ("d", "k", "method", "value", "err_estimate")
+
+    def __init__(self, d: int, k: int, method: str, value: float, err_estimate: float) -> None:
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "err_estimate", err_estimate)
 
 
 def max_pairwise_discrepancy(values: Sequence[float]) -> float:

@@ -81,7 +81,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -90,7 +89,7 @@ import numpy as np
 from .chebyshev import v_coefficients
 from .errors import AccuracyError, DivergentIntegralError, ParameterError, UnsupportedArgumentError
 from .exact import METHODS, ClosedForm, LogDetResult, SpherePoint, closed_form_p4, zeta_odd
-from .exact import is_integer, require_integer
+from .exact import Record, is_integer, require_integer
 from .quadrature import Envelopes, Tolerance, integrate_staged
 
 # Not called here (every route calls integrate_staged), but perfbench/spans.py
@@ -120,17 +119,16 @@ _PISQ = math.pi * math.pi
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
-class FactorIndex:
+class FactorIndex(Record):
     """Index j of one factor B^2 - alpha_j^2, with alpha_j = j + 1/2.
     Any integer type is accepted; the field holds a plain int."""
 
-    j: int
+    __slots__ = ("j",)
 
-    def __post_init__(self) -> None:
-        if not is_integer(self.j) or self.j < 0:
+    def __init__(self, j: int) -> None:
+        if not is_integer(j) or j < 0:
             raise ParameterError("factor index j must be a non-negative integer")
-        object.__setattr__(self, "j", int(self.j))
+        object.__setattr__(self, "j", int(j))
 
     @property
     def alpha(self) -> float:

@@ -1,12 +1,13 @@
 """CLI behaviour: output formats, exit codes, CSV round trips, SVG validity."""
 
 import math
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from gjmsdet import ParameterError, ScanRow, exact, read_csv, scans
+from gjmsdet import ParameterError, ScanRow, exact, read_csv, scans, v_coefficients
 from gjmsdet.cli import main
 from gjmsdet.scans import (
     check_method_agreement,
@@ -305,6 +306,24 @@ class TestRules:
     def test_invalid_order(self, capsys):
         code, _, err = run(["rules", "--k", "0"], capsys)
         assert code == 2
+
+    def test_power_past_the_digit_limit_is_a_usage_error(self, capsys):
+        # at the default limit of 4300 digits the first such k is 10294 (a
+        # 32 MB line); the lowest limit, 640 digits, is passed from k ~ 1540
+        k = 2000
+        first = next(j for j, v in enumerate(v_coefficients(k).v) if v >= 10**640)
+        expected = run(["rules", "--k", "511"], capsys)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert run(["rules", "--k", "511"], capsys) == expected
+            code, out, err = run(["rules", "--k", str(k)], capsys)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: power v_{first}(k) at k = {k} has more than ")
+        assert "limit of 640 digits" in err
+        assert "PYTHONINTMAXSTRDIGITS or sys.set_int_max_str_digits" in err
 
 
 class TestClosedFormCommand:

@@ -25,10 +25,15 @@ def _python(*args):
     )
 
 
-def _loads_numpy(code: str) -> bool:
-    proc = _python("-c", code + "\nimport sys\nprint('numpy' in sys.modules)")
+def _loaded(code: str, modules) -> list:
+    """Those of ``modules`` that a fresh interpreter has loaded after ``code``."""
+    proc = _python("-c", f"{code}\nimport sys\nprint(*(m for m in {modules!r} if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
+    return proc.stdout.splitlines()[-1].split()
+
+
+def _loads_numpy(code: str) -> bool:
+    return _loaded(code, ("numpy",)) == ["numpy"]
 
 
 @pytest.mark.parametrize(
@@ -42,6 +47,16 @@ def _loads_numpy(code: str) -> bool:
 )
 def test_exact_paths_do_not_load_numpy(code):
     assert not _loads_numpy(code)
+
+
+@pytest.mark.parametrize("code, modules", [
+    ("import gjmsdet", ("dataclasses", "inspect")),
+    ("import gjmsdet.cli", ("dataclasses", "inspect")),
+    # numpy loads inspect itself
+    ("import gjmsdet.scans", ("dataclasses",)),
+])
+def test_package_records_load_no_record_machinery(code, modules):
+    assert _loaded(code, modules) == []
 
 
 def test_integrating_command_loads_numpy():

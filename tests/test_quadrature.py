@@ -623,6 +623,7 @@ class TestSpecValidation:
         dict(decay_rate=1j),
         dict(decay_rate=[1.0, 2.0]),
         dict(decay_rate=1.0, env_start=np.array([0.0, 1.0])),
+        dict(decay_rate=[1.0, [2.0, 3.0]]),
     ])
     def test_rejects_malformed_fields(self, fields):
         # each once raised TypeError or ValueError, or passed; a spec is one row
@@ -631,9 +632,10 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("fields", [
         ("a", 1), (0.0, "1"), (0.0, 1j), (0.0, True), (None, 1.0), (0.0, 1.0, [0.0, "x"]),
+        (0.0, [1.0, [2.0, 3.0]]),
     ])
     def test_envelopes_reject_fields_that_are_not_real(self, fields):
-        # ("a", 1) once raised a bare ValueError
+        # ("a", 1) and the ragged field once raised a bare ValueError
         with pytest.raises(ParameterError, match="^envelope fields must be real numbers$"):
             Envelopes(*fields)
 

@@ -1218,8 +1218,10 @@ class TestClosedForms:
             closed_form_p4(bad)
 
     def test_form_far_from_its_reference_is_detected(self):
-        from dataclasses import replace
-
-        broken = replace(exact._CLOSED_FORMS[5], reference=1.0)
+        form = exact._CLOSED_FORMS[5]
+        broken = exact.ClosedForm(
+            d=form.d, overall=form.overall, log2_coeff=form.log2_coeff,
+            zeta_terms=form.zeta_terms, reference=1.0,
+        )
         with pytest.raises(errors.InternalConsistencyError, match="far from its reference"):
             broken.evaluate()
