@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import InternalConsistencyError, ParameterError
 from .exact import Record, is_integer
@@ -70,8 +71,7 @@ class OddChebyshev(Record):
                 raise InternalConsistencyError(
                     f"u[{j}] = {c} breaks the (-1)^(k-1-j) sign pattern"
                 )
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "u", u)
+        super().__init__(k, u)
 
 
 class ProductRule(Record):
@@ -88,8 +88,7 @@ class ProductRule(Record):
             raise InternalConsistencyError(f"non-positive power in {v}")
         if v[0] != k or v[-1] != 1:
             raise InternalConsistencyError(f"powers {v} break v[0] = k, v[k-1] = 1")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "v", v)
+        super().__init__(k, v)
 
 
 def _check_order(k) -> int:
@@ -98,26 +97,30 @@ def _check_order(k) -> int:
     return int(k)
 
 
-@lru_cache(maxsize=None, typed=True)  # so no float hits a numpy integer's entry
-def v_coefficients(k: int) -> ProductRule:
-    """Determinant product-rule powers v_j(k) = C(k+j, 2j+1), j < k.
-
-    Each power follows from the one before by the exact ratio
+def _powers(k: int) -> Iterator[int]:
+    """v_0(k), ..., v_{k-1}(k) for an int k >= 1, one at a time, so that a
+    caller may stop early: they rise to one peak near j = k/sqrt(5), then
+    fall.  Each follows from the one before by the exact ratio
     (k+j+1)(k-1-j) / ((2j+2)(2j+3)); a division that leaves a remainder
     means the construction is broken and raises InternalConsistencyError.
     """
-    k = _check_order(k)
-    powers = [k]
+    power = k
+    yield power
     for j in range(k - 1):
-        q, r = divmod(
-            powers[-1] * (k + j + 1) * (k - 1 - j), (2 * j + 2) * (2 * j + 3)
-        )
+        power, r = divmod(power * (k + j + 1) * (k - 1 - j), (2 * j + 2) * (2 * j + 3))
         if r != 0:
             raise InternalConsistencyError(
                 f"v[{j + 1}] of k = {k} is not an integer: remainder {r}"
             )
-        powers.append(q)
-    return ProductRule(k=k, v=tuple(powers))
+        yield power
+
+
+@lru_cache(maxsize=None, typed=True)  # so no float hits a numpy integer's entry
+def v_coefficients(k: int) -> ProductRule:
+    """Determinant product-rule powers v_j(k) = C(k+j, 2j+1), j < k, built
+    by ``_powers``."""
+    k = _check_order(k)
+    return ProductRule(k=k, v=tuple(_powers(k)))
 
 
 @lru_cache(maxsize=None, typed=True)  # so no float hits a numpy integer's entry

@@ -1,6 +1,9 @@
 """Command-line front end.
 
-Commands: eval, scan-k, limiting, paneitz, rules, closed-form.
+Commands: eval, scan-k, limiting, paneitz, rules, closed-form.  The three
+scan commands are the rows of one table, ``_SCANS``, which names for each
+its ``scans`` function, its dimension options and the row field its chart
+plots; one function, ``_cmd_scan``, runs them all.
 Exit codes: 0 success, 2 usage or validation, 3 numerical failure,
 4 I/O failure.
 """
@@ -11,7 +14,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .chebyshev import v_coefficients
+from .chebyshev import _powers, v_coefficients
 from .errors import (
     AccuracyError,
     DivergentIntegralError,
@@ -47,6 +50,18 @@ def _tolerance(args):
     return Tolerance() if args.tol is None else Tolerance(args.tol)
 
 
+# The scan commands: help, the ``scans`` function each runs, its dimension
+# options with their defaults (None where required), and the row field its
+# chart plots against, which also labels the chart's x axis.
+_SCANS = {
+    "scan-k": ("all allowed k at fixed d", "scan_k", {"d": None}, "k"),
+    "limiting": ("k = (d-1)/2 over a dimension range", "scan_limiting",
+                 {"d_min": 3, "d_max": 21}, "d"),
+    "paneitz": ("k = 2 over a dimension range", "scan_paneitz",
+                {"d_min": 5, "d_max": 21}, "d"),
+}
+
+
 def _cmd_eval(args) -> int:
     from .scans import compute_rows, max_pairwise_discrepancy
 
@@ -61,61 +76,44 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _emit_rows(args, rows, x_of_row, x_label: str) -> int:
-    from .scans import format_csv, write_csv, write_svg
+def _cmd_scan(args) -> int:
+    from . import scans
 
+    _, function, dims, field = _SCANS[args.command]
+    rows = getattr(scans, function)(*[getattr(args, dim) for dim in dims], args.method,
+                                    _tolerance(args))
     if args.out:
-        write_csv(args.out, rows)
+        scans.write_csv(args.out, rows)
     else:
-        sys.stdout.write(format_csv(rows))
+        sys.stdout.write(scans.format_csv(rows))
     if args.svg:
         # one polyline per chart: with several methods, plot the first tag
-        tag = rows[0].method
-        line = [r for r in rows if r.method == tag]
-        write_svg(
-            args.svg,
-            [x_of_row(r) for r in line],
-            [r.value for r in line],
-            x_label=x_label,
-            y_label="log det",
-        )
+        line = [r for r in rows if r.method == rows[0].method]
+        scans.write_svg(args.svg, [getattr(r, field) for r in line], [r.value for r in line],
+                        x_label=field, y_label="log det")
     return EXIT_OK
 
 
-def _cmd_scan_k(args) -> int:
-    from .scans import scan_k
-
-    rows = scan_k(args.d, args.method, _tolerance(args))
-    return _emit_rows(args, rows, lambda r: r.k, "k")
-
-
-def _cmd_limiting(args) -> int:
-    from .scans import scan_limiting
-
-    rows = scan_limiting(args.d_min, args.d_max, args.method, _tolerance(args))
-    return _emit_rows(args, rows, lambda r: r.d, "d")
-
-
-def _cmd_paneitz(args) -> int:
-    from .scans import scan_paneitz
-
-    rows = scan_paneitz(args.d_min, args.d_max, args.method, _tolerance(args))
-    return _emit_rows(args, rows, lambda r: r.d, "d")
-
-
 def _cmd_rules(args) -> int:
-    rule = v_coefficients(args.k)
-    factors = []
-    for j, power in enumerate(rule.v):
-        dim = "d" if j == 0 else f"d-{2 * j}"
-        try:
-            factors.append(f"P_2^{power}({dim})")
-        except ValueError:  # the power has more digits than str() may print
+    # Refuse a k with a power that str() would not print before
+    # v_coefficients builds and caches them all: walk the powers up to their
+    # peak, or to the first past the limit (0 means none).
+    limit = sys.get_int_max_str_digits()
+    bound, peak = 10**limit, 0
+    for j, power in enumerate(_powers(args.k) if limit else ()):
+        if power < peak:
+            break
+        if power >= bound:
             raise UnsupportedArgumentError(
                 f"power v_{j}(k) at k = {args.k} has more than the interpreter's limit of "
-                f"{sys.get_int_max_str_digits()} digits for integer string conversion; "
+                f"{limit} digits for integer string conversion; "
                 "raise it with PYTHONINTMAXSTRDIGITS or sys.set_int_max_str_digits"
-            ) from None
+            )
+        peak = power
+    factors = []
+    for j, power in enumerate(v_coefficients(args.k).v):
+        dim = "d" if j == 0 else f"d-{2 * j}"
+        factors.append(f"P_2^{power}({dim})")
     print(f"P_{2 * args.k}(d) ~ " + " ".join(factors))
     return EXIT_OK
 
@@ -146,10 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="relative quadrature tolerance",
         )
 
-    def add_output(p):
-        p.add_argument("--out", default=None, help="CSV output path (default stdout)")
-        p.add_argument("--svg", default=None, help="also write an SVG chart here")
-
     def add_method(p, default="direct"):
         p.add_argument(
             "--method", default=default,
@@ -164,28 +158,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_tol(p)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("scan-k", help="all allowed k at fixed d")
-    p.add_argument("--d", type=int, required=True)
-    add_method(p)
-    add_tol(p)
-    add_output(p)
-    p.set_defaults(func=_cmd_scan_k)
-
-    p = sub.add_parser("limiting", help="k = (d-1)/2 over a dimension range")
-    p.add_argument("--d-min", type=int, default=3)
-    p.add_argument("--d-max", type=int, default=21)
-    add_method(p)
-    add_tol(p)
-    add_output(p)
-    p.set_defaults(func=_cmd_limiting)
-
-    p = sub.add_parser("paneitz", help="k = 2 over a dimension range")
-    p.add_argument("--d-min", type=int, default=5)
-    p.add_argument("--d-max", type=int, default=21)
-    add_method(p)
-    add_tol(p)
-    add_output(p)
-    p.set_defaults(func=_cmd_paneitz)
+    for command, (help_text, _, dims, _) in _SCANS.items():
+        p = sub.add_parser(command, help=help_text)
+        for dim, default in dims.items():
+            p.add_argument("--" + dim.replace("_", "-"), type=int, default=default,
+                           required=default is None)
+        add_method(p)
+        add_tol(p)
+        p.add_argument("--out", default=None, help="CSV output path (default stdout)")
+        p.add_argument("--svg", default=None, help="also write an SVG chart here")
+        p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("rules", help="print the determinant product rule for k")
     p.add_argument("--k", type=int, required=True)

@@ -8,7 +8,10 @@ and the ``rules`` and ``closed-form`` commands run on this module,
 and adds the quadrature routes.  Everything is pure and immutable.
 ``Record``, the base of every record of the package, replaces the standard
 library's record decorator, which loads ``inspect`` and builds methods with
-``exec``: about half of what ``import gjmsdet.cli`` cost.
+``exec``: about half of what ``import gjmsdet.cli`` cost.  A record names
+its fields only in its ``__slots__``; ``Record.__init__`` is the one
+constructor that sets them, and a record that checks its fields calls it
+once they pass.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ def select_methods(selector: str) -> Tuple[str, ...]:
 def is_integer(value) -> bool:
     """Whether ``value`` is an integer, such as an int or a numpy integer; a
     bool is not.  Callers that accept one store ``int(value)``."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def require_integer(name: str, value) -> None:
@@ -63,15 +67,37 @@ def require_integer(name: str, value) -> None:
 
 
 class Record:
-    """An immutable record.  Its fields are its class's ``__slots__``, in
-    order, each set once in ``__init__`` with ``object.__setattr__``; records
-    compare (within one class), hash and pickle by them and print as
-    ``SpherePoint(d=5, k=2)``.  Assigning or deleting a field raises AttributeError."""
+    """An immutable record.  Its fields are named once, in its class's
+    ``__slots__`` (after those of the record classes it derives from; a
+    subclass that adds none keeps its parent's), and ``__init__`` sets them
+    in that order from positional or keyword arguments: a missing, extra,
+    unknown or doubled field raises TypeError.  A record that checks or
+    normalises its fields does so in its own ``__init__`` and then calls
+    this one.  Records compare (within one class), hash and pickle by their
+    fields and print as ``SpherePoint(d=5, k=2)``.  Assigning or deleting a
+    field raises AttributeError."""
 
     __slots__ = ()
+    _names: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._names = cls._names + tuple(cls.__dict__.get("__slots__", ()))
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self._names
+        if kwargs or len(args) != len(names):
+            given = {**dict(zip(names, args)), **kwargs}
+            # with as many arguments as fields, a doubled one leaves one out
+            if len(args) + len(kwargs) != len(names) or given.keys() != set(names):
+                raise TypeError(f"{type(self).__qualname__}() takes the fields "
+                                f"{', '.join(names)}, each once")
+            args = [given[name] for name in names]
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__slots__])
+        return tuple([getattr(self, name) for name in self._names])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -82,7 +108,7 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -110,8 +136,7 @@ class SpherePoint(Record):
         k = int(k)
         if not 1 <= k <= (d - 1) // 2:
             raise ParameterError("k must satisfy 1 <= k <= (d - 1)/2")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "k", k)
+        super().__init__(d, k)
 
     @property
     def sign(self) -> int:
@@ -123,12 +148,6 @@ class LogDetResult(Record):
     """A computed log-determinant with its error estimate and provenance."""
 
     __slots__ = ("value", "err_estimate", "method", "point")
-
-    def __init__(self, value: float, err_estimate: float, method: str, point: SpherePoint) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "err_estimate", err_estimate)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "point", point)
 
 
 # Terms of Borwein's series: its truncation error is below 3 (3+sqrt 8)^-24,
@@ -185,14 +204,6 @@ class ClosedForm(Record):
     + sum_m coeff_m * zeta(m) / pi^(m-1))."""
 
     __slots__ = ("d", "overall", "log2_coeff", "zeta_terms", "reference")
-
-    def __init__(self, d: int, overall: Fraction, log2_coeff: Fraction,
-                 zeta_terms: Tuple[Tuple[int, Fraction], ...], reference: float) -> None:
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "overall", overall)
-        object.__setattr__(self, "log2_coeff", log2_coeff)
-        object.__setattr__(self, "zeta_terms", zeta_terms)
-        object.__setattr__(self, "reference", reference)
 
     def evaluate(self) -> Tuple[float, float]:
         """Value and a propagated error estimate from the zeta tolerance."""

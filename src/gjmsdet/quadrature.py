@@ -214,9 +214,7 @@ class Tolerance(Record):
         max_panels = int(max_panels)
         if max_panels < 4:
             raise ParameterError("max_panels must allow at least a few panels")
-        object.__setattr__(self, "rel_tol", rel_tol)
-        object.__setattr__(self, "abs_tol", abs_tol)
-        object.__setattr__(self, "max_panels", max_panels)
+        super().__init__(rel_tol, abs_tol, max_panels)
 
 
 _DEFAULT_TOLERANCE = Tolerance()
@@ -280,16 +278,11 @@ class QuadratureSpec(Record):
                  env_const: float = 1.0, env_start: float = 0.0) -> None:
         # validates the tolerance fields and gives max_panels as an int
         max_panels = Tolerance(rel_tol, abs_tol, max_panels).max_panels
-        object.__setattr__(self, "decay_rate", decay_rate)
-        object.__setattr__(self, "rel_tol", rel_tol)
-        object.__setattr__(self, "abs_tol", abs_tol)
-        object.__setattr__(self, "max_panels", max_panels)
-        object.__setattr__(self, "env_const", env_const)
-        object.__setattr__(self, "env_start", env_start)
         # before the math.log of it in ``envelope``; written, as in
         # Tolerance, so that NaN is rejected too
         if not (_is_real(env_const) and 0 < env_const < math.inf):
             raise ParameterError("env_const must be positive and finite")
+        super().__init__(decay_rate, rel_tol, abs_tol, max_panels, env_const, env_start)
         self.envelope  # checks decay_rate and env_start
 
     @property
@@ -316,10 +309,7 @@ class IntegralResult(Record):
         if not (-math.inf < value < math.inf and 0 <= err_estimate < math.inf
                 and 0 < truncation_point < math.inf and type(used) is int and used >= 0):
             raise ParameterError("malformed integral result")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "err_estimate", err_estimate)
-        object.__setattr__(self, "panels_used", panels_used)
-        object.__setattr__(self, "truncation_point", truncation_point)
+        super().__init__(value, err_estimate, panels_used, truncation_point)
 
 
 def _truncation(log_c, decay_rate, log_tol, floor=_MIN_TRUNCATION):

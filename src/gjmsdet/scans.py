@@ -45,13 +45,6 @@ _AGREE_REL = 1e-8
 class ScanRow(Record):
     __slots__ = ("d", "k", "method", "value", "err_estimate")
 
-    def __init__(self, d: int, k: int, method: str, value: float, err_estimate: float) -> None:
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "err_estimate", err_estimate)
-
 
 def max_pairwise_discrepancy(values: Sequence[float]) -> float:
     return max(values) - min(values) if len(values) > 1 else 0.0
@@ -195,6 +188,10 @@ def _fmt_tick(v: float) -> str:
     return f"{v:.6g}"
 
 
+def _xml_text(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def write_svg(
     path: str,
     xs: Sequence[float],
@@ -206,6 +203,7 @@ def write_svg(
 
     Deliberately minimal: one polyline with point markers, a frame, and
     labelled axis ticks.  Enough to eyeball a scan's shape, nothing more.
+    The labels are text, escaped for XML.
     Raises ParameterError, before the file is opened, on unequal or empty
     input, a non-finite value, or an axis whose padded range passes binary64.
     """
@@ -269,14 +267,14 @@ def write_svg(
     if x_label:
         parts.append(
             f'<text x="{(ml + width - mr) / 2:.2f}" y="{height - 10:.2f}" '
-            f'font-size="12" text-anchor="middle">{x_label}</text>'
+            f'font-size="12" text-anchor="middle">{_xml_text(x_label)}</text>'
         )
     if y_label:
         cx, cy = 16.0, (mt + height - mb) / 2
         parts.append(
             f'<text x="{cx:.2f}" y="{cy:.2f}" font-size="12" '
             f'text-anchor="middle" transform="rotate(-90 {cx:.2f} {cy:.2f})">'
-            f"{y_label}</text>"
+            f"{_xml_text(y_label)}</text>"
         )
     points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
     parts.append(

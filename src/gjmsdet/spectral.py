@@ -128,7 +128,7 @@ class FactorIndex(Record):
     def __init__(self, j: int) -> None:
         if not is_integer(j) or j < 0:
             raise ParameterError("factor index j must be a non-negative integer")
-        object.__setattr__(self, "j", int(j))
+        super().__init__(int(j))
 
     @property
     def alpha(self) -> float:

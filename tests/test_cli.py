@@ -2,12 +2,13 @@
 
 import math
 import sys
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from gjmsdet import ParameterError, ScanRow, exact, read_csv, scans, v_coefficients
+from gjmsdet import ParameterError, ScanRow, cli, exact, read_csv, scans, v_coefficients
 from gjmsdet.cli import main
 from gjmsdet.scans import (
     check_method_agreement,
@@ -325,6 +326,52 @@ class TestRules:
         assert "limit of 640 digits" in err
         assert "PYTHONINTMAXSTRDIGITS or sys.set_int_max_str_digits" in err
 
+    @pytest.fixture
+    def digit_limit(self):
+        """``sys.set_int_max_str_digits``, undone after the test."""
+        limit = sys.get_int_max_str_digits()
+        yield sys.set_int_max_str_digits
+        sys.set_int_max_str_digits(limit)
+
+    @pytest.fixture
+    def no_powers_kept(self, monkeypatch):
+        """Fail if ``rules`` builds its table of powers, which at k = 10**6
+        would hold about 130 GB."""
+        def unreachable(k):
+            raise AssertionError("v_coefficients called for a refused k")
+
+        monkeypatch.setattr(cli, "v_coefficients", unreachable)
+
+    def test_refusal_comes_before_any_power_is_kept(self, capsys, digit_limit, no_powers_kept):
+        k = 2000
+        first = next(j for j in range(k) if math.comb(k + j, 2 * j + 1) >= 10**640)
+        digit_limit(640)
+        code, out, err = run(["rules", "--k", str(k)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: power v_{first}(k) at k = {k} has more than ")
+
+    def test_huge_order_is_refused_at_once(self, capsys, digit_limit, no_powers_kept):
+        digit_limit(4300)
+        start = time.perf_counter()
+        code, out, err = run(["rules", "--k", "1000000"], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert "limit of 4300 digits" in err
+
+    def test_largest_order_under_the_limit_prints(self, capsys, digit_limit):
+        # the largest power of k = 1535 has 640 digits, one of k = 1536 has 641
+        assert [len(str(max(v_coefficients(k).v))) for k in (1535, 1536)] == [640, 641]
+        digit_limit(640)
+        code, out, _ = run(["rules", "--k", "1535"], capsys)
+        assert code == 0 and out.count("P_2^") == 1535
+        assert run(["rules", "--k", "1536"], capsys)[0] == 2
+
+    def test_no_digit_limit_refuses_nothing(self, capsys, digit_limit):
+        digit_limit(0)
+        code, out, _ = run(["rules", "--k", "2000"], capsys)
+        assert code == 0
+        assert out.split()[-1] == "P_2^1(d-3998)" and out.count("P_2^") == 2000
+
 
 class TestClosedFormCommand:
     def test_both_dimensions(self, capsys):
@@ -364,6 +411,12 @@ class TestSvg:
         write_svg(str(path), [1, 2, 3], [0.5, -0.25, 0.125], "k", "log det")
         root = ET.parse(path).getroot()
         assert root.tag.endswith("svg")
+
+    def test_labels_are_escaped(self, tmp_path):
+        path = tmp_path / "labels.svg"
+        write_svg(str(path), [1, 2], [3, 4], x_label="a<b & c", y_label="x > y & z")
+        texts = ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")
+        assert [t.text for t in texts][-2:] == ["a<b & c", "x > y & z"]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("axis", ["x", "y"])

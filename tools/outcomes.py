@@ -19,15 +19,24 @@ the default ``Tolerance`` and at ``rel_tol`` 1e-13; ``float.hex`` of
 then a spike batch and a signed batch of ``integrate_staged`` at four
 tolerances.  A route's or a factor's panel count is that of its quadrature
 calls (``spectral._integrals``).
+
+Last come the command-line outcomes: a fixed list of ``cli.main`` calls
+(``CLI_CALLS``), run in this process in an empty temporary working
+directory with ``COLUMNS=80``.  Each prints its argv, its exit code, its
+stdout and stderr, and the name and text of every file it wrote.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import tempfile
 from itertools import chain
 
 import numpy as np
 
-from gjmsdet import METHODS, FactorIndex, SpherePoint, spectral
+from gjmsdet import METHODS, FactorIndex, SpherePoint, cli, spectral
 from gjmsdet.quadrature import Envelopes, Tolerance, _PlainIntegrand, integrate_staged
 
 
@@ -127,6 +136,53 @@ def batch_lines():
                 yield f"{name} row {r} {_tol(tol)}: {v.hex()} {e.hex()} {n} failed={failed}"
 
 
+_SCAN_FILES = ("--method", "all", "--out", "rows.csv", "--svg", "chart.svg")
+
+CLI_CALLS = (
+    # the cli benchmark's six calls
+    ("eval", "--d", "5", "--k", "2"),
+    ("eval", "--d", "7", "--k", "2", "--method", "direct", "--tol", "1e-12"),
+    ("closed-form",),
+    ("rules", "--k", "511"),
+    ("scan-k", "--d", "35", "--method", "all", "--out", "scan.csv", "--svg", "scan.svg"),
+    ("eval", "--d", "1025", "--k", "512", "--method", "direct"),
+    # each scan command with every route and both files
+    ("scan-k", "--d", "11", *_SCAN_FILES),
+    ("limiting", "--d-min", "3", "--d-max", "11", *_SCAN_FILES),
+    ("paneitz", "--d-min", "5", "--d-max", "13", *_SCAN_FILES),
+    ("--help",),
+    *((command, "--help") for command in
+      ("eval", "scan-k", "limiting", "paneitz", "rules", "closed-form")),
+    ("scan-k", "--d", "2"),
+    ("limiting", "--d-min", "4"),
+    ("paneitz", "--d-min", "3"),
+    ("scan-k", "--d", "11", "--out", "missing/x.csv"),
+)
+
+
+def cli_lines():
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        os.environ["COLUMNS"] = "80"
+        try:
+            for argv in CLI_CALLS:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main(list(argv))
+                    except SystemExit as exc:  # argparse's --help and usage errors
+                        code = exc.code
+                yield f"cli {' '.join(argv)}: exit {code}"
+                yield f"stdout:\n{out.getvalue()}stderr:\n{err.getvalue()}"
+                for name in sorted(os.listdir()):
+                    with open(name, encoding="utf-8") as fh:
+                        yield f"file {name}:\n{fh.read()}"
+                    os.remove(name)
+        finally:
+            os.chdir(cwd)
+
+
 def main() -> None:
     panels = []
     integrals = spectral._integrals
@@ -137,7 +193,8 @@ def main() -> None:
         return rows
 
     spectral._integrals = counted
-    for line in chain(route_lines(panels), factor_lines(panels), integrand_lines(), batch_lines()):
+    for line in chain(route_lines(panels), factor_lines(panels), integrand_lines(), batch_lines(),
+                      cli_lines()):
         print(line)
 
 
