@@ -62,10 +62,12 @@ once, and the table is compacted each sweep with a flag array and its cumsum.
 
 The integrand is evaluated in two stages (``integrate_staged``): a shared
 stage, once per table panel, computes the terms that do not depend on the
-row, the abscissas being one of them only where the second stage needs
-them; a per-pair stage, a fixed number of pairs at a time so memory stays
-flat, gathers those terms and adds the row-dependent parts.  A plain
-``f(x, row)`` is the two-stage integrand whose only shared term is x.
+row, the abscissas among them where the second stage needs them; a
+per-pair stage, a fixed number of pairs at a time so memory stays flat,
+gathers those terms and adds the row-dependent parts.  The route
+integrand splits by dependence, the terms of x alone shared and every
+term of a row's parameters per pair; a plain ``f(x, row)`` is the
+two-stage integrand whose only shared term is x.
 Splitting the work this way moves no value: pair order, budgets,
 acceptance and each row's fsum are those of a lone call, so a row's result
 is bit-identical to its lone call whatever it shares.

@@ -27,7 +27,10 @@ a_r, p_r and w_r as float64 arrays of one length (1 for ``direct`` and
 ``chebyshev``, k for the others) and its regrouping flag, and every later
 step (the bounds, the refusal, the skipping, the integrand) takes those
 arrays as they are.  ``integrand_direct`` evaluates the ``direct`` plan's
-row.
+row.  Every row is exact only while d + 1 <= 2^53, so each route,
+``integrand_direct`` and ``logdet_factor`` raise UnsupportedArgumentError
+for d > 2^53 - 1; ``product_rule`` raises it for k > 741 too, as v_j(742)
+passes the binary64 range, before any power or row is built.
 
 ``direct`` is the single integral; ``chebyshev`` regroups it through
 sinh(kx)/sinh(x/2) = U_{2k-1}(cosh(x/2)); ``sum`` integrates the factors
@@ -176,10 +179,10 @@ class _LogIntegrand:
     replaces sinh(x/2) sinh(a x), with U in its hyperbolic form
     sinh(a x)/sinh(x/2) so the log-space pipeline stays finite at large x.
 
-    The shared stage computes the terms free of a and p, and the sinh(a x)
-    term too when every row has the same a, else it shares x itself; the
-    per-pair stage adds the rest.  Both keep the operation order of the
-    single expression, so a row's values do not depend on what it shares.
+    The split is by dependence: the shared stage computes the terms of x
+    alone, and the per-pair stage adds the terms of each pair's a and p,
+    log sinh(a x) and -p log cosh(x/2).  It keeps the operation order of
+    the single expression, so a row's values do not depend on its batch.
 
     Each pair's rounding scale is the sum, over the log terms combined, of
     the term's largest magnitude at the panel's two end nodes.  Every term
@@ -189,24 +192,16 @@ class _LogIntegrand:
     node of the panel.
     """
 
-    __slots__ = ("a", "p", "regrouped", "common_a")
+    __slots__ = ("a", "p", "regrouped")
 
     def __init__(self, a, p, regrouped: bool = False) -> None:
         self.a, self.p, self.regrouped = a, p, regrouped
-        self.common_a = float(a[0]) if a.size == 1 or (a == a[0]).all() else None
-
-    def _sinh_term(self, a, x, log_sinh_half):
-        """log sinh(a x), or log(sinh(a x)/sinh(x/2)) when regrouped."""
-        log_sinh = _log_sinh(a * x)
-        if self.regrouped:
-            log_sinh -= log_sinh_half
-        return log_sinh
 
     def shared(self, x):
-        """The row-free terms of each panel (a line of ``x``): the head,
-        log pi/(x^2+pi^2) plus one or two log sinh(x/2) and the sinh term
-        if every row has the same a; log cosh(x/2); the head's part of the
-        rounding scale, one value a panel; and x if the rows' a differ."""
+        """The terms of x alone, for each panel (a line of ``x``): the head,
+        log pi/(x^2+pi^2) plus one or two log sinh(x/2); log cosh(x/2); the
+        head's part of the rounding scale, one value a panel; x; and
+        log sinh(x/2)."""
         half = 0.5 * x
         log_sinh_half = _log_sinh(half)
         head = x * x
@@ -216,23 +211,19 @@ class _LogIntegrand:
         # log pi/(x^2+pi^2) < 0 falls with x: its magnitude peaks at the last node
         scale = _end_magnitude(log_sinh_half) * (2.0 if self.regrouped else 1.0) - head[:, -1]
         head += 2.0 * log_sinh_half if self.regrouped else log_sinh_half
-        if self.common_a is None:
-            return head, _log_cosh(half), scale, x
-        sinh_term = self._sinh_term(self.common_a, x, log_sinh_half)
-        scale += _end_magnitude(sinh_term)
-        head += sinh_term
-        return head, _log_cosh(half), scale
+        return head, _log_cosh(half), scale, x, log_sinh_half
 
     def per_pair(self, terms, row):
-        head, log_cosh_half, scale = terms[:3]
-        if self.common_a is None:
-            x = terms[3]
-            log_sinh_half = _log_sinh(0.5 * x) if self.regrouped else None
-            sinh_term = self._sinh_term(self.a[row], x, log_sinh_half)
-            head = head + sinh_term
-            scale = scale + _end_magnitude(sinh_term)
+        """Adds log sinh(a x), less log sinh(x/2) when regrouped, and
+        -p log cosh(x/2) to the head, and both terms' parts to the scale."""
+        head, log_cosh_half, scale, x, log_sinh_half = terms
+        sinh_term = _log_sinh(self.a[row] * x)
+        if self.regrouped:
+            sinh_term -= log_sinh_half
+        scale = scale + _end_magnitude(sinh_term)
+        head = np.add(head, sinh_term, out=sinh_term)
         logmag = self.p[row] * log_cosh_half
-        scale = scale + logmag[:, -1]  # p log cosh(x/2) >= 0 grows with x
+        scale += logmag[:, -1]  # p log cosh(x/2) >= 0 grows with x
         return np.subtract(head, logmag, out=logmag), 1.0, scale
 
 
@@ -359,37 +350,56 @@ def _alternating(k: int):
     return np.where(np.arange(k - 1, -1, -1) % 2, -1.0, 1.0)
 
 
+# the last order k whose powers v_j(k) = C(k+j, 2j+1) are all binary64
+# numbers: max_j v_j(742) passes 2^1024, and each v_j(k) grows with k
+_LAST_PRODUCT_ORDER = 741
+
+
 @lru_cache(maxsize=None)
 def _product_weights(k: int):
     """The ``product_rule`` weights (-1)^(k-1+j) v_j(k), j < k, as a
     read-only binary64 array (each power rounded once), built once per k.
-    Raises UnsupportedArgumentError where a power passes the binary64 range."""
-    rule = v_coefficients(k)
-    try:
-        powers = np.array(rule.v, dtype=float)
-    except OverflowError:  # from k = 742 on
+    Raises UnsupportedArgumentError past k = 741, before any power is built,
+    as a power then passes the binary64 range."""
+    if k > _LAST_PRODUCT_ORDER:
         raise UnsupportedArgumentError(
-            f"product rule at k = {k} needs powers v_j(k) up to "
-            f"2^{max(rule.v).bit_length() - 1}, past the binary64 limit "
-            f"{sys.float_info.max:.4g}"
-        ) from None
-    weights = _alternating(k) * powers
+            f"product rule at k = {k} needs powers v_j(k) past the binary64 limit "
+            f"{sys.float_info.max:.4g}; its last order with binary64 powers is "
+            f"k = {_LAST_PRODUCT_ORDER}"
+        )
+    weights = _alternating(k) * np.array(v_coefficients(k).v, dtype=float)
     weights.flags.writeable = False
     return weights
+
+
+def _check_exact_rows(d: int) -> None:
+    """Raise UnsupportedArgumentError naming d where d + 1, the largest row
+    p of any plan at d, passes 2^53: the rows would round in binary64."""
+    if d + 1 > 2**53:
+        # str() refuses an int of more digits than sys.get_int_max_str_digits(),
+        # which is at least 640: a d of over 2000 bits is named by its size
+        name = f"d = {d}" if d.bit_length() <= 2000 else f"d of {d.bit_length()} bits"
+        raise UnsupportedArgumentError(
+            f"{name} is past 2^53 - 1, the last dimension whose rows p <= d + 1 "
+            "are exact binary64 integers"
+        )
 
 
 def _plan(point: SpherePoint, method: str) -> tuple:
     """The module docstring's table, and its one statement in code: the rows
     a and p and the weights (each rounded once, as int * float rounds it) of
     the route ``method`` at ``point``, as float64 arrays of one length, and
-    the regrouping flag."""
+    the regrouping flag.  Raises UnsupportedArgumentError past d = 2^53 - 1
+    (``_check_exact_rows``) and, for ``product_rule``, past k = 741."""
     d, k = point.d, point.k
+    _check_exact_rows(d)
     if method in ("direct", "chebyshev"):
         return np.full(1, float(k)), np.full(1, d + 1.0), np.ones(1), method == "chebyshev"
     if method == "sum":
         return np.arange(k) + 0.5, np.full(k, float(d)), _alternating(k), False
     if method == "product_rule":
-        return np.ones(k), np.arange(d + 1.0, d - 2 * k + 1, -2), _product_weights(k), False
+        weights = _product_weights(k)  # first, as it refuses k > 741
+        return np.ones(k), np.arange(d + 1.0, d - 2 * k + 1, -2), weights, False
     raise UnsupportedArgumentError(
         f"unknown method {method!r}; expected one of {METHODS}"
     )
@@ -421,9 +431,9 @@ def logdet(
     bound mass is added to the estimate (see ``_drop_negligible``).  Out
     of panels, raises an AccuracyError named by route and point, in log-det units.
     A ``tolerance`` that is neither a Tolerance nor None raises ParameterError."""
-    where = f"{method} at d={point.d}, k={point.k}"
     tolerance = _resolved(tolerance)
     a, p, weights, regrouped = _plan(point, method)
+    where = f"{method} at d={point.d}, k={point.k}"  # after _plan refused a d too long to print
     skipped = 0.0
     if weights.size > 1:
         # |log det P_2k(d)| <= 2/(pi (d-2k)) at every point: the derivation
@@ -542,7 +552,8 @@ def logdet_factor(
         raise DivergentIntegralError(
             f"factor integral diverges: 2*alpha = {2 * factor.alpha} >= d = {d}"
         )
-    require_integer("d", d)  # last, so the rejections above keep their messages
+    require_integer("d", d)  # after them, so the rejections above keep their messages
+    _check_exact_rows(d)
     # factor j is the last row of ``sum`` at k = j + 1, of weight +1: its sign is s(d, j+1)
     point = SpherePoint(d, factor.j + 1)
     rows = _integrals(np.full(1, factor.alpha), np.full(1, float(d)), _resolved(tolerance))

@@ -73,6 +73,22 @@ class TestEval:
         assert out == ""
         assert "rel_tol must be positive and finite" in err
 
+    @pytest.mark.parametrize(
+        "d", [2**53 + 1, 2**63 + 1, 10**20 + 1, 10**400 + 1],
+        ids=["2^53+1", "2^63+1", "10^20+1", "10^400+1"],
+    )
+    def test_dimension_past_exact_rows_is_usage_error(self, d, capsys):
+        # the rows p = d + 1 would round in binary64
+        code, out, err = run(["eval", "--d", str(d), "--k", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"d = {d} is past 2^53 - 1" in err
+
+    def test_last_exact_dimension_evaluates(self, capsys):
+        code, out, _ = run(["eval", "--d", str(2**53 - 1), "--k", "1"], capsys)
+        assert code == 0
+        assert out.split("\n")[0] == f"d={2**53 - 1} k=1"
+
     def test_past_binary64_envelope_d1025(self, capsys):
         # the envelope constant 2^1024 pi overflows binary64; frozen
         # reference from tests/_oracles.py

@@ -324,6 +324,27 @@ class TestLogdetProductRule:
         with pytest.raises(UnsupportedArgumentError, match="d=1483, k=741: binary64 round-off"):
             logdet_product_rule(SpherePoint(1483, 741))
 
+    def test_last_product_order_is_that_of_binary64(self):
+        # the constant of the refusal: every power of k = 741 converts to a
+        # binary64 number and the largest of k = 742 does not; as each power
+        # v_j(k) = C(k+j, 2j+1) grows with k, neither does one of a larger k
+        assert spectral._LAST_PRODUCT_ORDER == 741
+        assert float(max(spectral.v_coefficients(741).v)) < math.inf
+        with pytest.raises(OverflowError):
+            float(max(spectral.v_coefficients(742).v))
+        for k in [*range(1, 40), 740, 741, 742]:
+            smaller, larger = spectral.v_coefficients(k).v, spectral.v_coefficients(k + 1).v
+            assert all(v < w for v, w in zip(smaller, larger))
+
+    @pytest.mark.parametrize("k", [742, 10**6])
+    def test_refused_before_any_power_is_built(self, k, monkeypatch):
+        def unbuilt(k):
+            raise AssertionError(f"v_coefficients({k}) was called")
+
+        monkeypatch.setattr(spectral, "v_coefficients", unbuilt)
+        with pytest.raises(UnsupportedArgumentError, match=f"k = {k}.*binary64"):
+            logdet_product_rule(SpherePoint(2 * k + 1, k))
+
     def test_weights_are_built_once_per_k(self):
         weights = spectral._product_weights(9)
         assert spectral._plan(SpherePoint(19, 9), "product_rule")[2] is weights
@@ -358,6 +379,44 @@ class TestPastBinary64Envelope:
     def test_overflowing_integral_raises_evaluation_error(self, method):
         with pytest.raises(EvaluationError, match="overflowed"):
             logdet(SpherePoint(1035, 517), method)
+
+
+class TestExactRows:
+    """A plan's rows at d are integers p <= d + 1 and multiples a of 1/2
+    below d/2, all exact in binary64 while d + 1 <= 2^53.  Past that every
+    route, the integrand and a factor raise UnsupportedArgumentError naming
+    d, with no warning (these run with warnings as errors)."""
+
+    @pytest.mark.parametrize(
+        "d", [2**53 + 1, 2**63 + 1, 10**20 + 1, 10**400 + 1, 10**5000 + 1],
+        ids=["2^53+1", "2^63+1", "10^20+1", "10^400+1", "10^5000+1"],
+    )
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_past_exact_rows_raise_typed_error(self, d, k):
+        point = SpherePoint(d, k)
+        # str() refuses an int of over 4300 digits, so such a d is named by its size
+        name = f"d of {d.bit_length()} bits" if d > 10**4300 else f"d = {d}"
+        message = f"{name} is past 2\\^53 - 1"
+        for method in METHODS:
+            with pytest.raises(UnsupportedArgumentError, match=message):
+                logdet(point, method)
+        with pytest.raises(UnsupportedArgumentError, match=message):
+            integrand_direct(point, 1.0)
+        with pytest.raises(UnsupportedArgumentError, match=message):
+            logdet_factor(d, FactorIndex(k - 1))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_last_exact_dimension_underflows_to_signed_zero(self, k):
+        # log det P_2k(d) falls like 2^-d, so at d = 2^53 - 1 every route
+        # returns a zero of sign s(d, k) within a subnormal estimate
+        point = SpherePoint(2**53 - 1, k)
+        for method in METHODS:
+            res = logdet(point, method)
+            assert res.value == 0.0 and math.copysign(1.0, res.value) == point.sign
+            assert 0.0 < res.err_estimate < sys.float_info.min
+        assert logdet_factor(point.d, FactorIndex(k - 1)) == 0.0
+        logmag, sign = integrand_direct(point, 1.0)
+        assert -math.inf < logmag < 0.0 and sign == 1
 
 
 class TestSubnormalScale:
@@ -433,8 +492,20 @@ def _staged_rows(a, p, regrouped, tolerance):
 class TestBatchedIntegrandRows:
     """A batch of the route integrand gives each row exactly what its lone
     call gives (value, estimate, panels, truncation point), whether the rows
-    share a (its sinh term is then computed once per distinct panel) or not,
-    plain or regrouped."""
+    share a or not, plain or regrouped."""
+
+    @pytest.mark.parametrize("regrouped", [False, True])
+    def test_shared_terms_do_not_depend_on_the_rows(self, regrouped):
+        # the shared stage computes the terms of x alone: one shape, and the
+        # same bits, whether the rows share a or not
+        x = np.linspace(1e-3, 60.0, 3 * 65).reshape(3, 65)
+        common = spectral._LogIntegrand(np.full(4, 3.0), np.array([9.0, 13.0, 21.0, 35.0]),
+                                        regrouped)
+        distinct = spectral._LogIntegrand(np.array([1.0, 2.0, 5.0]), np.full(3, 41.0), regrouped)
+        terms, others = common.shared(x), distinct.shared(x)
+        assert len(terms) == len(others)
+        for term, other in zip(terms, others):
+            assert term.shape == other.shape and term.tobytes() == other.tobytes()
 
     CASES = {
         "same a": ([1.0] * 17, [36 - 2 * j for j in range(17)], False),

@@ -10,15 +10,20 @@ change moves:
 
 The set: the four routes on the 55-point grid (d = 3..21), the points of
 ``scan_k(35)``, the diagonal k = (d-1)/2 for d = 3..1025, k in {1, 2, 3,
-(d-1)//4} at d in {101, 301, 1023, 1025} and six points past the diagonal's
-easy cases, at the default ``Tolerance`` and at ``max_panels`` 4 and 16,
-and at ``rel_tol`` 1e-8, 1e-12 and 1e-15 for d <= 301; ``logdet_factor`` at
-every j, its divergent j = (d-1)/2 included, at d in {3, 5, 21, 35, 101}, at
-the default ``Tolerance`` and at ``rel_tol`` 1e-13; ``float.hex`` of
+(d-1)//4} at d in {101, 301, 1023, 1025}, six points past the diagonal's
+easy cases and k in {1, 3} at the d of ``EDGE_D``, either side of 2^53 - 1;
+then ``product_rule`` at (1485, 742) and (40001, 20000), past its last
+order with binary64 powers; each at the default ``Tolerance`` and at
+``max_panels`` 4 and 16, and at ``rel_tol`` 1e-8, 1e-12 and 1e-15 for
+d <= 301.  ``logdet_factor`` at every j, its divergent j = (d-1)/2
+included, at d in {3, 5, 21, 35, 101}, at the default ``Tolerance`` and at
+``rel_tol`` 1e-13, then at j = 0 at the d of ``EDGE_D``; ``float.hex`` of
 ``integrand_direct`` at x in {1e-3, 1, 7, 100} on the grid and the diagonal;
 then a spike batch and a signed batch of ``integrate_staged`` at four
 tolerances.  A route's or a factor's panel count is that of its quadrature
-calls (``spectral._integrals``).
+calls (``spectral._integrals``).  Warnings are raised as errors, so a
+warning prints as its call's outcome.  A line names d = 10^400 + 1 so,
+though its error message spells it out.
 
 Last come the command-line outcomes: a fixed list of ``cli.main`` calls
 (``CLI_CALLS``), run in this process in an empty temporary working
@@ -32,6 +37,7 @@ import contextlib
 import io
 import os
 import tempfile
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -58,34 +64,57 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
+# either side of 2^53 - 1, the last d whose rows are exact binary64 integers
+EDGE_D = (2**53 - 1, 2**53 + 1, 2**63 + 1, 10**20 + 1, 10**400 + 1)
+
+
+def _named(d: int) -> str:
+    return "10^400+1" if d == 10**400 + 1 else str(d)
+
+
+def route_calls():
+    """(d, k, methods) of every route outcome, in order: every route at
+    ``points()`` and at ``EDGE_D``, then ``product_rule`` past its last
+    order with binary64 powers."""
+    yield from ((d, k, METHODS) for d, k in points())
+    yield from ((d, k, METHODS) for d in EDGE_D for k in (1, 3))
+    yield from ((d, k, ("product_rule",)) for d, k in ((1485, 742), (40001, 20000)))
+
+
 def route_lines(panels: list):
     """The route outcomes; ``panels`` collects the panel counts of the
     quadrature calls of each route call."""
     wide = [Tolerance(), Tolerance(max_panels=4), Tolerance(max_panels=16)]
     tight = [Tolerance(rel_tol=1e-8), Tolerance(rel_tol=1e-12), Tolerance(rel_tol=1e-15)]
-    for d, k in points():
+    for d, k, methods in route_calls():
         for tol in wide + (tight if d <= 301 else []):
-            for method in METHODS:
+            for method in methods:
                 panels.clear()
                 try:
                     res = spectral.logdet(SpherePoint(d, k), method, tol)
                     out = f"{res.value.hex()} {res.err_estimate.hex()} {sum(panels)}"
                 except Exception as exc:  # every error is an outcome to compare
                     out = _error(exc)
-                yield f"({d}, {k}) {method} {_tol(tol)}: {out}"
+                yield f"({_named(d)}, {k}) {method} {_tol(tol)}: {out}"
+
+
+def factor_calls():
+    """(d, j, tolerance) of every ``logdet_factor`` outcome, in order."""
+    for d in (3, 5, 21, 35, 101):
+        for tol in (Tolerance(), Tolerance(rel_tol=1e-13)):
+            yield from ((d, j, tol) for j in range((d - 1) // 2 + 1))
+    yield from ((d, 0, Tolerance()) for d in EDGE_D)
 
 
 def factor_lines(panels: list):
-    for d in (3, 5, 21, 35, 101):
-        for tol in (Tolerance(), Tolerance(rel_tol=1e-13)):
-            for j in range((d - 1) // 2 + 1):
-                panels.clear()
-                try:
-                    value = spectral.logdet_factor(d, FactorIndex(j), tol)
-                    out = f"{value.hex()} {sum(panels)}"
-                except Exception as exc:
-                    out = _error(exc)
-                yield f"factor j={j} at d={d} {_tol(tol)}: {out}"
+    for d, j, tol in factor_calls():
+        panels.clear()
+        try:
+            value = spectral.logdet_factor(d, FactorIndex(j), tol)
+            out = f"{value.hex()} {sum(panels)}"
+        except Exception as exc:
+            out = _error(exc)
+        yield f"factor j={j} at d={_named(d)} {_tol(tol)}: {out}"
 
 
 def integrand_lines():
@@ -184,6 +213,7 @@ def cli_lines():
 
 
 def main() -> None:
+    warnings.simplefilter("error")  # so that a warning is an outcome, not a stray line
     panels = []
     integrals = spectral._integrals
 
