@@ -28,17 +28,21 @@ round-off floor: c eps (scale + 1) times its mass sum |w f| h, where the
 integrand supplies the scale, a bound over the panel on the summed
 magnitudes of the log terms each sample was built from.
 
-Panels are also pruned, in one place: at the top of each sweep, a panel
-starting at or past its envelope's start and the point where the tail
-falls to eps b (eps the binary64 epsilon, b the row's target over its
-initial panel count) is dropped.  It is never sampled and adds nothing to
-its row's value or panel count; the row's tail bound then runs from its
-first dropped panel.  Before the first sampling abs_tol, which no target
-is below, stands in for the target, so a first-layout panel past the
-target's cut is sampled and then judged, like any other, by its
-Gauss-Kronrod difference.  A row that would overrun its panel budget
-retires its unresolved panels, kept at their values and charged their
-|value|, and is flagged as failed.
+Panels are also pruned, in one place: at the top of each sweep, each
+row's cut is computed from its target b (its tolerance over its initial
+panel count), as the point where the envelope's tail falls to eps b (eps
+the binary64 epsilon), never before the envelope's start, and a panel
+starting at or past its row's cut is dropped.  It is never sampled and
+adds nothing to its row's value or panel count; the row's one tail bound
+then runs from its first dropped panel instead of from the truncation
+point.  Before the first sampling b is abs_tol over the panel count,
+which no target is below, and the first layout's samples then set it
+once, so a first-layout panel past the target's cut is sampled and then
+judged, like any other, by its Gauss-Kronrod difference.  Panels are
+counted as they are sampled; a row whose sampled panels and the children
+it would sample next pass its panel budget retires its unresolved
+panels, kept at their values and charged their |value|, and is flagged
+as failed.
 
 ``integrate_rows`` runs R independent integrals in lock-step sweeps.  Each
 row keeps the state a lone integral has: its truncation point and tail
@@ -79,6 +83,7 @@ as the integrand itself is pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Callable, List, NamedTuple, Tuple, Union
 
@@ -479,21 +484,15 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray):
     return child_lo, child_hi, child_pidx
 
 
-def _cutoffs(envelopes: Envelopes, tail: np.ndarray, bound):
-    """Per row, where the envelope's tail falls to ``bound``, never before
-    its start; None if no row's ``tail`` at its truncation point is below
-    ``bound``, as then no panel can start past its cutoff."""
-    if np.count_nonzero(tail < bound):
-        return _truncation(envelopes.log_const, envelopes.rate, np.log(bound), envelopes.start)
-
-
-def _prune(tail, envelopes: Envelopes, lo, pidx, row, cut):
-    """Mask of the pairs starting at or past their row's cutoff, which a
+def _prune(tail, envelopes: Envelopes, bound, lo, pidx, row):
+    """Mask of the pairs starting at or past their row's cut, where the
+    envelope's tail falls to ``bound`` (never before its start), which a
     sweep drops unsampled, or None.  Each such pair raises its row's
     ``tail`` to the envelope's tail from its panel's start: dropped panels
     run on to x_max, so the tail from the first covers them all."""
-    past = None if cut is None else lo[pidx] >= cut[row]
-    if past is None or not np.count_nonzero(past):
+    cut = _truncation(envelopes.log_const, envelopes.rate, np.log(bound), envelopes.start)
+    past = lo[pidx] >= cut[row]
+    if not np.count_nonzero(past):
         return None
     r = row[past]
     rate = envelopes.rate[r]
@@ -545,42 +544,45 @@ def integrate_staged(integrand, envelopes: Envelopes, tolerance: Tolerance) -> R
     the summed magnitudes of the log terms behind each of its samples (see
     ``_ROUNDOFF``).  Each row's fields, and every error raised, are those of
     evaluating both stages on the pairs' own abscissas.
+
+    A row's target is abs_tol over its initial panel count until its first
+    layout is sampled, which sets it once; every sweep's cut follows it
+    (``_prune``).  Panels are counted as they are sampled, and
+    ``max_panels`` caps a row's sampled panels plus the children it would
+    sample next.
     """
     n_rows = len(envelopes)
     log_c, rate = envelopes.log_const, envelopes.rate
     tail_tol = max(tolerance.abs_tol, _TAIL_TOL_FLOOR)
     x_max = np.maximum(_truncation(log_c, rate, math.log(tail_tol)), envelopes.start)
+    # the tail bound charged, from x_max or from a row's first dropped panel
     tail = np.exp(log_c - rate * x_max) / rate
 
-    # the tail bound charged, from x_max or from a row's first dropped panel;
-    # tail itself stays at x_max, where _cutoffs reads it
-    pruned_tail = tail.copy()
-
     lo, hi, pidx, row, counts = _initial_panels(x_max)
-    # before the first sampling, the cut that abs_tol, which no target is
-    # below, gives
-    cut = _cutoffs(envelopes, tail, _EPS * (tolerance.abs_tol / counts))
-    panels = counts.copy()
-    budgets = None
+    # before the first sampling abs_tol, which no target is below, stands in
+    # for the target
+    target = tolerance.abs_tol / counts
+    budgets = target[row]
+    panels = np.zeros(n_rows, dtype=int)
 
-    min_width = 1e-12 * np.maximum(1.0, x_max)
+    min_width = 1e-12 * x_max
     accepted_vals: List[np.ndarray] = []
     accepted_rows: List[np.ndarray] = []
     charged = np.zeros(n_rows)
     failed = np.zeros(n_rows, dtype=bool)
 
-    while True:
-        # the one pruning step: a pair past the cut is dropped unsampled, and
-        # adds only to its row's tail bound
-        dropped = _prune(pruned_tail, envelopes, lo, pidx, row, cut)
+    for sweep in itertools.count():
+        # the one pruning step: a pair past its row's cut is dropped
+        # unsampled, and adds only to its row's tail bound
+        dropped = _prune(tail, envelopes, _EPS * target, lo, pidx, row)
         if dropped is not None:
-            panels -= np.bincount(row[dropped], minlength=n_rows)
             kept = ~dropped
             row = row[kept]
-            budgets = None if budgets is None else budgets[kept]
+            budgets = budgets[kept]
             lo, hi, pidx = _distinct(lo, hi, pidx[kept])
         vals, diff, floor = _eval_panels(integrand, lo, hi, pidx, row)
-        if budgets is None:
+        panels += np.bincount(row, minlength=n_rows)
+        if not sweep:
             # the first layout, row by row, sets the targets
             rough = np.bincount(row, vals, n_rows)
             peak = np.zeros(n_rows)
@@ -589,7 +591,6 @@ def integrate_staged(integrand, envelopes: Envelopes, tolerance: Tolerance) -> R
                 tolerance.abs_tol, tolerance.rel_tol * np.maximum(np.abs(rough), peak)
             ) / counts
             budgets = target[row]
-            cut = _cutoffs(envelopes, tail, _EPS * target)
 
         # an accepted pair is charged its difference and floor, one retired
         # as its row ran out of panels its |value|
@@ -602,11 +603,9 @@ def integrate_staged(integrand, envelopes: Envelopes, tolerance: Tolerance) -> R
             over = (needed > 0) & (panels + needed > tolerance.max_panels)
             if np.count_nonzero(over):
                 failed |= over
-                needed[over] = 0
                 out = pending & over[row]
                 np.copyto(charge, np.abs(vals), where=out)
                 pending &= ~out
-            panels += needed
         done = ~pending
         accepted_vals.append(vals[done])
         accepted_rows.append(row[done])
@@ -630,7 +629,7 @@ def integrate_staged(integrand, envelopes: Envelopes, tolerance: Tolerance) -> R
             raise EvaluationError(
                 "integral overflowed up to the truncation point", float(x_max[r])
             ) from None
-    return RowArrays(value, charged + pruned_tail, leaves, x_max, failed)
+    return RowArrays(value, charged + tail, leaves, x_max, failed)
 
 
 def integrate_semi_infinite(f: LogIntegrand, spec: QuadratureSpec) -> IntegralResult:

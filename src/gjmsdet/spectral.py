@@ -93,7 +93,7 @@ from .chebyshev import v_coefficients
 from .errors import AccuracyError, DivergentIntegralError, ParameterError, UnsupportedArgumentError
 from .exact import METHODS, ClosedForm, LogDetResult, SpherePoint, closed_form_p4, zeta_odd
 from .exact import Record, is_integer, require_integer
-from .quadrature import Envelopes, Tolerance, integrate_staged
+from .quadrature import _ROUNDOFF, Envelopes, Tolerance, integrate_staged
 
 # Not called here (every route calls integrate_staged), but perfbench/spans.py
 # reads and rebinds spectral.integrate_semi_infinite, so the name stays.
@@ -372,15 +372,20 @@ def _product_weights(k: int):
     return weights
 
 
+def _named(name: str, n) -> str:
+    """``name = n``, or ``name of b bits`` for an int n of over 2000 bits:
+    str() refuses an int of more digits than sys.get_int_max_str_digits(),
+    which is at least 640."""
+    big = isinstance(n, int) and n.bit_length() > 2000
+    return f"{name} of {n.bit_length()} bits" if big else f"{name} = {n}"
+
+
 def _check_exact_rows(d: int) -> None:
     """Raise UnsupportedArgumentError naming d where d + 1, the largest row
     p of any plan at d, passes 2^53: the rows would round in binary64."""
     if d + 1 > 2**53:
-        # str() refuses an int of more digits than sys.get_int_max_str_digits(),
-        # which is at least 640: a d of over 2000 bits is named by its size
-        name = f"d = {d}" if d.bit_length() <= 2000 else f"d of {d.bit_length()} bits"
         raise UnsupportedArgumentError(
-            f"{name} is past 2^53 - 1, the last dimension whose rows p <= d + 1 "
+            f"{_named('d', d)} is past 2^53 - 1, the last dimension whose rows p <= d + 1 "
             "are exact binary64 integers"
         )
 
@@ -459,12 +464,14 @@ def _check_round_off_floor(
     integral.  So the result's estimate is at least 2 eps sum |w_r| L_r,
     and where eps sum |w_r| L_r > max(abs_tol, rel_tol value_bound) it
     exceeds max(abs_tol, rel_tol |value|): the result would be outside its
-    tolerance.  The left side takes eps, not 2 eps, as a safety margin."""
+    tolerance.  The left side takes _ROUNDOFF / 2 = eps, half the factor
+    the sweep charges, as a safety margin; it is sound only while it is
+    derived from what the sweep charges."""
     # in log space: the weights reach 2^1023 and rel_tol may be subnormal
     lower = _log_mass_lower(a, p)
     lower += np.log(np.abs(weights))
     top = lower.max()
-    log_floor = math.log(_EPS) + top + math.log(np.exp(lower - top).sum())
+    log_floor = math.log(_ROUNDOFF / 2) + top + math.log(np.exp(lower - top).sum())
     log_target = max(
         math.log(tol.abs_tol) if tol.abs_tol else -math.inf,
         math.log(tol.rel_tol) + math.log(value_bound),
@@ -548,9 +555,12 @@ def logdet_factor(
     """
     if d % 2 == 0 or d < 3:
         raise ParameterError("d must be odd and >= 3")
-    if 2.0 * factor.alpha >= d:
+    if 2 * factor.j + 1 >= d:  # in integers, as j may pass the binary64 range
+        # 2j + 1 converts to a float, and 2.0 alpha_j is finite, exactly while j < 2^1023 - 2^969
+        big = factor.j >= 2**1023 - 2**969
+        shown = f"2j + 1 at {_named('j', factor.j)}" if big else 2 * factor.alpha
         raise DivergentIntegralError(
-            f"factor integral diverges: 2*alpha = {2 * factor.alpha} >= d = {d}"
+            f"factor integral diverges: 2*alpha = {shown} >= {_named('d', d)}"
         )
     require_integer("d", d)  # after them, so the rejections above keep their messages
     _check_exact_rows(d)

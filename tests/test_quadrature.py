@@ -823,6 +823,29 @@ class TestEnvelopePruning:
         assert plain.panels_used > 0
         assert abs(plain.value - 1.0) <= plain.err_estimate
 
+    def test_budget_counts_only_sampled_panels(self):
+        # e^(-25 x) plus a width-0.005 bump at x = 0.5: the first layout
+        # [0, 1], [1, 2], [2, 4], [4, 8], [8, 10] loses its last two panels
+        # to pruning unsampled, and the bump then needs three sweeps of
+        # bisection, so 3 + 2 + 4 + 4 = 13 panels are sampled in all
+        width = 0.005
+        sweeps = []
+
+        def f(x, row):
+            sweeps.append(x.size // 65)
+            return -25.0 * x + np.log1p(np.exp(-(((x - 0.5) / width) ** 2))), 1.0
+
+        env = Envelopes(math.log(2.0), 25.0)
+        res = integrate_rows(f, env, Tolerance(max_panels=13))[0]
+        assert sweeps == [3, 2, 4, 4]
+        # int_0^inf e^(-25 x) (1 + e^(-((x - 1/2)/w)^2)) dx, up to e^-10000
+        exact = 1.0 / 25.0 + math.exp(-12.5) * width * math.sqrt(math.pi) * math.exp(
+            (25.0 * width) ** 2 / 4.0
+        )
+        assert abs(res.value - exact) <= res.err_estimate <= 1e-11 * res.value
+        with pytest.raises(AccuracyError, match="panel budget exhausted"):
+            integrate_rows(f, env, Tolerance(max_panels=12))
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_scalar_sign_matches_sign_array(self, sign):
         # a scalar +1 takes the positive-mass shortcut, a scalar -1 does not

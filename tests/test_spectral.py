@@ -8,6 +8,7 @@ at 40 digits, independent of this package's Gauss-Kronrod pipeline).
 import json
 import math
 import pickle
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -251,6 +252,25 @@ class TestLogdetFactor:
             logdet_factor(6.0, FactorIndex(0))
         with pytest.raises(DivergentIntegralError, match="2\\*alpha = 7.0 >= d = 5.5"):
             logdet_factor(5.5, FactorIndex(3))
+
+    @pytest.mark.parametrize(
+        "j", [10**400, 2**1100, 10**5000], ids=["10^400", "2^1100", "10^5000"]
+    )
+    def test_factor_index_past_binary64_diverges(self, j):
+        # 2j + 1 passes the binary64 range, so it is compared as an integer;
+        # str() refuses an int of over 4300 digits, so such a j is named by its size
+        name = f"j of {j.bit_length()} bits" if j > 10**4300 else f"j = {j}"
+        with pytest.raises(DivergentIntegralError, match=f"= 2j \\+ 1 at {name} >= d = 3$"):
+            logdet_factor(3, FactorIndex(j))
+
+    def test_divergence_message_keeps_2_alpha_while_it_is_finite(self):
+        # 2j + 1 converts to a float up to j = 2^1023 - 2^969 - 1
+        last = 2**1023 - 2**969 - 1
+        twice = re.escape(repr(float(2 * last + 1)))
+        with pytest.raises(DivergentIntegralError, match=f"2\\*alpha = {twice} >= d = 3$"):
+            logdet_factor(3, FactorIndex(last))
+        with pytest.raises(DivergentIntegralError, match=f"2j \\+ 1 at j = {last + 1} >= d = 3$"):
+            logdet_factor(3, FactorIndex(last + 1))
 
     @pytest.mark.parametrize("d", [3, 5, 7, 21, 35, 101, 1025])
     def test_sign_is_that_of_the_sum_row(self, d):

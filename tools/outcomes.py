@@ -17,13 +17,16 @@ order with binary64 powers; each at the default ``Tolerance`` and at
 ``max_panels`` 4 and 16, and at ``rel_tol`` 1e-8, 1e-12 and 1e-15 for
 d <= 301.  ``logdet_factor`` at every j, its divergent j = (d-1)/2
 included, at d in {3, 5, 21, 35, 101}, at the default ``Tolerance`` and at
-``rel_tol`` 1e-13, then at j = 0 at the d of ``EDGE_D``; ``float.hex`` of
+``rel_tol`` 1e-13, then at j = 0 at the d of ``EDGE_D``, and at d = 3 at
+the j of ``HUGE_J``, past the binary64 range; ``float.hex`` of
 ``integrand_direct`` at x in {1e-3, 1, 7, 100} on the grid and the diagonal;
-then a spike batch and a signed batch of ``integrate_staged`` at four
-tolerances.  A route's or a factor's panel count is that of its quadrature
-calls (``spectral._integrals``).  Warnings are raised as errors, so a
-warning prints as its call's outcome.  A line names d = 10^400 + 1 so,
-though its error message spells it out.
+then three batches of ``integrate_staged``, spikes, signed and the signed
+rows with envelope starts inside their first layouts, at six tolerances,
+``abs_tol`` 0 and 1e-300 among them.  A route's or a factor's panel count
+is that of its quadrature calls (``spectral._integrals``).  Warnings are
+raised as errors, so a warning prints as its call's outcome.  A line names
+d = 10^400 + 1 and the j of ``HUGE_J`` by powers (``_named``), though an
+error message may spell one out.
 
 Last come the command-line outcomes: a fixed list of ``cli.main`` calls
 (``CLI_CALLS``), run in this process in an empty temporary working
@@ -68,8 +71,15 @@ def _error(exc: Exception) -> str:
 EDGE_D = (2**53 - 1, 2**53 + 1, 2**63 + 1, 10**20 + 1, 10**400 + 1)
 
 
-def _named(d: int) -> str:
-    return "10^400+1" if d == 10**400 + 1 else str(d)
+# factor indices whose 2j + 1 passes the binary64 range
+HUGE_J = (10**400, 2**1100, 10**5000)
+
+# names of the ints that str() spells out at length, or refuses past 4300 digits
+_NAMES = {10**400 + 1: "10^400+1", 10**400: "10^400", 2**1100: "2^1100", 10**5000: "10^5000"}
+
+
+def _named(n: int) -> str:
+    return _NAMES[n] if n in _NAMES else str(n)
 
 
 def route_calls():
@@ -104,6 +114,7 @@ def factor_calls():
         for tol in (Tolerance(), Tolerance(rel_tol=1e-13)):
             yield from ((d, j, tol) for j in range((d - 1) // 2 + 1))
     yield from ((d, 0, Tolerance()) for d in EDGE_D)
+    yield from ((3, j, Tolerance()) for j in HUGE_J)
 
 
 def factor_lines(panels: list):
@@ -114,7 +125,7 @@ def factor_lines(panels: list):
             out = f"{value.hex()} {sum(panels)}"
         except Exception as exc:
             out = _error(exc)
-        yield f"factor j={j} at d={_named(d)} {_tol(tol)}: {out}"
+        yield f"factor j={_named(j)} at d={_named(d)} {_tol(tol)}: {out}"
 
 
 def integrand_lines():
@@ -141,6 +152,9 @@ def _spikes(x, row):
 _RATES = np.array([0.5, 1.0, 2.0, 5.0, 8.0, 10.0, 50.0, 400.0])
 _FREQS = np.array([3.0, 1.0, 7.0, 2.0, 3.0, 20.0, 5.0, 1.0])
 _SIGNED = Envelopes(0.0, _RATES)
+# the same rows with their envelopes holding only from a start inside the
+# first layout, so no pair before it may be pruned
+_STARTED = Envelopes(0.0, _RATES, [0.5, 1.5, 3.0, 5.0, 6.0, 8.5, 9.5, 0.25])
 
 
 def _signed(x, row):
@@ -150,8 +164,9 @@ def _signed(x, row):
 
 def batch_lines():
     tols = [Tolerance(), Tolerance(rel_tol=1e-13), Tolerance(rel_tol=1e-15),
-            Tolerance(max_panels=16)]
-    for name, f, env in (("spikes", _spikes, _SPIKES), ("signed", _signed, _SIGNED)):
+            Tolerance(max_panels=16), Tolerance(abs_tol=0.0), Tolerance(abs_tol=1e-300)]
+    for name, f, env in (("spikes", _spikes, _SPIKES), ("signed", _signed, _SIGNED),
+                         ("started", _signed, _STARTED)):
         for tol in tols:
             try:
                 rows = integrate_staged(_PlainIntegrand(f), env, tol)
