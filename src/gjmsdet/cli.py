@@ -42,12 +42,12 @@ def __getattr__(name: str):
 
 
 def _tolerance(args):
-    """The ``--tol`` Tolerance.  The commands that integrate import it and
-    ``scans`` as they run: both load numpy, which ``rules`` and
-    ``closed-form`` do without."""
+    """The ``--tol`` Tolerance, or None, the routes' default, without
+    ``--tol``.  The commands that integrate import it and ``scans`` as they
+    run: both load numpy, which ``rules`` and ``closed-form`` do without."""
     from .quadrature import Tolerance
 
-    return Tolerance() if args.tol is None else Tolerance(args.tol)
+    return None if args.tol is None else Tolerance(args.tol)
 
 
 # The scan commands: help, the ``scans`` function each runs, its dimension

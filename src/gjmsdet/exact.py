@@ -66,6 +66,16 @@ def require_integer(name: str, value) -> None:
         raise ParameterError(f"{name} must be an integer")
 
 
+def _named(name: str, value, sep: str = " = ", text=str) -> str:
+    """``name = value``, with ``sep`` between and ``text`` (str) of the
+    value, or ``name of b bits`` for an int of over 2000 bits: str() and
+    repr() refuse an int of more digits than sys.get_int_max_str_digits(),
+    which is at least 640."""
+    if isinstance(value, int) and value.bit_length() > 2000:
+        return f"{name} of {value.bit_length()} bits"
+    return f"{name}{sep}{text(value)}"
+
+
 class Record:
     """An immutable record.  Its fields are named once, in its class's
     ``__slots__`` (after those of the record classes it derives from; a
@@ -74,7 +84,8 @@ class Record:
     unknown or doubled field raises TypeError.  A record that checks or
     normalises its fields does so in its own ``__init__`` and then calls
     this one.  Records compare (within one class), hash and pickle by their
-    fields and print as ``SpherePoint(d=5, k=2)``.  Assigning or deleting a
+    fields and print as ``SpherePoint(d=5, k=2)``, an int field of over 2000
+    bits by its size (``_named``).  Assigning or deleting a
     field raises AttributeError."""
 
     __slots__ = ()
@@ -108,7 +119,7 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        fields = ", ".join(_named(name, getattr(self, name), "=", repr) for name in self._names)
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -142,6 +153,12 @@ class SpherePoint(Record):
     def sign(self) -> int:
         """Sign of the log-determinant, (-1)^((d-1)/2 + k)."""
         return -1 if ((self.d - 1) // 2 + self.k) % 2 else 1
+
+
+def require_point(point) -> None:
+    """Raise ParameterError unless ``point`` is a SpherePoint."""
+    if not isinstance(point, SpherePoint):
+        raise ParameterError(f"point must be a SpherePoint, not {type(point).__name__}")
 
 
 class LogDetResult(Record):
@@ -182,7 +199,9 @@ def zeta_odd(n: int) -> float:
                   * sum_{k<m} (-1)^k (d_k - d_m) / (k+1)^n,
 
     with m = 24 terms, evaluated in exact rational arithmetic and rounded
-    once.
+    once (``_zeta_series``).  From n = 55 on it returns 1.0 without the
+    series, which rounds to 1.0 there too: zeta(n) - 1 < 2^-n (1 + 2/(n-1))
+    is then below 2^-53, half an ulp of 1.
     """
     if not is_integer(n):
         raise UnsupportedArgumentError("n must be an integer")
@@ -191,6 +210,12 @@ def zeta_odd(n: int) -> float:
         raise UnsupportedArgumentError(
             "only odd n >= 3 are supported (even values have closed forms)"
         )
+    return 1.0 if n >= 55 else _zeta_series(n)
+
+
+def _zeta_series(n: int) -> float:
+    """Borwein's series for zeta(n) at an int n >= 2, rounded once; its work
+    grows about as n^2 (the powers (k+1)^n)."""
     d = _borwein_weights(_ZETA_TERMS)
     series = sum(
         Fraction((-1) ** k) * (d[k] - d[-1]) / (k + 1) ** n

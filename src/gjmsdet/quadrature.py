@@ -76,6 +76,14 @@ Splitting the work this way moves no value: pair order, budgets,
 acceptance and each row's fsum are those of a lone call, so a row's result
 is bit-identical to its lone call whatever it shares.
 
+Each input is checked once, where it enters: ``Tolerance`` checks its
+fields when it is built, and ``integrate_rows`` and
+``integrate_semi_infinite`` check their envelopes through ``Envelopes``.
+``integrate_staged`` takes the envelope as the arrays it reads (log C,
+rate and start) and checks nothing again, so the log-determinant routes,
+whose plans meet the envelope's conditions by construction, pay for no
+second check.
+
 There are no randomized abscissas; identical inputs give bit-identical
 results.  Everything here is stateless and safe to call concurrently as long
 as the integrand itself is pure.
@@ -353,10 +361,18 @@ class _PlainIntegrand:
 
     def per_pair(self, terms, row: np.ndarray):
         """``f``'s (log|f|, sign), and as each pair's scale max |log f| + 1
-        over its samples, a zero sample (log -inf) left out."""
+        over its samples, a zero sample (log -inf) left out.  ParameterError
+        unless ``f`` gives one log|f| per abscissa and a sign that is one
+        number or one per abscissa."""
         (x,) = terms
         logmag, sign = self.f(x.reshape(-1), row.repeat(x.shape[1]))
-        size = np.abs(np.asarray(logmag, dtype=float)).reshape(x.shape)
+        logmag, sign = np.asarray(logmag, dtype=float), np.asarray(sign, dtype=float)
+        if logmag.size != x.size or sign.ndim and sign.size != x.size:
+            raise ParameterError(
+                f"integrand returned {logmag.size} log-magnitudes and {sign.size} signs "
+                f"for {x.size} abscissas; expected one each, or one sign for all"
+            )
+        size = np.abs(logmag).reshape(x.shape)
         return logmag, sign, size.max(axis=1, where=size < np.inf, initial=0.0) + 1.0
 
 
@@ -484,19 +500,18 @@ def _bisect(lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray):
     return child_lo, child_hi, child_pidx
 
 
-def _prune(tail, envelopes: Envelopes, bound, lo, pidx, row):
+def _prune(tail, log_c, rate, start, bound, lo, pidx, row):
     """Mask of the pairs starting at or past their row's cut, where the
-    envelope's tail falls to ``bound`` (never before its start), which a
-    sweep drops unsampled, or None.  Each such pair raises its row's
-    ``tail`` to the envelope's tail from its panel's start: dropped panels
-    run on to x_max, so the tail from the first covers them all."""
-    cut = _truncation(envelopes.log_const, envelopes.rate, np.log(bound), envelopes.start)
-    past = lo[pidx] >= cut[row]
+    envelope (log C, rate and start, as ``integrate_staged`` takes them)
+    has its tail fall to ``bound`` (never before its start), which a sweep
+    drops unsampled, or None.  Each such pair raises its row's ``tail`` to
+    the envelope's tail from its panel's start: dropped panels run on to
+    x_max, so the tail from the first covers them all."""
+    past = lo[pidx] >= _truncation(log_c, rate, np.log(bound), start)[row]
     if not np.count_nonzero(past):
         return None
     r = row[past]
-    rate = envelopes.rate[r]
-    np.maximum.at(tail, r, np.exp(envelopes.log_const[r] - rate * lo[pidx[past]]) / rate)
+    np.maximum.at(tail, r, np.exp(log_c[r] - rate[r] * lo[pidx[past]]) / rate[r])
     return past
 
 
@@ -521,7 +536,9 @@ def integrate_rows(
     panel sum or integral that overflows binary64.  Overflow is reported by
     that error alone: numpy's overflow warnings are silenced for the call.
     """
-    rows = integrate_staged(_PlainIntegrand(f), envelopes, tolerance)
+    rows = integrate_staged(
+        _PlainIntegrand(f), envelopes.log_const, envelopes.rate, envelopes.start, tolerance
+    )
     if np.count_nonzero(rows.failed):
         r = int(rows.failed.argmax())
         fields = (a[r].item() for a in rows[:3])  # value, err_estimate, panels_used
@@ -530,10 +547,17 @@ def integrate_rows(
 
 
 @np.errstate(over="ignore", divide="ignore")
-def integrate_staged(integrand, envelopes: Envelopes, tolerance: Tolerance) -> RowArrays:
+def integrate_staged(integrand, log_c, rate, start, tolerance: Tolerance) -> RowArrays:
     """``integrate_rows`` for a two-stage integrand, returning the rows'
     results as arrays rather than IntegralResult objects, a row that runs
     out of ``max_panels`` flagged in ``failed`` rather than raised.
+
+    The envelope comes as the arrays this loop reads: ``log_c`` and
+    ``rate``, float arrays of one length R (the rows), and ``start``, a
+    scalar or such an array.  They are not checked here: ``integrate_rows``
+    checks them through ``Envelopes``, and every route plan has a finite
+    log C and a rate of at least 1/2 by construction.  ``tolerance`` is a
+    ``Tolerance``.
 
     ``integrand.shared(x)`` takes a 2-D array of abscissas, one panel a
     line, and returns a sequence of arrays of its shape: the terms every row
@@ -551,10 +575,9 @@ def integrate_staged(integrand, envelopes: Envelopes, tolerance: Tolerance) -> R
     ``max_panels`` caps a row's sampled panels plus the children it would
     sample next.
     """
-    n_rows = len(envelopes)
-    log_c, rate = envelopes.log_const, envelopes.rate
+    n_rows = rate.size
     tail_tol = max(tolerance.abs_tol, _TAIL_TOL_FLOOR)
-    x_max = np.maximum(_truncation(log_c, rate, math.log(tail_tol)), envelopes.start)
+    x_max = np.maximum(_truncation(log_c, rate, math.log(tail_tol)), start)
     # the tail bound charged, from x_max or from a row's first dropped panel
     tail = np.exp(log_c - rate * x_max) / rate
 
@@ -574,7 +597,7 @@ def integrate_staged(integrand, envelopes: Envelopes, tolerance: Tolerance) -> R
     for sweep in itertools.count():
         # the one pruning step: a pair past its row's cut is dropped
         # unsampled, and adds only to its row's tail bound
-        dropped = _prune(tail, envelopes, _EPS * target, lo, pidx, row)
+        dropped = _prune(tail, log_c, rate, start, _EPS * target, lo, pidx, row)
         if dropped is not None:
             kept = ~dropped
             row = row[kept]

@@ -4,6 +4,13 @@ minimal standalone SVG polyline chart.
 Rows are produced in deterministic (d, k, method) order.  CSV values are
 written with 17 significant digits so a round trip through text reproduces
 the exact binary64 values.
+
+A scan holds at most ``MAX_SCAN_POINTS`` (100000) points: ``scan_k``,
+``scan_limiting`` and ``scan_paneitz`` count their points arithmetically,
+after checking their dimensions and before they build any ``SpherePoint``,
+and raise UnsupportedArgumentError past it (the CLI exits 2).  At a few
+hundred microseconds a route call, the largest scan takes about a minute
+per route.
 """
 
 from __future__ import annotations
@@ -12,14 +19,15 @@ import math
 import sys
 from typing import Iterable, Optional, Sequence
 
-from .errors import MethodDisagreementError, ParameterError
-from .exact import Record, require_integer, select_methods
+from .errors import MethodDisagreementError, ParameterError, UnsupportedArgumentError
+from .exact import Record, _named, require_integer, require_point, select_methods
 from .quadrature import Tolerance
 from .spectral import SpherePoint, logdet
 
 __all__ = [
     "ScanRow",
     "CSV_HEADER",
+    "MAX_SCAN_POINTS",
     "select_methods",
     "compute_rows",
     "scan_k",
@@ -35,6 +43,9 @@ __all__ = [
 ]
 
 CSV_HEADER = "d,k,method,value,err_estimate"
+
+# the most points a scan holds (see the module docstring)
+MAX_SCAN_POINTS = 100_000
 
 # Agreement guard for --method all: pairwise spread must stay within
 # max(1e-9 absolute, 1e-8 relative to the largest magnitude).
@@ -70,8 +81,12 @@ def compute_rows(
     method: str = "direct",
     tolerance: Optional[Tolerance] = None,
 ) -> list[ScanRow]:
-    """Evaluate the requested method(s) at each point, in (d, k) order."""
+    """Evaluate the requested method(s) at each point, in (d, k) order.
+    A point that is not a SpherePoint raises ParameterError."""
     methods = select_methods(method)
+    points = list(points)
+    for point in points:
+        require_point(point)
     rows = []
     for point in sorted(points, key=lambda p: (p.d, p.k)):
         for tag in methods:
@@ -88,21 +103,30 @@ def scan_k(
     d: int, method: str = "direct", tolerance: Optional[Tolerance] = None
 ) -> list[ScanRow]:
     """All allowed orders k = 1 .. (d-1)/2 at fixed dimension d."""
-    require_integer("d", d)
-    points = [SpherePoint(d, k) for k in range(1, (d - 1) // 2 + 1)]
-    if not points:
-        raise ParameterError("d must be odd and >= 3")
-    return compute_rows(points, method, tolerance)
+    SpherePoint(d, 1)  # refuses a d that is not an odd integer >= 3
+    count = _bounded((d - 1) // 2)
+    return compute_rows([SpherePoint(d, k) for k in range(1, count + 1)], method, tolerance)
 
 
-def _odd_range(d_min: int, d_max: int) -> list[int]:
+def _bounded(count: int) -> int:
+    """``count``, a scan's number of points, or UnsupportedArgumentError
+    past MAX_SCAN_POINTS."""
+    if count > MAX_SCAN_POINTS:
+        raise UnsupportedArgumentError(
+            f"{_named('scan point count', count)} is past the limit of {MAX_SCAN_POINTS}"
+        )
+    return count
+
+
+def _odd_range(d_min: int, d_max: int) -> range:
     if d_min % 2 == 0 or d_max % 2 == 0:
         raise ParameterError("d must be odd and >= 3")
     if d_min < 3 or d_max < d_min:
         raise ParameterError("need 3 <= d_min <= d_max")
     require_integer("d", d_min)
     require_integer("d", d_max)
-    return list(range(d_min, d_max + 1, 2))
+    _bounded((d_max - d_min) // 2 + 1)
+    return range(d_min, d_max + 1, 2)
 
 
 def scan_limiting(

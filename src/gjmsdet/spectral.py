@@ -92,8 +92,8 @@ import numpy as np
 from .chebyshev import v_coefficients
 from .errors import AccuracyError, DivergentIntegralError, ParameterError, UnsupportedArgumentError
 from .exact import METHODS, ClosedForm, LogDetResult, SpherePoint, closed_form_p4, zeta_odd
-from .exact import Record, is_integer, require_integer
-from .quadrature import _ROUNDOFF, Envelopes, Tolerance, integrate_staged
+from .exact import _LN2, Record, _named, is_integer, require_integer, require_point
+from .quadrature import _DEFAULT_TOLERANCE, _EPS, _ROUNDOFF, Tolerance, integrate_staged
 
 # Not called here (every route calls integrate_staged), but perfbench/spans.py
 # reads and rebinds spectral.integrate_semi_infinite, so the name stays.
@@ -116,10 +116,8 @@ __all__ = [
     "closed_form_p4",
 ]
 
-_LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
 _PISQ = math.pi * math.pi
-_EPS = sys.float_info.epsilon
 
 
 class FactorIndex(Record):
@@ -317,12 +315,18 @@ def _integrals(a, p, tolerance: Tolerance, regrouped: bool = False) -> tuple:
     ``p``, in one batched quadrature call: values, estimates, ``failed``
     flags and panel counts as arrays.
 
+    The envelope goes to ``integrate_staged`` as ``_envelope``'s arrays
+    with a start of 0, unchecked: the checks of ``SpherePoint`` (k <= (d-1)/2
+    and d + 1 <= 2^53) and of ``logdet_factor`` (2j + 1 < d) give every row
+    2a <= p - 2 <= 2^53, so a rate (p-1-2a)/2 of at least 1/2 and a finite
+    log C.
+
     The scale is applied with ``np.ldexp``: exact while a value and its
     estimate stay normal.  Below 2^-1022 ldexp rounds each to the subnormal
     spacing 2^-1074 (a value may round to 0), so the estimate is then
     widened to cover both roundings and is never lost to underflow.
     """
-    rows = integrate_staged(_LogIntegrand(a, p, regrouped), Envelopes(*_envelope(a, p)), tolerance)
+    rows = integrate_staged(_LogIntegrand(a, p, regrouped), *_envelope(a, p), 0.0, tolerance)
     shift = 2 - p.astype(int)
     value = np.ldexp(rows.value, shift)
     err = np.ldexp(rows.err_estimate, shift)
@@ -372,14 +376,6 @@ def _product_weights(k: int):
     return weights
 
 
-def _named(name: str, n) -> str:
-    """``name = n``, or ``name of b bits`` for an int n of over 2000 bits:
-    str() refuses an int of more digits than sys.get_int_max_str_digits(),
-    which is at least 640."""
-    big = isinstance(n, int) and n.bit_length() > 2000
-    return f"{name} of {n.bit_length()} bits" if big else f"{name} = {n}"
-
-
 def _check_exact_rows(d: int) -> None:
     """Raise UnsupportedArgumentError naming d where d + 1, the largest row
     p of any plan at d, passes 2^53: the rows would round in binary64."""
@@ -411,11 +407,11 @@ def _plan(point: SpherePoint, method: str) -> tuple:
 
 
 def _resolved(tolerance: Optional[Tolerance]) -> Tolerance:
-    """``tolerance``, or the default for None; else ParameterError, before
-    any field of it is read."""
+    """``tolerance``, or for None quadrature's one default ``Tolerance``;
+    else ParameterError, before any field of it is read."""
     if not isinstance(tolerance, (Tolerance, type(None))):
         raise ParameterError(f"tolerance must be a Tolerance, not {type(tolerance).__name__}")
-    return Tolerance() if tolerance is None else tolerance
+    return _DEFAULT_TOLERANCE if tolerance is None else tolerance
 
 
 def logdet(
@@ -435,7 +431,9 @@ def logdet(
     mass |w_r| B_r is at most eps rel_tol max_s |w_s| B_s / n; their summed
     bound mass is added to the estimate (see ``_drop_negligible``).  Out
     of panels, raises an AccuracyError named by route and point, in log-det units.
-    A ``tolerance`` that is neither a Tolerance nor None raises ParameterError."""
+    A ``point`` that is not a SpherePoint, or a ``tolerance`` that is
+    neither a Tolerance nor None, raises ParameterError."""
+    require_point(point)
     tolerance = _resolved(tolerance)
     a, p, weights, regrouped = _plan(point, method)
     where = f"{method} at d={point.d}, k={point.k}"  # after _plan refused a d too long to print
@@ -553,6 +551,8 @@ def logdet_factor(
     Raises AccuracyError, named by factor and d, if its panels run out, and
     ParameterError for a ``tolerance`` that is neither a Tolerance nor None.
     """
+    if isinstance(d, np.generic):  # else 2j + 1 is compared as a numpy float
+        d = d.item()
     if d % 2 == 0 or d < 3:
         raise ParameterError("d must be odd and >= 3")
     if 2 * factor.j + 1 >= d:  # in integers, as j may pass the binary64 range

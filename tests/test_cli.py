@@ -8,7 +8,17 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from gjmsdet import ParameterError, ScanRow, cli, exact, read_csv, scans, v_coefficients
+from gjmsdet import (
+    ParameterError,
+    ScanRow,
+    SpherePoint,
+    UnsupportedArgumentError,
+    cli,
+    exact,
+    read_csv,
+    scans,
+    v_coefficients,
+)
 from gjmsdet.cli import main
 from gjmsdet.scans import (
     check_method_agreement,
@@ -701,3 +711,54 @@ class TestNumpyIntegerDimension:
     def test_dimensions_from_arange(self):
         for d in np.arange(3, 12, 2):
             assert format_csv(scan_k(d)) == format_csv(scan_k(int(d)))
+
+
+class TestBoundedScans:
+    """A scan counts its points before it builds any, and refuses more than
+    MAX_SCAN_POINTS with UnsupportedArgumentError, which the CLI maps to
+    exit 2."""
+
+    LIMIT = scans.MAX_SCAN_POINTS
+
+    @pytest.mark.parametrize("scan, args", [
+        (scan_k, (2 * LIMIT + 1,)),
+        (scan_limiting, (3, 2 * LIMIT + 1)),
+        (scan_paneitz, (5, 2 * LIMIT + 3)),
+    ])
+    def test_the_limit_itself_is_scanned(self, scan, args, monkeypatch):
+        monkeypatch.setattr(scans, "compute_rows", lambda points, *rest: len(points))
+        assert scan(*args) == self.LIMIT
+
+    @pytest.mark.parametrize("scan, args, count", [
+        (scan_k, (2 * LIMIT + 3,), LIMIT + 1),
+        (scan_limiting, (3, 2 * LIMIT + 3), LIMIT + 1),
+        (scan_paneitz, (5, 2 * LIMIT + 5), LIMIT + 1),
+        (scan_k, (100000000001,), 50000000000),
+        (scan_limiting, (3, 100000000001), 50000000000),
+    ])
+    def test_past_the_limit_is_refused_before_any_point(self, scan, args, count, monkeypatch):
+        built, point = [], scans.SpherePoint
+        monkeypatch.setattr(scans, "SpherePoint", lambda d, k: built.append(k) or point(d, k))
+        with pytest.raises(UnsupportedArgumentError) as info:
+            scan(*args)
+        assert str(info.value) == f"scan point count = {count} is past the limit of {self.LIMIT}"
+        assert built == ([1] if scan is scan_k else [])  # scan_k checks d with k = 1 first
+
+    def test_a_huge_count_is_named_by_its_size(self):
+        with pytest.raises(UnsupportedArgumentError, match="^scan point count of 16609 bits is"):
+            scan_k(10**5000 + 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["limiting", "--d-min", "3", "--d-max", "100000000001"],  # once a raw MemoryError
+        ["scan-k", "--d", "100000000001"],  # once ran until killed
+    ])
+    def test_cli_exits_2(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: scan point count = 50000000000 is past the limit of 100000\n"
+
+    @pytest.mark.parametrize("points", [[(5, 2)], [SpherePoint(5, 2), None]])
+    def test_compute_rows_refuses_what_is_not_a_point(self, points):
+        # [(5, 2)] once raised AttributeError from the sort key
+        with pytest.raises(ParameterError, match="^point must be a SpherePoint, not "):
+            scans.compute_rows(points)

@@ -380,6 +380,27 @@ class TestIntegrateRows:
         for rate, res in zip(rates, batch):
             assert abs(res.value - 1.0 / rate) <= 10.0 * res.err_estimate + 1e-15
 
+    @pytest.mark.parametrize(
+        "f",
+        [lambda x, row: (np.zeros(3), 1.0),  # once numpy's "cannot reshape array"
+         lambda x, row: (-x, np.ones(3)),
+         lambda x, row: (-x[:-1], 1.0),
+         lambda x, row: (-x, np.ones(x.size + 1))],
+        ids=["short_log", "short_sign", "one_log_short", "one_sign_over"],
+    )
+    def test_integrand_of_the_wrong_shape_is_refused(self, f):
+        with pytest.raises(ParameterError, match="^integrand returned .* abscissas; expected"):
+            integrate_rows(f, Envelopes(0.0, 1.0), Tolerance())
+        with pytest.raises(ParameterError, match="^integrand returned"):
+            integrate_semi_infinite(lambda x: f(x, None), QuadratureSpec(decay_rate=1.0))
+
+    def test_one_sign_for_all_or_one_per_abscissa(self):
+        one = integrate_rows(lambda x, row: (-x, 1.0), Envelopes(0.0, 1.0), Tolerance())
+        each = integrate_rows(
+            lambda x, row: (-x, np.ones(x.size)), Envelopes(0.0, 1.0), Tolerance()
+        )
+        assert one == each
+
 
 def _same_rows(got, want):
     assert [
@@ -457,7 +478,10 @@ class TestSharedPanels:
     def test_two_stage_rows_match_one_stage_and_lone_calls(self, rows):
         shift, rate = [self.SHIFT[r] for r in rows], [self.RATE[r] for r in rows]
         staged = _Staged(shift, rate)
-        batch = _as_results(integrate_staged(staged, staged.envelopes(), Tolerance()))
+        env = staged.envelopes()
+        batch = _as_results(
+            integrate_staged(staged, env.log_const, env.rate, env.start, Tolerance())
+        )
         shared, per_pair = staged.seen["shared"], staged.seen["per_pair"]
         if len(rows) == 1:
             # a lone row's table is its own panels: nothing is evaluated twice
@@ -470,7 +494,9 @@ class TestSharedPanels:
         _same_rows(batch, integrate_rows(staged.plain, staged.envelopes(), Tolerance()))
         for s, r, row in zip(shift, rate, batch):
             one = _Staged([s], [r])
-            _same_rows([row], _as_results(integrate_staged(one, one.envelopes(), Tolerance())))
+            env = one.envelopes()
+            staged_one = integrate_staged(one, env.log_const, env.rate, env.start, Tolerance())
+            _same_rows([row], _as_results(staged_one))
 
     # rows 0-6 are e^(-10 x), done within budget and sharing every panel;
     # rows 7 and 8 hold width-0.0005 spikes that 16 panels cannot resolve
@@ -496,7 +522,9 @@ class TestSharedPanels:
         # the rows above: integrate_staged returns every row, flags 7 and 8,
         # and the error integrate_rows raises carries row 7's fields
         tol = Tolerance(max_panels=16)
-        rows = integrate_staged(_PlainIntegrand(self._spikes), self.SPIKES, tol)
+        env = self.SPIKES
+        f = _PlainIntegrand(self._spikes)
+        rows = integrate_staged(f, env.log_const, env.rate, env.start, tol)
         assert rows.failed.tolist() == [False] * 7 + [True] * 2
         with pytest.raises(AccuracyError) as info:
             integrate_rows(self._spikes, self.SPIKES, tol)
@@ -526,8 +554,9 @@ class TestSharedPanels:
 
     def test_nan_in_shared_stage_names_the_one_stage_abscissa(self):
         staged = _Staged(self.SHIFT, self.RATE, nan_beyond=7.0)
+        env = staged.envelopes()
         with pytest.raises(EvaluationError) as staged_info:
-            integrate_staged(staged, staged.envelopes(), Tolerance())
+            integrate_staged(staged, env.log_const, env.rate, env.start, Tolerance())
         with pytest.raises(EvaluationError) as plain_info:
             integrate_rows(staged.plain, staged.envelopes(), Tolerance())
         got, want = staged_info.value, plain_info.value

@@ -128,3 +128,14 @@ def test_record_contract(index):
             cls(*args, **kwargs)
         if "__init__" not in cls.__dict__:  # Record's own message names the fields
             assert ", ".join(fields) in str(info.value)
+
+
+@pytest.mark.parametrize("d, shown", [
+    (2**2000 - 1, f"d={2**2000 - 1}"),  # 2000 bits: printed in digits
+    (2**2000 + 1, "d of 2001 bits"),
+    (10**5000 + 1, "d of 16610 bits"),  # once a ValueError from repr() of the int
+], ids=["2^2000-1", "2^2000+1", "10^5000+1"])
+def test_huge_int_field_prints_by_its_size(d, shown):
+    assert repr(SpherePoint(d, 1)) == f"SpherePoint({shown}, k=1)"
+    row = ScanRow(d, 1, "direct", 0.5, 1e-12)
+    assert repr(row) == f"ScanRow({shown}, k=1, method='direct', value=0.5, err_estimate=1e-12)"

@@ -39,7 +39,7 @@ from gjmsdet import (
     scan_k,
     zeta_odd,
 )
-from gjmsdet.quadrature import Envelopes, integrate_staged
+from gjmsdet.quadrature import integrate_staged
 
 # frozen 40-digit oracle values
 REF_D5K2 = 0.1046421441058079165
@@ -250,6 +250,12 @@ class TestLogdetFactor:
     def test_earlier_rejections_keep_their_message(self):
         with pytest.raises(ParameterError, match="^d must be odd and >= 3$"):
             logdet_factor(6.0, FactorIndex(0))
+
+    @pytest.mark.parametrize("d", [np.float64(5.0), np.float32(5.0), np.int64(5), 5.0, 5])
+    def test_numpy_dimension_with_huge_index_diverges(self, d):
+        # numpy once compared 2j + 1 with d as a float, and raised OverflowError
+        with pytest.raises(DivergentIntegralError, match="2j \\+ 1 at j = 1000.* >= d = 5"):
+            logdet_factor(d, FactorIndex(10**400))
         with pytest.raises(DivergentIntegralError, match="2\\*alpha = 7.0 >= d = 5.5"):
             logdet_factor(5.5, FactorIndex(3))
 
@@ -505,7 +511,7 @@ def _run_anyway(point, method, tolerance=Tolerance()):
 
 def _staged_rows(a, p, regrouped, tolerance):
     integrand = spectral._LogIntegrand(a, p, regrouped)
-    rows = integrate_staged(integrand, Envelopes(*spectral._envelope(a, p)), tolerance)
+    rows = integrate_staged(integrand, *spectral._envelope(a, p), 0.0, tolerance)
     return list(zip(*(field.tolist() for field in rows)))
 
 
@@ -1039,6 +1045,22 @@ class TestPlanContract:
             assert list(zip(*(v.tolist() for v in fields))) == want, (d, k)
             assert regrouped is (method == "chebyshev")
 
+    def test_every_row_has_the_envelope_integrate_staged_assumes(self):
+        # _integrals passes each plan's envelope unchecked: every row must
+        # have a rate of at least 1/2 and a finite log C
+        grid = [(d, k) for d in range(3, 22, 2) for k in range(1, (d - 1) // 2 + 1)]
+        scan = [(35, k) for k in range(1, 18)]
+        diagonal = [(d, (d - 1) // 2) for d in range(3, 1026, 2)]
+        plans = [spectral._plan(SpherePoint(d, k), method)[:2]
+                 for d, k in grid + scan + diagonal for method in METHODS]
+        # logdet_factor's rows, every valid j: a = j + 1/2 and p = d
+        plans += [(np.arange((d - 1) // 2) + 0.5, np.full((d - 1) // 2, float(d)))
+                  for d in (3, 5, 21, 35, 101, 1101)]
+        assert len(plans) == 4 * (55 + 17 + 512) + 6
+        for a, p in plans:
+            log_c, rate = spectral._envelope(a, p)
+            assert rate.min() >= 0.5 and np.isfinite(log_c).all(), (a, p)
+
 
 class TestToleranceArgument:
     """A ``tolerance`` that is neither a Tolerance nor None raises
@@ -1241,6 +1263,12 @@ class TestDispatch:
         with pytest.raises(UnsupportedArgumentError):
             logdet(SpherePoint(5, 2), "bogus")
 
+    @pytest.mark.parametrize("point", [(5, 2), None, "5,2", exact.LogDetResult(0.0, 0.0, "", None)])
+    def test_refuses_what_is_not_a_sphere_point(self, point):
+        # (5, 2) once raised AttributeError
+        with pytest.raises(ParameterError, match="^point must be a SpherePoint, not "):
+            logdet(point)
+
     def test_methods_is_the_exact_layer_tuple(self):
         assert spectral.METHODS is exact.METHODS is METHODS
 
@@ -1268,6 +1296,17 @@ class TestZetaOdd:
     ])
     def test_within_one_ulp_of_mpmath(self, n, ref):
         assert abs(zeta_odd(n) - ref) <= math.ulp(ref)
+
+    @pytest.mark.parametrize("n, ref", [(51, 1.0000000000000004), (53, 1.0), (55, 1.0),
+                                        (57, 1.0), (101, 1.0)])
+    def test_shortcut_returns_the_series_value(self, n, ref):
+        # zeta_odd returns 1.0 from n = 55 without the series: bit for bit its value
+        assert exact._zeta_series(n) == ref
+        assert zeta_odd(n) == ref
+
+    @pytest.mark.parametrize("n", [10001, 10**6 + 1, 10**400 + 1])
+    def test_huge_n_is_one(self, n):
+        assert zeta_odd(n) == 1.0
 
     def test_zeta31_bracket(self):
         # 0 < zeta(n) - 1 < 2^(1-n) for n >= 3

@@ -169,7 +169,7 @@ def batch_lines():
                          ("started", _signed, _STARTED)):
         for tol in tols:
             try:
-                rows = integrate_staged(_PlainIntegrand(f), env, tol)
+                rows = integrate_staged(_PlainIntegrand(f), env.log_const, env.rate, env.start, tol)
             except Exception as exc:
                 yield f"{name} {_tol(tol)}: {_error(exc)}"
                 continue
