@@ -28,19 +28,25 @@ from v_0 = k and the ratio
 
 and the u_j follow by restoring sign and power of two,
 u_j = (-1)^(k-1-j) 2^(2j+1) v_j.  Python integers have no order cap and no
-overflow.  All functions are pure and the returned values immutable, safe
-to share between threads.
+overflow, but str() prints none of more than sys.get_int_max_str_digits()
+digits, and the largest power has about 0.42 k digits; so the one pass
+that builds the powers, ``product_rule_powers``, refuses the first past
+that limit (at the default 4300, from k = 10294 on), and a huge k is
+refused at once rather than built.  Everything here builds its powers
+there.  All functions are pure and the returned values immutable, safe to
+share between threads.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import InternalConsistencyError, ParameterError
-from .exact import Record, is_integer
+from .errors import InternalConsistencyError, ParameterError, UnsupportedArgumentError
+from .exact import Record, _named, is_integer
 
 __all__ = [
     "OddChebyshev",
@@ -97,20 +103,30 @@ def _check_order(k) -> int:
     return int(k)
 
 
-def _powers(k: int) -> Iterator[int]:
-    """v_0(k), ..., v_{k-1}(k) for an int k >= 1, one at a time, so that a
-    caller may stop early: they rise to one peak near j = k/sqrt(5), then
-    fall.  Each follows from the one before by the exact ratio
-    (k+j+1)(k-1-j) / ((2j+2)(2j+3)); a division that leaves a remainder
-    means the construction is broken and raises InternalConsistencyError.
-    """
+def product_rule_powers(k: int) -> Iterator[int]:
+    """v_0(k), ..., v_{k-1}(k), one at a time, uncached.  Each follows from
+    the one before by the exact ratio (k+j+1)(k-1-j) / ((2j+2)(2j+3)); a
+    division that leaves a remainder means the construction is broken and
+    raises InternalConsistencyError.  Raises ParameterError unless k is a
+    positive integer, and UnsupportedArgumentError at the first power with
+    more digits than sys.get_int_max_str_digits() lets str() print (a
+    limit of 0 is none), before any later one is built."""
+    k = _check_order(k)
+    limit = sys.get_int_max_str_digits()
+    bound = 10**limit if limit else math.inf
     power = k
-    yield power
-    for j in range(k - 1):
-        power, r = divmod(power * (k + j + 1) * (k - 1 - j), (2 * j + 2) * (2 * j + 3))
-        if r != 0:
-            raise InternalConsistencyError(
-                f"v[{j + 1}] of k = {k} is not an integer: remainder {r}"
+    for j in range(k):
+        if j:
+            power, r = divmod(power * (k + j) * (k - j), (2 * j) * (2 * j + 1))
+            if r != 0:
+                raise InternalConsistencyError(
+                    f"v[{j}] of k = {k} is not an integer: remainder {r}"
+                )
+        if power >= bound:
+            raise UnsupportedArgumentError(
+                f"power v_{j}(k) at {_named('k', k)} has more than the interpreter's limit of "
+                f"{limit} digits for integer string conversion; "
+                "raise it with PYTHONINTMAXSTRDIGITS or sys.set_int_max_str_digits"
             )
         yield power
 
@@ -118,15 +134,17 @@ def _powers(k: int) -> Iterator[int]:
 @lru_cache(maxsize=None, typed=True)  # so no float hits a numpy integer's entry
 def v_coefficients(k: int) -> ProductRule:
     """Determinant product-rule powers v_j(k) = C(k+j, 2j+1), j < k, built
-    by ``_powers``."""
+    by ``product_rule_powers``, which refuses a k whose powers pass the
+    interpreter's digit limit."""
     k = _check_order(k)
-    return ProductRule(k=k, v=tuple(_powers(k)))
+    return ProductRule(k=k, v=tuple(product_rule_powers(k)))
 
 
 @lru_cache(maxsize=None, typed=True)  # so no float hits a numpy integer's entry
 def u_coefficients(k: int) -> OddChebyshev:
     """Exact odd-power coefficients of U_{2k-1},
-    u_j = (-1)^(k-1-j) 2^(2j+1) v_j(k)."""
+    u_j = (-1)^(k-1-j) 2^(2j+1) v_j(k), from ``v_coefficients`` (so with
+    its refusal past the digit limit)."""
     k = _check_order(k)
     coeffs = []
     for j, v in enumerate(v_coefficients(k).v):
@@ -147,6 +165,8 @@ def eval_u(k: int, y: float) -> float:
     For |y| >= 1 the result also equals sinh(2k*arccosh|y|)/sinh(arccosh|y|)
     up to the odd symmetry in y; that hyperbolic ratio is used as an
     independent cross-check in the test suite, never as the value here.
+    The coefficients come from ``u_coefficients``, so a k whose powers pass
+    the interpreter's digit limit raises UnsupportedArgumentError.
     """
     k = _check_order(k)
     y = float(y)

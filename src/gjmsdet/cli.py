@@ -14,7 +14,12 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .chebyshev import _powers, v_coefficients
+from .chebyshev import product_rule_powers
+
+# Not called here (``rules`` prints the powers as ``product_rule_powers``
+# builds them), but perfbench/spans.py reads and rebinds cli.v_coefficients,
+# so the name stays.
+from .chebyshev import v_coefficients  # noqa: F401
 from .errors import (
     AccuracyError,
     DivergentIntegralError,
@@ -95,23 +100,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_rules(args) -> int:
-    # Refuse a k with a power that str() would not print before
-    # v_coefficients builds and caches them all: walk the powers up to their
-    # peak, or to the first past the limit (0 means none).
-    limit = sys.get_int_max_str_digits()
-    bound, peak = 10**limit, 0
-    for j, power in enumerate(_powers(args.k) if limit else ()):
-        if power < peak:
-            break
-        if power >= bound:
-            raise UnsupportedArgumentError(
-                f"power v_{j}(k) at k = {args.k} has more than the interpreter's limit of "
-                f"{limit} digits for integer string conversion; "
-                "raise it with PYTHONINTMAXSTRDIGITS or sys.set_int_max_str_digits"
-            )
-        peak = power
+    # uncached, so that a power past the digit limit in force now is refused
+    # (exit 2) before it or any later power is built, whatever was cached
     factors = []
-    for j, power in enumerate(v_coefficients(args.k).v):
+    for j, power in enumerate(product_rule_powers(args.k)):
         dim = "d" if j == 0 else f"d-{2 * j}"
         factors.append(f"P_2^{power}({dim})")
     print(f"P_{2 * args.k}(d) ~ " + " ".join(factors))

@@ -66,6 +66,14 @@ def require_integer(name: str, value) -> None:
         raise ParameterError(f"{name} must be an integer")
 
 
+def require_real(name: str, value) -> None:
+    """Raise the ParameterError of ``require_integer`` unless ``value`` is a
+    real number, such as a float: the check before the range checks that
+    compare it, which keep their own messages for a real non-integer."""
+    if not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be an integer")
+
+
 def _named(name: str, value, sep: str = " = ", text=str) -> str:
     """``name = value``, with ``sep`` between and ``text`` (str) of the
     value, or ``name of b bits`` for an int of over 2000 bits: str() and
@@ -155,10 +163,19 @@ class SpherePoint(Record):
         return -1 if ((self.d - 1) // 2 + self.k) % 2 else 1
 
 
+def require_type(name: str, value, kind: type) -> None:
+    """Raise ParameterError, naming ``name`` and the type given, unless
+    ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ParameterError(
+            f"{name} must be {article} {kind.__name__}, not {type(value).__name__}"
+        )
+
+
 def require_point(point) -> None:
     """Raise ParameterError unless ``point`` is a SpherePoint."""
-    if not isinstance(point, SpherePoint):
-        raise ParameterError(f"point must be a SpherePoint, not {type(point).__name__}")
+    require_type("point", point, SpherePoint)
 
 
 class LogDetResult(Record):

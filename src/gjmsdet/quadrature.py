@@ -56,25 +56,16 @@ panels, so every row returns the same value and panel count as when it
 is integrated alone.
 ``integrate_semi_infinite`` is the one-row call.
 
-Rows of one batch often integrate over the same panels: their initial
-panels [0, 1], [1, 2], [2, 4], ... coincide up to each row's last one, and
-where several rows reject a panel they bisect it alike.  So every call
-keeps, per sweep, a table of panels, and each pair carries an index into
-it.  The first table holds those power-of-two panels once, then each row's
-last panel; the children of a panel that several rows reject are made
-once, and the table is compacted each sweep with a flag array and its cumsum.
-
-The integrand is evaluated in two stages (``integrate_staged``): a shared
-stage, once per table panel, computes the terms that do not depend on the
-row, the abscissas among them where the second stage needs them; a
-per-pair stage, a fixed number of pairs at a time so memory stays flat,
-gathers those terms and adds the row-dependent parts.  The route
-integrand splits by dependence, the terms of x alone shared and every
-term of a row's parameters per pair; a plain ``f(x, row)`` is the
-two-stage integrand whose only shared term is x.
-Splitting the work this way moves no value: pair order, budgets,
-acceptance and each row's fsum are those of a lone call, so a row's result
-is bit-identical to its lone call whatever it shares.
+Each pending (row, panel) pair carries its own panel, its ``lo`` and
+``hi`` beside its row: a row's first layout is its [0, 1], [1, 2], [2, 4],
+..., and a rejected pair is replaced, in place, by its two halves, left
+then right.  The integrand is one call, ``integrand(x, row) -> (log|f|,
+sign, scale)``, made on _CHUNK_PANELS pairs at a time so memory stays flat:
+``x`` holds each pair's abscissas, one pair a line, and ``row`` the column
+of their rows; a plain ``f(x, row)`` is wrapped as one
+(``_PlainIntegrand``).  Pair order, budgets, acceptance and each row's
+fsum are those of a lone call, so a row's result is bit-identical to its
+lone call whatever batch it is in.
 
 Each input is checked once, where it enters: ``Tolerance`` checks its
 fields when it is built, and ``integrate_rows`` and
@@ -98,7 +89,7 @@ from typing import Callable, List, NamedTuple, Tuple, Union
 import numpy as np
 
 from .errors import AccuracyError, DivergentIntegralError, EvaluationError, ParameterError
-from .exact import Record, is_integer
+from .exact import Record, is_integer, require_type
 
 __all__ = [
     "Tolerance",
@@ -184,9 +175,8 @@ _EPS = float(np.finfo(float).eps)
 _ROUNDOFF = 2.0 * _EPS
 _MIN_TRUNCATION = 10.0
 _TAIL_TOL_FLOOR = 1e-300
-# Pairs per per-pair call: 8320 abscissas, so each temporary of one call
-# stays at 65 KB whatever the batch size.  The shared stage runs on the
-# whole table at once, which holds no more panels than there are pairs.
+# Pairs per integrand call: 8320 abscissas, so each temporary of one call
+# stays at 65 KB whatever the batch size.
 _CHUNK_PANELS = 128
 
 
@@ -347,26 +337,27 @@ def truncation_point(c_bound: float, decay_rate: float, tol: float) -> float:
 
 
 class _PlainIntegrand:
-    """A row integrand ``f(x, row)`` as a two-stage integrand that shares
-    only the abscissas: it receives flat abscissas and rows, as
-    ``integrate_rows`` promises."""
+    """A row integrand ``f(x, row)`` as the integrand ``integrate_staged``
+    calls: ``f`` receives flat abscissas and rows, as ``integrate_rows``
+    promises."""
 
     __slots__ = ("f",)
 
     def __init__(self, f: RowIntegrand) -> None:
         self.f = f
 
-    def shared(self, x: np.ndarray) -> Tuple[np.ndarray, ...]:
-        return (x,)
-
-    def per_pair(self, terms, row: np.ndarray):
+    def __call__(self, x: np.ndarray, row: np.ndarray):
         """``f``'s (log|f|, sign), and as each pair's scale max |log f| + 1
         over its samples, a zero sample (log -inf) left out.  ParameterError
-        unless ``f`` gives one log|f| per abscissa and a sign that is one
-        number or one per abscissa."""
-        (x,) = terms
-        logmag, sign = self.f(x.reshape(-1), row.repeat(x.shape[1]))
-        logmag, sign = np.asarray(logmag, dtype=float), np.asarray(sign, dtype=float)
+        unless ``f`` gives one real log|f| per abscissa and a real sign that
+        is one number or one per abscissa."""
+        out = self.f(x.reshape(-1), row.repeat(x.shape[1]))
+        try:  # a result that is not a pair of real arrays, such as None or strings
+            logmag, sign = (np.asarray(v, dtype=float) for v in out)
+        except (TypeError, ValueError):
+            raise ParameterError(
+                "integrand must return (log|f|, sign) as real numbers or arrays"
+            ) from None
         if logmag.size != x.size or sign.ndim and sign.size != x.size:
             raise ParameterError(
                 f"integrand returned {logmag.size} log-magnitudes and {sign.size} signs "
@@ -392,15 +383,15 @@ def _abscissas(center: np.ndarray, half: np.ndarray) -> np.ndarray:
     return center[:, None] + half[:, None] * _NODES
 
 
-def _eval_chunk(integrand, center, half, terms, pidx, row):
+def _eval_chunk(integrand, lo, hi, row):
     """Kronrod value, its distance to the embedded Gauss value and the
     round-off floor of each of a chunk of pairs: pair i integrates row
-    ``row[i]`` over table panel ``pidx[i]``, whose half-width and shared
-    terms are gathered to it here (its abscissas only to name a non-finite
-    sample)."""
-    h = half[pidx]
-    logmag, sign, scale = integrand.per_pair([t[pidx] for t in terms], row[:, None])
-    logmag = np.asarray(logmag, dtype=float).reshape(pidx.size, _NODES.size)
+    ``row[i]`` over [lo[i], hi[i]], in one call of ``integrand``."""
+    center = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    x = _abscissas(center, h)
+    logmag, sign, scale = integrand(x, row[:, None])
+    logmag = np.asarray(logmag, dtype=float).reshape(x.shape)
     fx = np.exp(logmag)
     sign = np.asarray(sign, dtype=float)
     if sign.ndim:
@@ -416,8 +407,7 @@ def _eval_chunk(integrand, center, half, terms, pidx, row):
     # panel's mass non-finite, so one check on the masses guards them all.
     bad = ~np.isfinite(mass)
     if np.count_nonzero(bad):
-        c = center[pidx[bad]]
-        _raise_non_finite(_abscissas(c, h[bad]), logmag[bad], fx[bad], float(c[0]))
+        _raise_non_finite(x[bad], logmag[bad], fx[bad], float(center[bad][0]))
     # the rounding factor before the mass, so that a mass near the binary64
     # limit cannot overflow
     return vals, np.abs(gauss - vals), mass * ((scale + 1.0) * _ROUNDOFF)
@@ -436,82 +426,45 @@ def _raise_non_finite(x, logmag, fx, center: float):
     raise EvaluationError("panel Gauss sum overflowed", center)
 
 
-def _eval_panels(integrand, lo, hi, pidx, row):
+def _eval_panels(integrand, lo, hi, row):
     """Rows of value, difference and floor (see ``_eval_chunk``) of each
-    (row, panel) pair: pair i integrates row ``row[i]`` over table panel
-    [lo, hi][pidx[i]].
-
-    The shared stage runs once on the whole table, the per-pair stage
-    _CHUNK_PANELS pairs at a time on gathered shared terms."""
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    terms = integrand.shared(_abscissas(center, half))
+    (row, panel) pair, pair i integrating row ``row[i]`` over [lo[i],
+    hi[i]]: one sweep's samples, taken _CHUNK_PANELS pairs at a time."""
     out = np.empty((3, row.size))
     for s in range(0, row.size, _CHUNK_PANELS):
         e = s + _CHUNK_PANELS
-        out[:, s:e] = _eval_chunk(integrand, center, half, terms, pidx[s:e], row[s:e])
+        out[:, s:e] = _eval_chunk(integrand, lo[s:e], hi[s:e], row[s:e])
     return out
 
 
 def _initial_panels(x_max: np.ndarray):
     """Each row's first panels, [0, 1], [1, 2], [2, 4], ..., [2^m, x_max]
-    with 2^m < x_max <= 2^(m+1): (lo, hi, pidx, row, panels per row).
-
-    Pair i, of row row[i], is panel pidx[i] of the table (lo, hi).  With
-    n + 1 the most panels of any row, the table holds [0, 1], [1, 2], ...,
-    [2^(n-2), 2^(n-1)] once, shared by every row up to its own last panel,
-    then each row's last panel in row order.  This relies on every x_max
-    being at least _MIN_TRUNCATION = 10: every row's first panel is then
-    the shared [0, 1], and a lone row's table is its own panels in order.
-    """
+    with 2^m < x_max <= 2^(m+1), as (lo, hi, row) of one pair each, row by
+    row, and the panels per row.  Every x_max is at least _MIN_TRUNCATION =
+    10, so no row's last panel is its first."""
     mant, exp = np.frexp(x_max)  # x_max = mant 2^exp, 1/2 <= mant < 1
     counts = exp + 1 - (mant == 0.5)
-    n = int(counts.max()) - 1
-    hi = np.ldexp(1.0, np.concatenate((np.arange(n), counts - 1)))
-    lo = 0.5 * hi
-    lo[0] = 0.0
-    hi[n:] = x_max
     ends = counts.cumsum()
     row = np.arange(x_max.size).repeat(counts)
-    pidx = np.arange(ends[-1]) - (ends - counts)[row]  # panel j of its row
-    pidx[ends - 1] = np.arange(n, n + x_max.size)
-    return lo, hi, pidx, row, counts
+    hi = np.ldexp(1.0, np.arange(ends[-1]) - (ends - counts)[row])  # 2^j at panel j of its row
+    lo = 0.5 * hi
+    lo[ends - counts] = 0.0
+    hi[ends - 1] = x_max
+    return lo, hi, row, counts
 
 
-def _distinct(lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray):
-    """The table panels some pair points at, in table order, and the pairs'
-    indices into them: a flag array and its cumsum, with no sort."""
-    used = np.zeros(lo.size, dtype=bool)
-    used[pidx] = True
-    renumber = used.cumsum() - 1
-    return lo[used], hi[used], renumber[pidx]
-
-
-def _bisect(lo: np.ndarray, hi: np.ndarray, pidx: np.ndarray):
-    """The halves of every table panel, left then right, and the indices of
-    each pair's two children."""
-    mid = 0.5 * (lo + hi)
-    child_lo = lo.repeat(2)
-    child_lo[1::2] = mid
-    child_hi = hi.repeat(2)
-    child_hi[0::2] = mid
-    child_pidx = (2 * pidx).repeat(2)
-    child_pidx[1::2] += 1
-    return child_lo, child_hi, child_pidx
-
-
-def _prune(tail, log_c, rate, start, bound, lo, pidx, row):
+def _prune(tail, log_c, rate, start, bound, lo, row):
     """Mask of the pairs starting at or past their row's cut, where the
     envelope (log C, rate and start, as ``integrate_staged`` takes them)
     has its tail fall to ``bound`` (never before its start), which a sweep
     drops unsampled, or None.  Each such pair raises its row's ``tail`` to
     the envelope's tail from its panel's start: dropped panels run on to
     x_max, so the tail from the first covers them all."""
-    past = lo[pidx] >= _truncation(log_c, rate, np.log(bound), start)[row]
+    past = lo >= _truncation(log_c, rate, np.log(bound), start)[row]
     if not np.count_nonzero(past):
         return None
     r = row[past]
-    np.maximum.at(tail, r, np.exp(log_c[r] - rate[r] * lo[pidx[past]]) / rate[r])
+    np.maximum.at(tail, r, np.exp(log_c[r] - rate[r] * lo[past]) / rate[r])
     return past
 
 
@@ -535,7 +488,12 @@ def integrate_rows(
     panel count; EvaluationError on a non-finite integrand sample or a
     panel sum or integral that overflows binary64.  Overflow is reported by
     that error alone: numpy's overflow warnings are silenced for the call.
+    ``envelopes`` that are not an Envelopes, a ``tolerance`` that is not a
+    Tolerance, or an ``f`` that does not return real arrays of the
+    abscissas' size raise ParameterError.
     """
+    require_type("envelopes", envelopes, Envelopes)
+    require_type("tolerance", tolerance, Tolerance)
     rows = integrate_staged(
         _PlainIntegrand(f), envelopes.log_const, envelopes.rate, envelopes.start, tolerance
     )
@@ -548,9 +506,10 @@ def integrate_rows(
 
 @np.errstate(over="ignore", divide="ignore")
 def integrate_staged(integrand, log_c, rate, start, tolerance: Tolerance) -> RowArrays:
-    """``integrate_rows`` for a two-stage integrand, returning the rows'
-    results as arrays rather than IntegralResult objects, a row that runs
-    out of ``max_panels`` flagged in ``failed`` rather than raised.
+    """``integrate_rows`` for an integrand that also bounds its rounding,
+    returning the rows' results as arrays rather than IntegralResult
+    objects, a row that runs out of ``max_panels`` flagged in ``failed``
+    rather than raised.
 
     The envelope comes as the arrays this loop reads: ``log_c`` and
     ``rate``, float arrays of one length R (the rows), and ``start``, a
@@ -559,15 +518,12 @@ def integrate_staged(integrand, log_c, rate, start, tolerance: Tolerance) -> Row
     log C and a rate of at least 1/2 by construction.  ``tolerance`` is a
     ``Tolerance``.
 
-    ``integrand.shared(x)`` takes a 2-D array of abscissas, one panel a
-    line, and returns a sequence of arrays of its shape: the terms every row
-    shares, the abscissas among them if the second stage needs them.
-    ``integrand.per_pair(terms, row)`` takes those terms gathered to the
-    panels of a chunk of (row, panel) pairs and a column of their rows, and
-    returns ``(log|f|, sign, scale)``, scale one number a pair that bounds
-    the summed magnitudes of the log terms behind each of its samples (see
-    ``_ROUNDOFF``).  Each row's fields, and every error raised, are those of
-    evaluating both stages on the pairs' own abscissas.
+    ``integrand(x, row)`` takes a 2-D array of abscissas, one (row, panel)
+    pair a line and at most _CHUNK_PANELS lines, and the column of those
+    pairs' rows, and returns ``(log|f|, sign)``, each an array of the shape
+    of ``x`` or a sign that is one number, and ``scale``, one number a pair
+    that bounds the summed magnitudes of the log terms behind each of its
+    samples (see ``_ROUNDOFF``).
 
     A row's target is abs_tol over its initial panel count until its first
     layout is sampled, which sets it once; every sweep's cut follows it
@@ -581,7 +537,7 @@ def integrate_staged(integrand, log_c, rate, start, tolerance: Tolerance) -> Row
     # the tail bound charged, from x_max or from a row's first dropped panel
     tail = np.exp(log_c - rate * x_max) / rate
 
-    lo, hi, pidx, row, counts = _initial_panels(x_max)
+    lo, hi, row, counts = _initial_panels(x_max)
     # before the first sampling abs_tol, which no target is below, stands in
     # for the target
     target = tolerance.abs_tol / counts
@@ -597,13 +553,11 @@ def integrate_staged(integrand, log_c, rate, start, tolerance: Tolerance) -> Row
     for sweep in itertools.count():
         # the one pruning step: a pair past its row's cut is dropped
         # unsampled, and adds only to its row's tail bound
-        dropped = _prune(tail, log_c, rate, start, _EPS * target, lo, pidx, row)
+        dropped = _prune(tail, log_c, rate, start, _EPS * target, lo, row)
         if dropped is not None:
             kept = ~dropped
-            row = row[kept]
-            budgets = budgets[kept]
-            lo, hi, pidx = _distinct(lo, hi, pidx[kept])
-        vals, diff, floor = _eval_panels(integrand, lo, hi, pidx, row)
+            lo, hi, row, budgets = lo[kept], hi[kept], row[kept], budgets[kept]
+        vals, diff, floor = _eval_panels(integrand, lo, hi, row)
         panels += np.bincount(row, minlength=n_rows)
         if not sweep:
             # the first layout, row by row, sets the targets
@@ -621,7 +575,7 @@ def integrate_staged(integrand, log_c, rate, start, tolerance: Tolerance) -> Row
         pending = diff > budgets
         if np.count_nonzero(pending):
             # a panel this narrow is accepted as it is
-            pending &= (hi - lo)[pidx] > min_width[row]
+            pending &= hi - lo > min_width[row]
             needed = 2 * np.bincount(row[pending], minlength=n_rows)
             over = (needed > 0) & (panels + needed > tolerance.max_panels)
             if np.count_nonzero(over):
@@ -636,7 +590,9 @@ def integrate_staged(integrand, log_c, rate, start, tolerance: Tolerance) -> Row
         if not np.count_nonzero(pending):
             break
 
-        lo, hi, pidx = _bisect(*_distinct(lo, hi, pidx[pending]))
+        # each rejected pair becomes its two halves, left then right
+        lo, hi = lo[pending].repeat(2), hi[pending].repeat(2)
+        lo[1::2] = hi[0::2] = 0.5 * (lo[0::2] + hi[1::2])
         row = row[pending].repeat(2)
         budgets = (budgets[pending] * 0.5).repeat(2)
 
@@ -661,7 +617,9 @@ def integrate_semi_infinite(f: LogIntegrand, spec: QuadratureSpec) -> IntegralRe
     The one-row case of ``integrate_rows``: ``f`` takes only the abscissas,
     and ``spec`` gives the envelope and the tolerance.  Returns an
     IntegralResult; raises AccuracyError (carrying the best value and
-    estimate) when ``spec.max_panels`` runs out first, and EvaluationError on
-    a non-finite integrand sample or an overflowing panel sum.
+    estimate) when ``spec.max_panels`` runs out first, EvaluationError on
+    a non-finite integrand sample or an overflowing panel sum, and
+    ParameterError for a ``spec`` that is not a QuadratureSpec.
     """
+    require_type("spec", spec, QuadratureSpec)
     return integrate_rows(lambda x, row: f(x), spec.envelope, spec.tolerance)[0]

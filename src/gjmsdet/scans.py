@@ -20,7 +20,7 @@ import sys
 from typing import Iterable, Optional, Sequence
 
 from .errors import MethodDisagreementError, ParameterError, UnsupportedArgumentError
-from .exact import Record, _named, require_integer, require_point, select_methods
+from .exact import Record, _named, require_integer, require_point, require_real, select_methods
 from .quadrature import Tolerance
 from .spectral import SpherePoint, logdet
 
@@ -119,6 +119,8 @@ def _bounded(count: int) -> int:
 
 
 def _odd_range(d_min: int, d_max: int) -> range:
+    require_real("d", d_min)
+    require_real("d", d_max)
     if d_min % 2 == 0 or d_max % 2 == 0:
         raise ParameterError("d must be odd and >= 3")
     if d_min < 3 or d_max < d_min:
@@ -151,6 +153,7 @@ def scan_paneitz(
     The magnitudes oscillate about zero and shrink as d grows, so the
     determinant tends to unity with increasing dimension.
     """
+    require_real("d", d_min)
     if d_min < 5:
         raise ParameterError("k = 2 needs d >= 5")
     points = [SpherePoint(d, 2) for d in _odd_range(d_min, d_max)]

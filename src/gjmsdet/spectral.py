@@ -92,7 +92,8 @@ import numpy as np
 from .chebyshev import v_coefficients
 from .errors import AccuracyError, DivergentIntegralError, ParameterError, UnsupportedArgumentError
 from .exact import METHODS, ClosedForm, LogDetResult, SpherePoint, closed_form_p4, zeta_odd
-from .exact import _LN2, Record, _named, is_integer, require_integer, require_point
+from .exact import (_LN2, Record, _named, is_integer, require_integer, require_point,
+                    require_real, require_type)
 from .quadrature import _DEFAULT_TOLERANCE, _EPS, _ROUNDOFF, Tolerance, integrate_staged
 
 # Not called here (every route calls integrate_staged), but perfbench/spans.py
@@ -159,28 +160,15 @@ def _log_cosh(t):
     return u
 
 
-def _check_abscissas(x):
-    xs = np.asarray(x, dtype=float)
-    if xs.size == 0 or np.any(~np.isfinite(xs)) or np.any(xs <= 0.0):
-        raise ParameterError("x must be positive and finite")
-    return xs
-
-
 class _LogIntegrand:
     """log of  pi/(x^2+pi^2) sinh(x/2) sinh(a_r x) / cosh^p_r(x/2)  at x > 0
-    for the rows r of ``a`` and ``p``, evaluated in the quadrature's two
-    stages.
+    for the rows r of ``a`` and ``p``, one call per chunk of the quadrature.
 
     The one integrand behind every route, at the rows of its plan
     (``_plan``), equal-length float arrays.  With ``regrouped`` it is the
     Chebyshev regrouping of ``chebyshev``: sinh^2(x/2) U_{2a-1}(cosh(x/2))
     replaces sinh(x/2) sinh(a x), with U in its hyperbolic form
     sinh(a x)/sinh(x/2) so the log-space pipeline stays finite at large x.
-
-    The split is by dependence: the shared stage computes the terms of x
-    alone, and the per-pair stage adds the terms of each pair's a and p,
-    log sinh(a x) and -p log cosh(x/2).  It keeps the operation order of
-    the single expression, so a row's values do not depend on its batch.
 
     Each pair's rounding scale is the sum, over the log terms combined, of
     the term's largest magnitude at the panel's two end nodes.  Every term
@@ -195,32 +183,28 @@ class _LogIntegrand:
     def __init__(self, a, p, regrouped: bool = False) -> None:
         self.a, self.p, self.regrouped = a, p, regrouped
 
-    def shared(self, x):
-        """The terms of x alone, for each panel (a line of ``x``): the head,
-        log pi/(x^2+pi^2) plus one or two log sinh(x/2); log cosh(x/2); the
-        head's part of the rounding scale, one value a panel; x; and
-        log sinh(x/2)."""
+    def __call__(self, x, row):
+        """(log|f|, sign, scale) at the abscissas ``x``, one pair a line, of
+        the rows in the column ``row``: the head log pi/(x^2+pi^2) plus one or
+        two log sinh(x/2), then log sinh(a x), less log sinh(x/2) when
+        regrouped, then -p log cosh(x/2), each term's part of the scale
+        added as it is.  A row's values do not depend on its batch."""
         half = 0.5 * x
         log_sinh_half = _log_sinh(half)
-        head = x * x
+        logmag = _log_cosh(half)
+        head = np.multiply(x, x, out=half)  # half is read: its buffer takes x^2
         head += _PISQ
         np.log(head, out=head)
         np.subtract(_LNPI, head, out=head)
         # log pi/(x^2+pi^2) < 0 falls with x: its magnitude peaks at the last node
         scale = _end_magnitude(log_sinh_half) * (2.0 if self.regrouped else 1.0) - head[:, -1]
         head += 2.0 * log_sinh_half if self.regrouped else log_sinh_half
-        return head, _log_cosh(half), scale, x, log_sinh_half
-
-    def per_pair(self, terms, row):
-        """Adds log sinh(a x), less log sinh(x/2) when regrouped, and
-        -p log cosh(x/2) to the head, and both terms' parts to the scale."""
-        head, log_cosh_half, scale, x, log_sinh_half = terms
         sinh_term = _log_sinh(self.a[row] * x)
         if self.regrouped:
             sinh_term -= log_sinh_half
-        scale = scale + _end_magnitude(sinh_term)
-        head = np.add(head, sinh_term, out=sinh_term)
-        logmag = self.p[row] * log_cosh_half
+        scale += _end_magnitude(sinh_term)
+        head += sinh_term
+        logmag *= self.p[row]
         scale += logmag[:, -1]  # p log cosh(x/2) >= 0 grows with x
         return np.subtract(head, logmag, out=logmag), 1.0, scale
 
@@ -297,13 +281,22 @@ def integrand_direct(point: SpherePoint, x):
 
     The integrand  pi/(x^2+pi^2) sinh(x/2) sinh(kx) / cosh^(d+1)(x/2)  is
     strictly positive, so the sign is always +1.  Accepts a scalar or an
-    ndarray of abscissas.  The row is the ``direct`` plan's.
+    ndarray of abscissas, evaluated as one ``_LogIntegrand`` call on the
+    ``direct`` plan's row with one abscissa a panel.  A ``point`` that is
+    not a SpherePoint, or an ``x`` that is not positive and finite real
+    numbers, raises ParameterError.
     """
-    xs = _check_abscissas(x)
+    require_point(point)
+    try:  # a str that is not a number, or a complex, fails the conversion
+        xs = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):
+        xs = np.empty(0)
+    if xs.size == 0 or np.any(~np.isfinite(xs)) or np.any(xs <= 0.0):
+        raise ParameterError("x must be positive and finite")
     f = _LogIntegrand(*_plan(point, "direct")[:2])
-    column = xs.reshape(-1, 1)  # one abscissa a panel
+    column = xs.reshape(-1, 1)
     with np.errstate(over="ignore"):  # x^2 overflows past 1e154; the limit is -inf
-        logmag = f.per_pair(f.shared(column), 0)[0].reshape(xs.shape)
+        logmag = f(column, 0)[0].reshape(xs.shape)
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(logmag), 1
     return logmag, np.ones_like(logmag)
@@ -549,10 +542,14 @@ def logdet_factor(
     order integral.  Requires 2 alpha_j < d for convergence:
     the decay rate of the cosh^d integrand is (d - 1 - 2 alpha_j)/2.
     Raises AccuracyError, named by factor and d, if its panels run out, and
-    ParameterError for a ``tolerance`` that is neither a Tolerance nor None.
+    ParameterError for a ``d`` that is not a real number, a ``factor`` that
+    is not a FactorIndex or a ``tolerance`` that is neither a Tolerance nor
+    None.
     """
+    require_type("factor", factor, FactorIndex)
     if isinstance(d, np.generic):  # else 2j + 1 is compared as a numpy float
         d = d.item()
+    require_real("d", d)
     if d % 2 == 0 or d < 3:
         raise ParameterError("d must be odd and >= 3")
     if 2 * factor.j + 1 >= d:  # in integers, as j may pass the binary64 range

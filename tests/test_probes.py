@@ -22,8 +22,10 @@ ADDRESS_SPACE = 200 * 2**20
 RUNNER = """
 import json, sys, time
 import numpy as np
-from gjmsdet import (Envelopes, FactorIndex, SpherePoint, Tolerance, cli, integrate_rows,
-                     logdet, logdet_factor, scans, zeta_odd)
+from gjmsdet import (Envelopes, FactorIndex, SpherePoint, Tolerance, cli, eval_u,
+                     integrand_direct, integrate_rows, integrate_semi_infinite, logdet,
+                     logdet_factor, scans, u_coefficients, zeta_odd)
+f = lambda x, row: (-x, 1.0)
 start = time.perf_counter()
 try:
     outcome = ["= " + repr(eval(sys.argv[1])), ""]
@@ -55,6 +57,29 @@ PROBES = {
         "integrate_rows(lambda x, row: (np.zeros(3), 1.0), Envelopes(0.0, 1.0), Tolerance())",
         "gjmsdet.errors.ParameterError",
     ),
+    # powers past the interpreter's digit limit (4300 by default) are refused
+    # as they are built, not built whole
+    "eval_u_10^6": ("eval_u(10**6, 2.0)", "gjmsdet.errors.UnsupportedArgumentError"),
+    "u_coefficients_10^6": ("u_coefficients(10**6)", "gjmsdet.errors.UnsupportedArgumentError"),
+    # arguments of the wrong type at the entries of the integration layer
+    **{name: (call, "gjmsdet.errors.ParameterError") for name, call in {
+        "integrand_direct_of_a_tuple": "integrand_direct((5, 2), 1.0)",
+        "integrand_direct_at_a_str": "integrand_direct(SpherePoint(5, 2), 'a')",
+        "factor_of_an_int": "logdet_factor(5, 1)",
+        "factor_at_a_str_dimension": "logdet_factor('5', FactorIndex(1))",
+        "factor_at_no_dimension": "logdet_factor(None, FactorIndex(1))",
+        "integrate_rows_of_a_tuple": "integrate_rows(f, (0.0, 1.0), Tolerance())",
+        "integrate_rows_without_tolerance": "integrate_rows(f, Envelopes(0.0, 1.0), None)",
+        "integrate_semi_infinite_of_an_int": "integrate_semi_infinite(f, 5)",
+        "integrand_returning_none": (
+            "integrate_rows(lambda x, row: None, Envelopes(0.0, 1.0), Tolerance())"
+        ),
+        "integrand_returning_strs": (
+            "integrate_rows(lambda x, row: ('a', 'b'), Envelopes(0.0, 1.0), Tolerance())"
+        ),
+        "scan_limiting_of_strs": "scans.scan_limiting('3', '5')",
+        "scan_paneitz_of_none": "scans.scan_paneitz(None, 7)",
+    }.items()},
 }
 
 

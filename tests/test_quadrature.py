@@ -409,38 +409,28 @@ def _same_rows(got, want):
 
 
 class _Staged:
-    """e^(shift_r - rate_r x) / (1 + x^2) as a two-stage integrand: the
-    shared stage computes log1p(x^2) (NaN beyond ``nan_beyond``) and shares
-    x with the per-pair stage.  Counts the abscissas each stage receives,
-    and the most panels one call gets."""
+    """e^(shift_r - rate_r x) / (1 + x^2) as the integrand
+    ``integrate_staged`` calls, log1p(x^2) turned NaN beyond ``nan_beyond``.
+    Records the most pairs one call gets."""
 
     def __init__(self, shift, rate, nan_beyond=math.inf):
         self.shift, self.rate = np.asarray(shift, float), np.asarray(rate, float)
         self.nan_beyond = nan_beyond
-        self.seen = {"shared": 0, "per_pair": 0}
         self.widest = 0
 
-    def shared(self, x):
-        self.seen["shared"] += x.size
+    def __call__(self, x, row):
+        """(log|f|, sign) and, as ``integrate_rows`` scales a plain
+        integrand's rounding, max |log f| + 1 over each panel."""
         self.widest = max(self.widest, x.shape[0])
         t = np.log1p(x * x)
         t[x > self.nan_beyond] = np.nan
-        return t, x
-
-    def per_pair(self, terms, row):
-        """(log|f|, sign) and, as ``integrate_rows`` scales a plain
-        integrand's rounding, max |log f| + 1 over each panel."""
-        t, x = terms
-        self.seen["per_pair"] += x.size
-        self.widest = max(self.widest, x.shape[0])
         logmag = self.shift[row] - self.rate[row] * x - t
         return logmag, 1.0, np.abs(logmag).max(axis=1) + 1.0
 
     def plain(self, x, row):
-        """The same integrand in one stage, as ``integrate_rows`` calls it."""
-        col = x.reshape(-1, 1)
-        logmag = self.per_pair(self.shared(col), row[:, None])[0]
-        return logmag.reshape(-1), 1.0
+        """The same integrand as ``integrate_rows`` calls it, one abscissa a
+        panel."""
+        return self(x.reshape(-1, 1), row[:, None])[0].reshape(-1), 1.0
 
     def envelopes(self):
         return Envelopes(self.shift, self.rate)
@@ -453,10 +443,10 @@ def _as_results(rows):
 
 
 class TestSharedPanels:
-    """Every call keeps one table of panels per sweep (a one-row call's
-    table is its own panels).  Rows 2 to 9 here truncate at the clamp
-    x = 10 and share every panel but the last, [8, 10], which each row
-    holds alone; rows 8 and 9 repeat rows 2 and 3 exactly."""
+    """Rows of one batch that integrate over the same panels give what
+    each gives alone.  Rows 2 to 9 here truncate at the clamp x = 10 and
+    share every panel but the last, [8, 10]; rows 8 and 9 repeat rows 2 and
+    3 exactly."""
 
     SHIFT = (0.0, 1.5, 0.0, -1.0, 2.0, 0.5, 0.0, 3.0, 0.0, -1.0)
     RATE = (0.6, 1.3, 4.0, 5.0, 6.5, 8.0, 9.0, 11.0, 4.0, 5.0)
@@ -482,15 +472,7 @@ class TestSharedPanels:
         batch = _as_results(
             integrate_staged(staged, env.log_const, env.rate, env.start, Tolerance())
         )
-        shared, per_pair = staged.seen["shared"], staged.seen["per_pair"]
-        if len(rows) == 1:
-            # a lone row's table is its own panels: nothing is evaluated twice
-            assert shared == per_pair
-        else:
-            # the shared stage ran once per distinct panel, on fewer
-            # abscissas than the pairs it served
-            assert 0 < shared < per_pair / 2
-        assert staged.widest <= 128  # both stages saw bounded chunks
+        assert staged.widest <= 128  # each call saw a bounded chunk
         _same_rows(batch, integrate_rows(staged.plain, staged.envelopes(), Tolerance()))
         for s, r, row in zip(shift, rate, batch):
             one = _Staged([s], [r])
@@ -740,9 +722,8 @@ def _initial_panels_of(x_max):
 
 
 class TestInitialPanels:
-    """The first table: the power-of-two panels [0, 1], ..., [2^(n-2),
-    2^(n-1)] once, n + 1 the most panels of any row, then each row's last
-    panel in row order."""
+    """The first layout: each row's own panels [0, 1], [1, 2], ..., [2^m,
+    x_max], one pair each, row by row."""
 
     X_MAX = (10.0, 16.0, 37.5, 1e6)
 
@@ -752,15 +733,12 @@ class TestInitialPanels:
         ids=["10", "16", "37.5", "1e6", "together", "shuffled_with_repeat"],
     )
     def test_layout(self, x_max):
-        lo, hi, pidx, row, counts = _initial_panels(np.array(x_max))
+        lo, hi, row, counts = _initial_panels(np.array(x_max))
         want = [_initial_panels_of(x) for x in x_max]
         assert counts.tolist() == [len(w) for w in want]
         assert row.tolist() == [r for r, w in enumerate(want) for _ in w]
         # every pair's panel is its row's own [0, 1], [1, 2], ..., [2^m, x_max]
-        assert list(zip(lo[pidx].tolist(), hi[pidx].tolist())) == [p for w in want for p in w]
-        assert lo.size == hi.size == counts.max() - 1 + len(x_max)
-        if len(x_max) == 1:
-            assert pidx.tolist() == list(range(lo.size))
+        assert list(zip(lo.tolist(), hi.tolist())) == [p for w in want for p in w]
 
 
 class TestEnvelopePruning:

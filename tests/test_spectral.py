@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gjmsdet import errors, exact, spectral
+from gjmsdet import errors, exact, quadrature, spectral
 from gjmsdet import (
     DivergentIntegralError,
     EvaluationError,
@@ -520,19 +520,6 @@ class TestBatchedIntegrandRows:
     call gives (value, estimate, panels, truncation point), whether the rows
     share a or not, plain or regrouped."""
 
-    @pytest.mark.parametrize("regrouped", [False, True])
-    def test_shared_terms_do_not_depend_on_the_rows(self, regrouped):
-        # the shared stage computes the terms of x alone: one shape, and the
-        # same bits, whether the rows share a or not
-        x = np.linspace(1e-3, 60.0, 3 * 65).reshape(3, 65)
-        common = spectral._LogIntegrand(np.full(4, 3.0), np.array([9.0, 13.0, 21.0, 35.0]),
-                                        regrouped)
-        distinct = spectral._LogIntegrand(np.array([1.0, 2.0, 5.0]), np.full(3, 41.0), regrouped)
-        terms, others = common.shared(x), distinct.shared(x)
-        assert len(terms) == len(others)
-        for term, other in zip(terms, others):
-            assert term.shape == other.shape and term.tobytes() == other.tobytes()
-
     CASES = {
         "same a": ([1.0] * 17, [36 - 2 * j for j in range(17)], False),
         "different a": ([j + 0.5 for j in range(17)], [35] * 17, False),
@@ -557,60 +544,61 @@ class TestBatchedIntegrandRows:
 
 
 class TestSharedWork:
-    """The shared stage of the diagonal's large batches runs on a small
-    fraction of the abscissas the per-pair stage sees, and the envelope
-    pruning keeps the per-pair stage itself small (deterministic work
-    counts, so that losing the sharing or the pruning fails here rather
-    than only in a timing).  The batches are every row of the route's plan,
-    integrated through ``_integrals``, since ``logdet`` skips the rows its
-    mass bound proves negligible; the sweep count is that of ``logdet``."""
+    """The envelope pruning keeps the diagonal's large batches small, and
+    every route call samples each panel it uses once and bisects none
+    (deterministic work counts, so that losing the pruning or the first
+    layout fails here rather than only in a timing).  The batches are every
+    row of the route's plan, integrated through ``_integrals``, since
+    ``logdet`` skips the rows its mass bound proves negligible; the sweep
+    count is that of ``logdet``."""
 
     @staticmethod
     def _counting(monkeypatch):
-        """Counts of the abscissas each stage of ``_LogIntegrand`` sees and
-        of its shared-stage calls, one a sweep, from here on."""
-        seen = {"shared": 0, "per_pair": 0, "sweeps": 0}
+        """Counts, from here on, of the abscissas ``_LogIntegrand`` sees, of
+        the sweeps (one ``quadrature._eval_panels`` call each) and of the
+        panels ``integrate_staged`` reports as used."""
+        seen = {"abscissas": 0, "sweeps": 0, "panels_used": 0}
+        sweep, integrate = quadrature._eval_panels, spectral.integrate_staged
 
         class Counting(spectral._LogIntegrand):
             __slots__ = ()
 
-            def shared(self, x):
-                seen["shared"] += x.size
-                seen["sweeps"] += 1
-                return super().shared(x)
+            def __call__(self, x, row):
+                seen["abscissas"] += x.size
+                return super().__call__(x, row)
 
-            def per_pair(self, terms, row):
-                seen["per_pair"] += terms[0].size
-                return super().per_pair(terms, row)
+        def counted_sweep(*args):
+            seen["sweeps"] += 1
+            return sweep(*args)
+
+        def counted_integrate(*args):
+            rows = integrate(*args)
+            seen["panels_used"] += int(rows.panels_used.sum())
+            return rows
 
         monkeypatch.setattr(spectral, "_LogIntegrand", Counting)
+        monkeypatch.setattr(quadrature, "_eval_panels", counted_sweep)
+        monkeypatch.setattr(spectral, "integrate_staged", counted_integrate)
         return seen
 
     def _abscissas(self, method, monkeypatch):
-        """The counts for all 510 rows of ``method`` at (1021, 510), and the
-        panels the rows report as used."""
+        """The counts for all 510 rows of ``method`` at (1021, 510)."""
         seen = self._counting(monkeypatch)
         a, p, _, regrouped = spectral._plan(SpherePoint(1021, 510), method)
-        seen["panels_used"] = int(spectral._integrals(a, p, Tolerance(), regrouped)[3].sum())
+        spectral._integrals(a, p, Tolerance(), regrouped)
         return seen
 
-    @pytest.mark.parametrize("method, bound", [("product_rule", 0.05), ("sum", 0.25)])
-    def test_shared_stage_abscissas(self, method, bound, monkeypatch):
-        seen = self._abscissas(method, monkeypatch)
-        assert seen["per_pair"] > 510 * 65
-        assert seen["shared"] <= bound * seen["per_pair"]
-
-    # per-pair abscissas without pruning: 2554 and 2642 (row, panel) pairs;
-    # with it 1175 and 1790, all accepted in the first sweep
+    # abscissas without pruning: 2554 and 2642 (row, panel) pairs; with it
+    # 1175 and 1790, all accepted in the first sweep
     @pytest.mark.parametrize(
         "method, unpruned, share", [("product_rule", 166_010, 0.6), ("sum", 171_730, 0.7)]
     )
     def test_pruning_halves_per_pair_abscissas(self, method, unpruned, share, monkeypatch):
         seen = self._abscissas(method, monkeypatch)
-        assert 510 * 65 < seen["per_pair"] <= share * unpruned
+        assert 510 * 65 < seen["abscissas"] <= share * unpruned
         # a pruned pair is neither sampled nor counted as used, and no
         # sampled panel is bisected and so left uncounted
-        assert seen["per_pair"] == 65 * seen["panels_used"]
+        assert seen["abscissas"] == 65 * seen["panels_used"]
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("d", [3, 65, 385, 1021, 1025])
@@ -624,10 +612,12 @@ class TestSharedWork:
         if method == "product_rule" and d >= 91:
             with pytest.raises(UnsupportedArgumentError, match="round-off"):
                 logdet(point, method)
-            assert seen["sweeps"] == 0
+            assert seen == {"abscissas": 0, "sweeps": 0, "panels_used": 0}
             point = SpherePoint(d, 42)
         logdet(point, method)
         assert seen["sweeps"] == 1
+        # each panel used was sampled once, and no sampled panel went unused
+        assert seen["abscissas"] == 65 * seen["panels_used"] > 0
 
     def test_end_magnitude_is_the_end_nodes_max(self):
         # bit for bit the max over the fancy-indexed end columns, inf and NaN too
@@ -645,9 +635,10 @@ class TestSharedWork:
         seen = self._counting(monkeypatch)
         grid = [(d, k) for d in range(3, 22, 2) for k in range(1, (d - 1) // 2 + 1)]
         for d, k in grid + [(35, k) for k in range(1, 18)]:
-            seen["sweeps"] = 0
+            seen.update(abscissas=0, sweeps=0, panels_used=0)
             logdet(SpherePoint(d, k), method)
             assert seen["sweeps"] == 1, (d, k)
+            assert seen["abscissas"] == 65 * seen["panels_used"] > 0, (d, k)
 
 
 # log 2^-(p-2) I(a, p) of the rows tests/_oracles.py BOUND_ROWS, from
