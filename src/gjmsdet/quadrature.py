@@ -175,9 +175,12 @@ _EPS = float(np.finfo(float).eps)
 _ROUNDOFF = 2.0 * _EPS
 _MIN_TRUNCATION = 10.0
 _TAIL_TOL_FLOOR = 1e-300
-# Pairs per integrand call: 8320 abscissas, so each temporary of one call
-# stays at 65 KB whatever the batch size.
-_CHUNK_PANELS = 128
+# Pairs per integrand call: 16640 abscissas, so each temporary of one call
+# stays at 130 KB whatever the batch size.  At the default Tolerance no
+# route sweep on the diagonal d <= 1025, the 55-point grid or scan_k(35)
+# holds more pairs (at most 153, product_rule at d = 63..89), so each of
+# those sweeps is one integrand call.
+_CHUNK_PANELS = 256
 
 
 def _is_real(value) -> bool:
@@ -322,9 +325,25 @@ def _truncation(log_c, decay_rate, log_tol, floor=_MIN_TRUNCATION):
     return np.maximum((log_c - np.log(decay_rate) - log_tol) / decay_rate, floor)
 
 
+@np.errstate(over="ignore")
+def _finite_truncation(log_c, rate, log_tol):
+    """``_truncation`` of the envelopes ``log_c`` and ``rate`` (1-D float
+    arrays), or DivergentIntegralError naming the first whose truncation
+    point passes the binary64 range, as a tiny rate or a huge log C puts
+    it; ``integrate_staged``, which the routes call, does not check this."""
+    x_max = _truncation(log_c, rate, log_tol)
+    if x_max.max() == np.inf:
+        r = int(x_max.argmax())  # the first infinite one
+        raise DivergentIntegralError(
+            f"envelope exp({log_c[r].item()!r}) e^(-{rate[r].item()!r} x) has no finite "
+            "truncation point"
+        )
+    return x_max
+
+
 def truncation_point(c_bound: float, decay_rate: float, tol: float) -> float:
     """Smallest X with c_bound * e^(-decay_rate * X) / decay_rate <= tol,
-    clamped below at 10.
+    clamped below at 10; DivergentIntegralError where X is not finite.
 
     The left side bounds the discarded tail of any integrand satisfying the
     envelope, so integrating on [0, X] loses at most ``tol``.
@@ -333,7 +352,9 @@ def truncation_point(c_bound: float, decay_rate: float, tol: float) -> float:
         raise DivergentIntegralError("decay_rate must be positive and finite")
     if not (0 < c_bound < math.inf and 0 < tol < math.inf):
         raise ParameterError("c_bound and tol must be positive and finite")
-    return float(_truncation(math.log(c_bound), decay_rate, math.log(tol)))
+    x_max = _finite_truncation(np.array([math.log(c_bound)]), np.array([decay_rate]),
+                               math.log(tol))
+    return float(x_max[0])
 
 
 class _PlainIntegrand:
@@ -488,12 +509,16 @@ def integrate_rows(
     panel count; EvaluationError on a non-finite integrand sample or a
     panel sum or integral that overflows binary64.  Overflow is reported by
     that error alone: numpy's overflow warnings are silenced for the call.
+    Raises DivergentIntegralError, before any sample, where a row's
+    truncation point passes the binary64 range (``_finite_truncation``).
     ``envelopes`` that are not an Envelopes, a ``tolerance`` that is not a
     Tolerance, or an ``f`` that does not return real arrays of the
     abscissas' size raise ParameterError.
     """
     require_type("envelopes", envelopes, Envelopes)
     require_type("tolerance", tolerance, Tolerance)
+    tail_tol = max(tolerance.abs_tol, _TAIL_TOL_FLOOR)  # as integrate_staged takes it
+    _finite_truncation(envelopes.log_const, envelopes.rate, math.log(tail_tol))
     rows = integrate_staged(
         _PlainIntegrand(f), envelopes.log_const, envelopes.rate, envelopes.start, tolerance
     )
@@ -596,9 +621,12 @@ def integrate_staged(integrand, log_c, rate, start, tolerance: Tolerance) -> Row
         row = row[pending].repeat(2)
         budgets = (budgets[pending] * 0.5).repeat(2)
 
-    all_rows = np.concatenate(accepted_rows)
+    if sweep:  # later sweeps' pairs follow the first's: put them row by row
+        all_rows = np.concatenate(accepted_rows)
+        flat = np.concatenate(accepted_vals)[np.argsort(all_rows, kind="stable")].tolist()
+    else:  # the first layout is row by row already
+        all_rows, flat = accepted_rows[0], accepted_vals[0].tolist()
     leaves = np.bincount(all_rows, minlength=n_rows)
-    flat = np.concatenate(accepted_vals)[np.argsort(all_rows, kind="stable")].tolist()
     ends = leaves.cumsum().tolist()
     value = np.empty(n_rows)
     for r, (s, e) in enumerate(zip([0, *ends[:-1]], ends)):
@@ -618,7 +646,8 @@ def integrate_semi_infinite(f: LogIntegrand, spec: QuadratureSpec) -> IntegralRe
     and ``spec`` gives the envelope and the tolerance.  Returns an
     IntegralResult; raises AccuracyError (carrying the best value and
     estimate) when ``spec.max_panels`` runs out first, EvaluationError on
-    a non-finite integrand sample or an overflowing panel sum, and
+    a non-finite integrand sample or an overflowing panel sum,
+    DivergentIntegralError where the truncation point is not finite, and
     ParameterError for a ``spec`` that is not a QuadratureSpec.
     """
     require_type("spec", spec, QuadratureSpec)

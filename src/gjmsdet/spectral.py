@@ -51,12 +51,13 @@ Rows that cannot matter are not integrated.  ``_log_mass_bound`` bounds
 each scaled row integral 2^-(p-2) I(a, p) by B(a, p) in closed form (Gamma
 functions through Stirling's series with Binet's remainder bound); in a
 plan of more than one row, ``logdet`` skips every row whose |w_r| B_r is
-at most eps rel_tol max_s |w_s| B_s / n (eps binary64 epsilon, n rows)
-and adds the skipped rows' |w_r| B_r to the estimate, as their binary64
-sum rounded up by the factor 1 + 2 m eps (m rows skipped).  On the
-diagonal ``sum`` then integrates 13 of its 510 rows at d = 1021 and 17 of
-192 at d = 385, and ``product_rule``'s plans keep 215 and 125 (but are
-refused, below); at d <= 65 no row is skipped.
+at most eps max_s |w_s| B_s / n (eps binary64 epsilon, n rows), below
+what binary64 resolves beside the largest row, and adds the skipped rows'
+|w_r| B_r to the estimate, as their binary64 sum rounded up by the factor
+1 + 2 m eps (m rows skipped).  On the diagonal ``sum`` then integrates 8
+of its 510 rows at d = 1021 and 9 of 192 at d = 385, and
+``product_rule``'s plans keep 172 and 102 (but are refused, below); at
+d <= 49, on the 55-point grid and in ``scan_k(35)`` no row is skipped.
 
 Before the skipping, a plan that binary64 cannot resolve is refused.
 ``_log_mass_lower`` bounds each scaled row integral from below by L(a, p)
@@ -421,8 +422,8 @@ def logdet(
     estimate past max(abs_tol, rel_tol 2/(pi (d-2k))) (see
     ``_check_round_off_floor``): ``product_rule`` on the diagonal from
     d = 91 at the default tolerance.  Else it drops the rows whose bound
-    mass |w_r| B_r is at most eps rel_tol max_s |w_s| B_s / n; their summed
-    bound mass is added to the estimate (see ``_drop_negligible``).  Out
+    mass |w_r| B_r is at most eps max_s |w_s| B_s / n; their summed bound
+    mass is added to the estimate (see ``_drop_negligible``).  Out
     of panels, raises an AccuracyError named by route and point, in log-det units.
     A ``point`` that is not a SpherePoint, or a ``tolerance`` that is
     neither a Tolerance nor None, raises ParameterError."""
@@ -479,14 +480,14 @@ def _check_round_off_floor(
 
 def _drop_negligible(a, p, weights, tolerance: Tolerance) -> tuple:
     """The plan without its rows of bound mass |w_r| B_r at most
-    eps rel_tol max_s |w_s| B_s / n (B from ``_log_mass_bound``, n rows),
-    the row of largest mass always kept: the rest's (a, p, weights), and
-    the skipped rows' summed mass, rounded up, to charge to the estimate."""
-    # in log space, since eps rel_tol / n may underflow for a small rel_tol
-    log_cut = math.log(_EPS) + math.log(tolerance.rel_tol) - math.log(weights.size)
+    eps max_s |w_s| B_s / n (B from ``_log_mass_bound``, n rows), so that
+    together they stay below what binary64 resolves in the largest, which
+    is always kept: the rest's (a, p, weights), and the skipped rows'
+    summed mass, rounded up, to charge to the estimate.  The cut does not
+    depend on ``tolerance``."""
     mass = _log_mass_bound(a, p) + np.log(np.abs(weights))
-    skip = mass <= mass.max() + log_cut
-    skip[mass.argmax()] = False  # the cut is positive once rel_tol >= n / eps
+    # in log space, as the masses pass the binary64 range
+    skip = mass <= mass.max() + (math.log(_EPS) - math.log(weights.size))
     tail = np.exp(mass[skip])
     # A float sum of m positive terms, in any order, is within (m-1)u S /
     # (1 - (m-1)u) of their exact sum S (u = eps/2; Higham, Accuracy and

@@ -22,9 +22,9 @@ ADDRESS_SPACE = 200 * 2**20
 RUNNER = """
 import json, sys, time
 import numpy as np
-from gjmsdet import (Envelopes, FactorIndex, SpherePoint, Tolerance, cli, eval_u,
-                     integrand_direct, integrate_rows, integrate_semi_infinite, logdet,
-                     logdet_factor, scans, u_coefficients, zeta_odd)
+from gjmsdet import (Envelopes, FactorIndex, QuadratureSpec, SpherePoint, Tolerance, cli,
+                     eval_u, integrand_direct, integrate_rows, integrate_semi_infinite, logdet,
+                     logdet_factor, scans, truncation_point, u_coefficients, zeta_odd)
 f = lambda x, row: (-x, 1.0)
 start = time.perf_counter()
 try:
@@ -61,6 +61,16 @@ PROBES = {
     # as they are built, not built whole
     "eval_u_10^6": ("eval_u(10**6, 2.0)", "gjmsdet.errors.UnsupportedArgumentError"),
     "u_coefficients_10^6": ("u_coefficients(10**6)", "gjmsdet.errors.UnsupportedArgumentError"),
+    # envelopes whose truncation point passes the binary64 range, once inf or
+    # a NaN sample after numpy overflow warnings
+    **{name: (call, "gjmsdet.errors.DivergentIntegralError") for name, call in {
+        "truncation_point_at_a_subnormal_rate": "truncation_point(1.0, 5e-324, 1.0)",
+        "integrate_rows_at_a_subnormal_rate":
+            "integrate_rows(f, Envelopes(0.0, 1e-310), Tolerance())",
+        "integrate_rows_at_a_huge_log_c": "integrate_rows(f, Envelopes(1e308, 0.5), Tolerance())",
+        "integrate_semi_infinite_at_a_subnormal_rate":
+            "integrate_semi_infinite(f, QuadratureSpec(5e-324))",
+    }.items()},
     # arguments of the wrong type at the entries of the integration layer
     **{name: (call, "gjmsdet.errors.ParameterError") for name, call in {
         "integrand_direct_of_a_tuple": "integrand_direct((5, 2), 1.0)",

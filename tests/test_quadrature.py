@@ -20,7 +20,7 @@ from gjmsdet import (
     truncation_point,
 )
 from gjmsdet.quadrature import RowArrays, _PlainIntegrand, _initial_panels, integrate_staged
-from gjmsdet.quadrature import _GAUSS_WEIGHTS, _KRONROD_WEIGHTS, _NODES
+from gjmsdet.quadrature import _CHUNK_PANELS, _GAUSS_WEIGHTS, _KRONROD_WEIGHTS, _NODES
 
 # np.trapz on numpy 1.x, renamed on 2.x
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -123,6 +123,24 @@ class TestTruncationPoint:
         ]:
             with pytest.raises(ParameterError):
                 truncation_point(c_bound, 1.0, tol)
+
+    @pytest.mark.parametrize("call, envelope", [
+        (lambda f: truncation_point(1.0, 5e-324, 1.0), r"exp\(0.0\) e\^\(-5e-324 x\)"),
+        (lambda f: integrate_rows(f, Envelopes(0.0, 1e-310), Tolerance()),
+         r"exp\(0.0\) e\^\(-1e-310 x\)"),
+        (lambda f: integrate_rows(f, Envelopes([0.0, 1e308], 0.5), Tolerance()),
+         r"exp\(1e\+308\) e\^\(-0.5 x\)"),
+        (lambda f: integrate_semi_infinite(lambda x: f(x, 0), QuadratureSpec(5e-324)),
+         r"exp\(0.0\) e\^\(-5e-324 x\)"),
+    ], ids=["truncation_point", "integrate_rows_rate", "integrate_rows_log_c",
+            "integrate_semi_infinite"])
+    def test_infinite_truncation_point_is_divergent(self, call, envelope):
+        # each once gave inf, or a NaN sample, after numpy overflow warnings
+        def unsampled(x, row):
+            raise AssertionError("refused before any sample")
+
+        with pytest.raises(DivergentIntegralError, match=f"^envelope {envelope} has no finite"):
+            call(unsampled)
 
 
 def _exp_decay(x):
@@ -376,7 +394,7 @@ class TestIntegrateRows:
             return -rates[row] * x, 1.0
 
         batch = integrate_rows(f, Envelopes(0.0, rates), Tolerance())
-        assert max(calls) <= 128 * 65 and len(calls) > 3
+        assert max(calls) <= _CHUNK_PANELS * 65 and len(calls) > 3
         for rate, res in zip(rates, batch):
             assert abs(res.value - 1.0 / rate) <= 10.0 * res.err_estimate + 1e-15
 
@@ -472,7 +490,7 @@ class TestSharedPanels:
         batch = _as_results(
             integrate_staged(staged, env.log_const, env.rate, env.start, Tolerance())
         )
-        assert staged.widest <= 128  # each call saw a bounded chunk
+        assert staged.widest <= _CHUNK_PANELS  # each call saw a bounded chunk
         _same_rows(batch, integrate_rows(staged.plain, staged.envelopes(), Tolerance()))
         for s, r, row in zip(shift, rate, batch):
             one = _Staged([s], [r])

@@ -619,6 +619,35 @@ class TestSharedWork:
         # each panel used was sampled once, and no sampled panel went unused
         assert seen["abscissas"] == 65 * seen["panels_used"] > 0
 
+    def test_every_diagonal_sweep_is_one_integrand_call(self, monkeypatch):
+        # at the default tolerance no route call on the diagonal sweeps more
+        # than _CHUNK_PANELS pairs, so each sweep is one integrand call
+        seen = {"calls": 0, "sweeps": 0}
+        sweep = quadrature._eval_panels
+
+        class Counting(spectral._LogIntegrand):
+            __slots__ = ()
+
+            def __call__(self, x, row):
+                seen["calls"] += 1
+                return super().__call__(x, row)
+
+        def counted_sweep(*args):
+            seen["sweeps"] += 1
+            return sweep(*args)
+
+        monkeypatch.setattr(spectral, "_LogIntegrand", Counting)
+        monkeypatch.setattr(quadrature, "_eval_panels", counted_sweep)
+        for d in range(3, 1026, 2):
+            for method in METHODS:
+                seen.update(calls=0, sweeps=0)
+                try:
+                    logdet(SpherePoint(d, (d - 1) // 2), method)
+                except UnsupportedArgumentError:  # product_rule from d = 91
+                    assert (method, seen["sweeps"]) == ("product_rule", 0), d
+                    continue
+                assert seen["calls"] == seen["sweeps"] == 1, (d, method)
+
     def test_end_magnitude_is_the_end_nodes_max(self):
         # bit for bit the max over the fancy-indexed end columns, inf and NaN too
         rng = np.random.default_rng(7)
@@ -737,7 +766,7 @@ class TestRowSkipping:
         seen = self._recording(monkeypatch)
         return logdet(point, method), seen
 
-    @pytest.mark.parametrize("method, most", [("sum", 20), ("product_rule", 0.6 * 510)])
+    @pytest.mark.parametrize("method, most", [("sum", 9), ("product_rule", 0.6 * 510)])
     def test_diagonal_integrates_few_rows(self, method, most, monkeypatch):
         point = SpherePoint(1021, 510)
         if method == "sum":
@@ -780,7 +809,7 @@ class TestRowSkipping:
         (1029, 178, "sum"), (1025, 42, "product_rule"),
     ])
     def test_skipped_mass_is_charged_to_the_estimate(self, d, k, method, monkeypatch):
-        # the threshold eps rel_tol max_s |w_s| B_s / n, recomputed here; a
+        # the threshold eps max_s |w_s| B_s / n, recomputed here; a
         # product_rule plan refused on the diagonal is checked as run anyway,
         # and its estimate must then miss the target that refused it
         point = SpherePoint(d, k)
@@ -794,7 +823,7 @@ class TestRowSkipping:
             res = logdet(point, method)
         a, p, weights, regrouped = spectral._plan(point, method)
         mass = spectral._log_mass_bound(a, p) + np.log(np.abs(weights))
-        cut = mass.max() + math.log(sys.float_info.epsilon * Tolerance().rel_tol / k)
+        cut = mass.max() + math.log(sys.float_info.epsilon / k)
         skipped = mass <= cut
         kept_a, kept_p, kept_w, charge = spectral._drop_negligible(a, p, weights, Tolerance())
         kept = list(zip(kept_a.tolist(), kept_p.tolist()))
@@ -818,6 +847,23 @@ class TestRowSkipping:
             assert err > max(Tolerance().abs_tol, Tolerance().rel_tol * abs(value))
         else:
             assert res.err_estimate == err
+
+    @pytest.mark.parametrize("d,k,method", [
+        *((d, k, method) for d, k in ((51, 25), (55, 27), (69, 34), (89, 44))
+          for method in ("sum", "product_rule")),
+        (385, 192, "sum"), (1021, 510, "sum"),
+    ])
+    def test_skipping_stays_within_the_estimate_of_every_row(self, d, k, method):
+        # the skipped rows lie below what binary64 resolves in the largest,
+        # so the value moves within the estimate of integrating every row,
+        # and the estimate by far less than 1 %
+        point = SpherePoint(d, k)
+        a, p, weights, regrouped = spectral._plan(point, method)
+        rows = spectral._integrals(a, p, Tolerance(), regrouped)
+        value, err = spectral._reduce("every row", point.sign, weights, rows)
+        res = logdet(point, method)
+        assert abs(res.value - value) <= err
+        assert abs(res.err_estimate - err) <= 0.01 * err
 
     @pytest.mark.parametrize("d,k,method", [
         (5, 2, "sum"), (21, 10, "product_rule"), (385, 192, "product_rule"),
@@ -1138,13 +1184,20 @@ class TestReducer:
     @pytest.mark.parametrize("d,k", [(9, 4), (21, 10), (65, 32)])
     def test_product_rule_weights_bit_for_bit(self, d, k):
         # batched rows equal lone calls, so the weighted sum over the k = 1
-        # direct results reproduces the route exactly
-        res = logdet_product_rule(SpherePoint(d, k))
-        bases = [logdet_direct(SpherePoint(d - 2 * j, 1)) for j in range(k)]
-        powers = spectral.v_coefficients(k).v
+        # direct results of the rows that survive the skipping, plus the
+        # skipped rows' charge, reproduces the route exactly
+        point = SpherePoint(d, k)
+        kept_p, skipped = spectral._drop_negligible(
+            *spectral._plan(point, "product_rule")[:3], Tolerance()
+        )[1::2]
+        kept = [(d + 1 - int(p)) // 2 for p in kept_p.tolist()]  # p = d - 2j + 1
+        assert (len(kept) < k) == (skipped > 0.0) == (d == 65)
+        res = logdet_product_rule(point)
+        bases = [logdet_direct(SpherePoint(d - 2 * j, 1)) for j in kept]
+        powers = [spectral.v_coefficients(k).v[j] for j in kept]
         assert res.value == math.fsum(v * b.value for v, b in zip(powers, bases))
         assert res.err_estimate == math.fsum(
-            v * b.err_estimate for v, b in zip(powers, bases)
+            [*(v * b.err_estimate for v, b in zip(powers, bases)), skipped]
         )
 
     @pytest.mark.parametrize("d,k", [(5, 2), (9, 4), (21, 10), (1101, 1)])

@@ -1,27 +1,43 @@
-"""Time the package of two checkouts against each other, in one process,
-or compare their results bit for bit:
+"""Time the package of two checkouts against each other, compare their
+results bit for bit, or record one checkout's timings:
 
     python tools/ab.py PARENT_DIR CHANGE_DIR [--pairs 150]
     python tools/ab.py PARENT_DIR CHANGE_DIR --fuzz 1500 [--seed 0]
+    python tools/ab.py TREE_DIR --record LABEL [--pairs 150]
 
 Each tree's ``src/gjmsdet`` is loaded under its own module name
 (``gjmsdet_parent`` and ``gjmsdet_change``), so both run on one
-interpreter and one numpy.  Every case is timed in interleaved pairs: in
-each pair both trees run it, the parent first in even pairs and the change
-first in odd ones, and the pair gives the ratio of their times,
+interpreter and one numpy.  The timing runs twice, each time in a fresh
+child interpreter: once with the parent loaded first and once with the
+change loaded first, as the load order alone can move a ratio beyond its
+quartiles.  In each child every case is timed in interleaved pairs: in
+each pair both trees run it, the parent first in even pairs and the
+change first in odd ones, and the pair gives the ratio of their times,
 change/parent.  A sample repeats the case until it lasts about 5 ms (the
 count is fixed once, from the parent's warm-up).  For each case the tool
-prints the median ratio with its quartiles, below 1 where the change is
-faster, and each tree's median time per run of the case.
+prints the median ratio with its quartiles from each child, below 1 where
+the change is faster, the geometric mean of the two medians, and each
+tree's median time per run of the case over both children.
 
 The cases:
 - ``diagonal``: every route called alone at k = (d-1)/2 for d in
   ``DIAGONAL``, one d from each stratum of perfbench's ``diagonal``
   workload; a typed refusal (``product_rule`` from d = 91) counts as a call;
+- ``tail call (69, 34)``: the four routes at (69, 34), one call of that
+  workload's tail stratum (d = 65..81), where ``sum`` and
+  ``product_rule`` integrate 32 to 40 rows;
 - ``direct`` at (35, 3), one row;
 - ``sum`` at (1021, 510);
 - ``product_rule`` at (81, 40);
 - ``scan_k(35, "all")``.
+
+With ``--record LABEL`` it loads the one tree, times each case
+``--pairs`` times (the cases interleaved, each sample as above) and
+writes ``BENCH_<LABEL>.json`` to the working directory: each case's
+median and quartiles in ms per run, and the provenance of the numbers
+(the tree's git commit and whether its ``src`` differs from it, a SHA-256
+of its ``src/gjmsdet`` sources, the Python and numpy versions, the
+machine and its CPU count).
 
 With ``--fuzz N`` it times nothing: it makes N random calls, drawn from
 ``--seed``, on both trees and compares what each returns or raises, every
@@ -42,13 +58,20 @@ Only names that both trees define are used.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import importlib.util
+import json
 import math
+import multiprocessing
+import os
+import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -92,8 +115,15 @@ def cases(pkg: dict) -> dict:
     def route(p, method):
         return lambda: spectral.logdet(p, method)
 
+    tail = point(69, 34)
+
+    def tail_call():
+        for method in spectral.METHODS:
+            spectral.logdet(tail, method)
+
     return {
         "diagonal": diagonal_pass,
+        "tail call (69, 34)": tail_call,
         "direct (35, 3)": route(point(35, 3), "direct"),
         "sum (1021, 510)": route(point(1021, 510), "sum"),
         "product_rule (81, 40)": route(point(81, 40), "product_rule"),
@@ -107,6 +137,114 @@ def sample(run, reps: int) -> float:
     for _ in range(reps):
         run()
     return (time.perf_counter() - start) / reps
+
+
+def repetitions(run) -> int:
+    """Runs of ``run`` per sample, so that a sample lasts about SAMPLE_S."""
+    warm = min(sample(run, 1) for _ in range(WARM_UP))
+    return max(1, math.ceil(SAMPLE_S / warm))
+
+
+def quartiles(values) -> list:
+    """The first quartile, the median and the third quartile of ``values``."""
+    return statistics.quantiles(values, n=4)
+
+
+def time_pairs(parent: str, change: str, parent_first: bool, pairs: int) -> dict:
+    """Each case's pair ratios change/parent and each tree's seconds per
+    run, timed in this process with the trees loaded in the order given."""
+    sides = [(Path(parent), "parent"), (Path(change), "change")]
+    loaded = {side: load(tree, f"gjmsdet_{side}")
+              for tree, side in (sides if parent_first else sides[::-1])}
+    trees = [cases(loaded["parent"]), cases(loaded["change"])]
+    reps = {}
+    for name in trees[0]:
+        reps[name] = repetitions(trees[0][name])
+        repetitions(trees[1][name])  # warm the change up as much
+    times = {name: ([], []) for name in reps}
+    for pair in range(pairs):
+        order = (0, 1) if pair % 2 == 0 else (1, 0)
+        for name, n in reps.items():
+            for side in order:
+                times[name][side].append(sample(trees[side][name], n))
+    return {name: {"ratios": [c / p for p, c in zip(*times[name])], "times": times[name],
+                   "reps": reps[name]} for name in reps}
+
+
+def in_child(*args) -> dict:
+    """``time_pairs(*args)`` in a fresh interpreter of its own."""
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return pool.submit(time_pairs, *args).result()
+
+
+def compare(parent: Path, change: Path, pairs: int) -> int:
+    """Time both trees in two children, one per load order, and print each
+    case's ratios."""
+    runs = [in_child(str(parent), str(change), first, pairs) for first in (True, False)]
+    print(f"{pairs} pairs in each of two processes; ratio change/parent: median [q1, q3] "
+          "with the parent loaded first, then with the change loaded first; their "
+          "geometric mean; median ms per run")
+    for name in runs[0]:
+        medians, shown = [], []
+        for run in runs:
+            q1, median, q3 = quartiles(run[name]["ratios"])
+            medians.append(median)
+            shown.append(f"{median:6.3f} [{q1:.3f}, {q3:.3f}]")
+        ms = [1e3 * statistics.median(runs[0][name]["times"][side] + runs[1][name]["times"][side])
+              for side in (0, 1)]
+        print(f"{name:22} {shown[0]}  {shown[1]}  mean {math.sqrt(medians[0] * medians[1]):6.3f}"
+              f"   parent {ms[0]:8.3f}   change {ms[1]:8.3f}   x{runs[0][name]['reps']}")
+    return 0
+
+
+def _git(tree: Path, *args) -> str:
+    """The output of ``git args`` in ``tree``, or "" where git fails there."""
+    try:
+        done = subprocess.run(["git", "-C", str(tree), *args], capture_output=True,
+                              text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return ""
+    return done.stdout.strip()
+
+
+def provenance(tree: Path) -> dict:
+    """Where the numbers of ``tree`` come from: its commit, whether its src
+    differs from it, a digest of its sources, and the interpreter, numpy and
+    machine that ran them."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "gjmsdet").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    commit = _git(tree, "rev-parse", "HEAD")
+    return {
+        "commit": commit or None,
+        "src_differs_from_commit": bool(_git(tree, "status", "--porcelain", "--", "src"))
+        if commit else None,
+        "src_sha256": digest.hexdigest(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+    }
+
+
+def record(tree: Path, label: str, pairs: int) -> int:
+    """Time each case of ``tree`` ``pairs`` times and write BENCH_<label>.json."""
+    runs = cases(load(tree, "gjmsdet_record"))
+    reps = {name: repetitions(run) for name, run in runs.items()}
+    times = {name: [] for name in runs}
+    for _ in range(pairs):
+        for name, run in runs.items():
+            times[name].append(sample(run, reps[name]))
+    out = {"label": label, "pairs": pairs, "sample_s": SAMPLE_S, **provenance(tree), "cases": {}}
+    for name, values in times.items():
+        q1, median, q3 = (1e3 * v for v in quartiles(values))
+        out["cases"][name] = {"median_ms": median, "q1_ms": q1, "q3_ms": q3,
+                              "runs_per_sample": reps[name]}
+        print(f"{name:22} {median:8.3f} ms [{q1:.3f}, {q3:.3f}]")
+    path = Path(f"BENCH_{label}.json")
+    path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return 0
 
 
 def _hex(values) -> list:
@@ -204,33 +342,23 @@ def fuzz(pkgs: list, count: int, seed: int) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path)
+    parser.add_argument("change", type=Path, nargs="?")
     parser.add_argument("--pairs", type=int, default=150)
     parser.add_argument("--fuzz", type=int, metavar="N", help="compare N random calls instead")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--record", metavar="LABEL", help="time the one tree PARENT instead")
     args = parser.parse_args(argv)
-    pkgs = [load(tree, f"gjmsdet_{side}")
-            for tree, side in ((args.parent, "parent"), (args.change, "change"))]
+    if args.record is not None:
+        if args.change is not None:
+            parser.error("--record times one tree")
+        return record(args.parent, args.record, args.pairs)
+    if args.change is None:
+        parser.error("two trees are needed, unless --record is given")
     if args.fuzz is not None:
+        pkgs = [load(tree, f"gjmsdet_{side}")
+                for tree, side in ((args.parent, "parent"), (args.change, "change"))]
         return fuzz(pkgs, args.fuzz, args.seed)
-    trees = [cases(pkg) for pkg in pkgs]
-    reps = {}
-    for name in trees[0]:
-        warm = [min(sample(tree[name], 1) for _ in range(WARM_UP)) for tree in trees]
-        reps[name] = max(1, math.ceil(SAMPLE_S / warm[0]))
-    times = {name: ([], []) for name in reps}
-    for pair in range(args.pairs):
-        order = (0, 1) if pair % 2 == 0 else (1, 0)
-        for name, n in reps.items():
-            for side in order:
-                times[name][side].append(sample(trees[side][name], n))
-    print(f"{args.pairs} pairs; ratio change/parent: median [q1, q3]; median ms per run")
-    for name, (parent, change) in times.items():
-        q1, median, q3 = statistics.quantiles([c / p for p, c in zip(parent, change)], n=4)
-        ms = [1e3 * statistics.median(side) for side in (parent, change)]
-        print(f"{name:22} {median:6.3f} [{q1:.3f}, {q3:.3f}]   parent {ms[0]:8.3f}   "
-              f"change {ms[1]:8.3f}   x{reps[name]}")
-    return 0
+    return compare(args.parent, args.change, args.pairs)
 
 
 if __name__ == "__main__":
