@@ -42,23 +42,22 @@ def route(call: str) -> tuple:
     return words[0], None
 
 
-def floats(out: str):
-    """The value and the estimate of a value outcome (the estimate None
-    where the line has none, as for a factor), or None for an error."""
+def floats(call: str, out: str):
+    """The value and the estimate of a value outcome, or None for an error.
+    Only route and batch lines carry an estimate, as their second word; it
+    is None for the others (a factor's second word is its panel count)."""
     words = out.split()
     try:
         value = float.fromhex(words[0])
     except (IndexError, ValueError):
         return None
-    try:
-        return value, float.fromhex(words[1])
-    except (IndexError, ValueError):
-        return value, None
+    has_estimate = call.startswith("(") or " row " in call
+    return value, float.fromhex(words[1]) if has_estimate else None
 
 
-def kind(out: str) -> str:
+def kind(call: str, out: str) -> str:
     """"value", or the error type that opens an error outcome."""
-    return "value" if floats(out) is not None else out.split(":")[0]
+    return "value" if floats(call, out) is not None else out.split(":")[0]
 
 
 def main(argv=None) -> int:
@@ -74,11 +73,11 @@ def main(argv=None) -> int:
             continue
         group, d = route(call)
         changed[group].append(d)
-        if kind(old) != kind(new):
+        if kind(call, old) != kind(call, new):
             kinds.append(f"{call}: {old} -> {new}")
             continue
-        was, now = floats(old), floats(new)
-        if was is None or was[1] is None or now[1] is None:
+        was, now = floats(call, old), floats(call, new)
+        if was is None or not was[1]:  # no estimate, or one of 0
             continue
         ratios.append(now[1] / was[1])
         moved = abs(now[0] - was[0]) / was[1]
