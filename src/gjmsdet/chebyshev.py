@@ -40,6 +40,7 @@ share between threads.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -166,10 +167,14 @@ def eval_u(k: int, y: float) -> float:
     up to the odd symmetry in y; that hyperbolic ratio is used as an
     independent cross-check in the test suite, never as the value here.
     The coefficients come from ``u_coefficients``, so a k whose powers pass
-    the interpreter's digit limit raises UnsupportedArgumentError.
+    the interpreter's digit limit raises UnsupportedArgumentError.  A ``y``
+    that is not a real number, or whose magnitude passes binary64, raises
+    ParameterError.
     """
     k = _check_order(k)
-    y = float(y)
+    if not isinstance(y, numbers.Real):
+        raise ParameterError("y must be a real number")
+    y = float(y) if abs(y) <= sys.float_info.max else math.inf
     if not math.isfinite(y):
         raise ParameterError("y must be finite")
     coeffs = u_coefficients(k).u

@@ -16,11 +16,13 @@ per route.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import MethodDisagreementError, ParameterError, UnsupportedArgumentError
-from .exact import Record, _named, require_integer, require_point, require_real, select_methods
+from .exact import (Record, _named, require_integer, require_point, require_real, require_type,
+                    select_methods)
 from .quadrature import Tolerance
 from .spectral import SpherePoint, logdet
 
@@ -161,15 +163,22 @@ def scan_paneitz(
 
 
 def format_csv(rows: Sequence[ScanRow]) -> str:
+    """The CSV text of ``rows``: the header, then one line a row.  Raises
+    ParameterError unless ``rows`` is an iterable of ScanRows."""
+    require_type("rows", rows, Iterable)
     lines = [CSV_HEADER]
     for r in rows:
+        require_type("row", r, ScanRow)
         lines.append(f"{r.d},{r.k},{r.method},{r.value:.17g},{r.err_estimate:.17g}")
     return "\n".join(lines) + "\n"
 
 
 def write_csv(path: str, rows: Sequence[ScanRow]) -> None:
+    """Write ``format_csv(rows)`` to ``path``.  The text is formatted before
+    the file is opened, so a refusal leaves an existing file as it was."""
+    text = format_csv(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_csv(rows))
+        fh.write(text)
 
 
 def parse_csv(text: str) -> list[ScanRow]:
@@ -231,12 +240,19 @@ def write_svg(
     Deliberately minimal: one polyline with point markers, a frame, and
     labelled axis ticks.  Enough to eyeball a scan's shape, nothing more.
     The labels are text, escaped for XML.
-    Raises ParameterError, before the file is opened, on unequal or empty
-    input, a non-finite value, or an axis whose padded range passes binary64.
+    Raises ParameterError, before the file is opened, on input that is not
+    two sequences of real numbers, unequal or empty input, a non-finite
+    value, or an axis whose padded range passes binary64.  A numpy array is
+    a sequence: it writes what the list of its values writes.
     """
-    if len(xs) != len(ys) or not xs:
+    # [None] stands for an argument that is no sized collection (None, a
+    # generator): the next check refuses it
+    values = [*xs, *ys] if isinstance(xs, Collection) and isinstance(ys, Collection) else [None]
+    if not all(isinstance(v, numbers.Real) for v in values):
+        raise ParameterError("xs and ys must be sequences of real numbers")
+    if len(xs) != len(ys) or len(xs) == 0:
         raise ParameterError("xs and ys must be equal-length and non-empty")
-    if not all(map(math.isfinite, [*xs, *ys])):
+    if not all(map(math.isfinite, values)):
         raise ParameterError("xs and ys must be finite")
     width, height = 640.0, 420.0
     ml, mr, mt, mb = 72.0, 18.0, 18.0, 48.0

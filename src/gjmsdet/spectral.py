@@ -437,7 +437,7 @@ def logdet(
         # is in the docstring of test_criterion_5_additive_spread_window
         value_bound = 2.0 / (math.pi * (point.d - 2 * point.k))
         _check_round_off_floor(where, a, p, weights, tolerance, value_bound)
-        a, p, weights, skipped = _drop_negligible(a, p, weights, tolerance)
+        a, p, weights, skipped = _drop_negligible(a, p, weights)
     rows = _integrals(a, p, tolerance, regrouped)
     value, err = _reduce(where, point.sign, weights, rows, skipped)
     return LogDetResult(value, err, method, point)
@@ -478,13 +478,12 @@ def _check_round_off_floor(
         )
 
 
-def _drop_negligible(a, p, weights, tolerance: Tolerance) -> tuple:
+def _drop_negligible(a, p, weights) -> tuple:
     """The plan without its rows of bound mass |w_r| B_r at most
     eps max_s |w_s| B_s / n (B from ``_log_mass_bound``, n rows), so that
     together they stay below what binary64 resolves in the largest, which
     is always kept: the rest's (a, p, weights), and the skipped rows'
-    summed mass, rounded up, to charge to the estimate.  The cut does not
-    depend on ``tolerance``."""
+    summed mass, rounded up, to charge to the estimate."""
     mass = _log_mass_bound(a, p) + np.log(np.abs(weights))
     # in log space, as the masses pass the binary64 range
     skip = mass <= mass.max() + (math.log(_EPS) - math.log(weights.size))

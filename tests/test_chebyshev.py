@@ -128,6 +128,16 @@ class TestEvalU:
         with pytest.raises(ParameterError):
             eval_u(2, math.nan)
 
+    # None and 1j once raised a raw TypeError, "abc" a ValueError and
+    # 10**400 an OverflowError, and "2" was read as 2.0
+    @pytest.mark.parametrize("y, message", [
+        (None, "a real number"), (1j, "a real number"), ("abc", "a real number"),
+        ("2", "a real number"), (10**400, "finite"),
+    ], ids=["None", "complex", "abc", "str-2", "10^400"])
+    def test_rejects_what_is_not_a_finite_real(self, y, message):
+        with pytest.raises(ParameterError, match=f"^y must be {message}$"):
+            eval_u(5, y)
+
     def test_huge_argument_overflows_to_inf(self):
         assert eval_u(4, 1e300) == math.inf
         assert eval_u(4, -1e300) == -math.inf

@@ -27,6 +27,7 @@ from gjmsdet.scans import (
     scan_k,
     scan_limiting,
     scan_paneitz,
+    write_csv,
     write_svg,
 )
 
@@ -360,13 +361,10 @@ class TestRules:
         sys.set_int_max_str_digits(limit)
 
     @pytest.fixture
-    def no_powers_kept(self, monkeypatch):
+    def no_powers_kept(self, work):
         """Fail if ``rules`` builds its table of powers, which at k = 10**6
         would hold about 130 GB."""
-        def unreachable(k):
-            raise AssertionError("v_coefficients called for a refused k")
-
-        monkeypatch.setattr(cli, "v_coefficients", unreachable)
+        work.forbid(cli, "v_coefficients")
 
     def test_refusal_comes_before_any_power_is_kept(self, capsys, digit_limit, no_powers_kept):
         k = 2000
@@ -454,12 +452,29 @@ class TestSvg:
             write_svg(str(path), xs, ys)
         assert not path.exists()
 
-    @pytest.mark.parametrize("xs,ys", [([1.0, 2.0], [0.5]), ([], [])])
+    @pytest.mark.parametrize("xs,ys", [([1.0, 2.0], [0.5]), ([], []), (np.array([]), np.array([]))])
     def test_unequal_or_empty_input_is_a_parameter_error(self, tmp_path, xs, ys):
         path = tmp_path / "bad.svg"
         with pytest.raises(ParameterError, match="equal-length and non-empty"):
             write_svg(str(path), xs, ys)
         assert not path.exists()
+
+    # ["a", "b"] once raised a raw TypeError, None and a generator a TypeError from len()
+    @pytest.mark.parametrize("xs,ys", [(["a", "b"], [1.0, 2.0]), (None, [1.0]), ([1.0], None),
+                                       ((x for x in [1.0, 2.0]), [1.0, 2.0])])
+    def test_what_is_not_real_numbers_is_a_parameter_error(self, tmp_path, xs, ys):
+        path = tmp_path / "kept.svg"
+        path.write_bytes(b"12345678")
+        with pytest.raises(ParameterError, match="^xs and ys must be sequences of real numbers$"):
+            write_svg(str(path), xs, ys)
+        assert path.read_bytes() == b"12345678"
+
+    def test_arrays_write_what_lists_write(self, tmp_path):
+        # an array once failed the emptiness test with a raw ValueError
+        xs, ys = [1, 2, 3], [0.5, -0.25, 0.125]
+        write_svg(str(tmp_path / "list.svg"), xs, ys)
+        write_svg(str(tmp_path / "array.svg"), np.array(xs), np.array(ys))
+        assert (tmp_path / "array.svg").read_bytes() == (tmp_path / "list.svg").read_bytes()
 
     # the range itself, or a single value plus its 10 % pad, passes 1.8e308
     @pytest.mark.parametrize("ys", [[-1e308, 1e308], [1.7e308, 1.7e308]])
@@ -522,6 +537,16 @@ class TestCsvFormat:
             for _ in range(50)
         ]
         assert parse_csv(format_csv(rows)) == rows
+
+    # [1] once raised a raw AttributeError after emptying the file, None a TypeError
+    @pytest.mark.parametrize("rows", [[1], None, [ScanRow(5, 2, "direct", 0.1, 0.0), "x"]],
+                             ids=["int-row", "None", "str-row"])
+    def test_write_refuses_what_is_not_rows_and_keeps_the_file(self, rows, tmp_path):
+        path = tmp_path / "kept.csv"
+        path.write_bytes(b"12345678")
+        with pytest.raises(ParameterError, match="^rows? must be an? (ScanRow|Iterable), not "):
+            write_csv(str(path), rows)
+        assert path.read_bytes() == b"12345678"
 
     def test_agreement_guard_trips_on_divergent_rows(self):
         from gjmsdet import AccuracyError

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gjmsdet import errors, exact, quadrature, spectral
+from gjmsdet import errors, exact, spectral
 from gjmsdet import (
     DivergentIntegralError,
     EvaluationError,
@@ -39,7 +39,6 @@ from gjmsdet import (
     scan_k,
     zeta_odd,
 )
-from gjmsdet.quadrature import integrate_staged
 
 # frozen 40-digit oracle values
 REF_D5K2 = 0.1046421441058079165
@@ -363,18 +362,15 @@ class TestLogdetProductRule:
             assert all(v < w for v, w in zip(smaller, larger))
 
     @pytest.mark.parametrize("k", [742, 10**6])
-    def test_refused_before_any_power_is_built(self, k, monkeypatch):
-        def unbuilt(k):
-            raise AssertionError(f"v_coefficients({k}) was called")
-
-        monkeypatch.setattr(spectral, "v_coefficients", unbuilt)
+    def test_refused_before_any_power_is_built(self, k, work):
+        work.forbid(spectral, "v_coefficients")
         with pytest.raises(UnsupportedArgumentError, match=f"k = {k}.*binary64"):
             logdet_product_rule(SpherePoint(2 * k + 1, k))
 
-    def test_weights_are_built_once_per_k(self):
+    def test_weights_are_built_once_per_k(self, route_rows):
         weights = spectral._product_weights(9)
-        assert spectral._plan(SpherePoint(19, 9), "product_rule")[2] is weights
-        assert spectral._plan(SpherePoint(21, 9), "product_rule")[2] is weights
+        assert route_rows(SpherePoint(19, 9), "product_rule").weights is weights
+        assert route_rows(SpherePoint(21, 9), "product_rule").weights is weights
         assert not weights.flags.writeable
         powers = spectral.v_coefficients(9).v
         assert weights.tolist() == [(-1) ** (9 - 1 + j) * v for j, v in enumerate(powers)]
@@ -499,22 +495,6 @@ class TestEveryPointEndsCleanly:
         _ends_cleanly(point, Tolerance(rel_tol, abs_tol, max_panels))
 
 
-def _run_anyway(point, method, tolerance=Tolerance()):
-    """(value, estimate) that ``logdet`` would return at ``point`` without
-    its round-off refusal: the plan's rows left by the skipping, integrated
-    and reduced."""
-    a, p, weights, regrouped = spectral._plan(point, method)
-    a, p, weights, skipped = spectral._drop_negligible(a, p, weights, tolerance)
-    rows = spectral._integrals(a, p, tolerance, regrouped)
-    return spectral._reduce(method, point.sign, weights, rows, skipped)
-
-
-def _staged_rows(a, p, regrouped, tolerance):
-    integrand = spectral._LogIntegrand(a, p, regrouped)
-    rows = integrate_staged(integrand, *spectral._envelope(a, p), 0.0, tolerance)
-    return list(zip(*(field.tolist() for field in rows)))
-
-
 class TestBatchedIntegrandRows:
     """A batch of the route integrand gives each row exactly what its lone
     call gives (value, estimate, panels, truncation point), whether the rows
@@ -529,18 +509,14 @@ class TestBatchedIntegrandRows:
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("tolerance", [Tolerance(), TIGHT])
-    def test_rows_match_lone_calls_bit_for_bit(self, case, tolerance):
+    def test_rows_match_lone_calls_bit_for_bit(self, case, tolerance, row_batch):
+        # every field of the quadrature's rows, and of the scaled rows too:
+        # value, estimate, panels, truncation point and failure flag
         a, p, regrouped = self.CASES[case]
         a, p = np.array(a, float), np.array(p, float)
-        batch = _staged_rows(a, p, regrouped, tolerance)
-        rows = range(a.size)
-        lone = [_staged_rows(a[r:r + 1], p[r:r + 1], regrouped, tolerance)[0] for r in rows]
+        batch = row_batch(a, p, regrouped, tolerance)
+        lone = [row_batch(a[r:r + 1], p[r:r + 1], regrouped, tolerance)[0] for r in range(a.size)]
         assert batch == lone
-        # every field of the scaled rows too: value, estimate, failure flag, panels
-        fields = spectral._integrals(a, p, tolerance, regrouped)
-        for r in rows:
-            lone = spectral._integrals(a[r:r + 1], p[r:r + 1], tolerance, regrouped)
-            assert [f[r] for f in fields] == [f[0] for f in lone]
 
 
 class TestSharedWork:
@@ -548,105 +524,53 @@ class TestSharedWork:
     every route call samples each panel it uses once and bisects none
     (deterministic work counts, so that losing the pruning or the first
     layout fails here rather than only in a timing).  The batches are every
-    row of the route's plan, integrated through ``_integrals``, since
-    ``logdet`` skips the rows its mass bound proves negligible; the sweep
-    count is that of ``logdet``."""
-
-    @staticmethod
-    def _counting(monkeypatch):
-        """Counts, from here on, of the abscissas ``_LogIntegrand`` sees, of
-        the sweeps (one ``quadrature._eval_panels`` call each) and of the
-        panels ``integrate_staged`` reports as used."""
-        seen = {"abscissas": 0, "sweeps": 0, "panels_used": 0}
-        sweep, integrate = quadrature._eval_panels, spectral.integrate_staged
-
-        class Counting(spectral._LogIntegrand):
-            __slots__ = ()
-
-            def __call__(self, x, row):
-                seen["abscissas"] += x.size
-                return super().__call__(x, row)
-
-        def counted_sweep(*args):
-            seen["sweeps"] += 1
-            return sweep(*args)
-
-        def counted_integrate(*args):
-            rows = integrate(*args)
-            seen["panels_used"] += int(rows.panels_used.sum())
-            return rows
-
-        monkeypatch.setattr(spectral, "_LogIntegrand", Counting)
-        monkeypatch.setattr(quadrature, "_eval_panels", counted_sweep)
-        monkeypatch.setattr(spectral, "integrate_staged", counted_integrate)
-        return seen
-
-    def _abscissas(self, method, monkeypatch):
-        """The counts for all 510 rows of ``method`` at (1021, 510)."""
-        seen = self._counting(monkeypatch)
-        a, p, _, regrouped = spectral._plan(SpherePoint(1021, 510), method)
-        spectral._integrals(a, p, Tolerance(), regrouped)
-        return seen
+    row of the route's plan, integrated unskipped, since ``logdet`` skips the
+    rows its mass bound proves negligible; the sweep count is that of
+    ``logdet``."""
 
     # abscissas without pruning: 2554 and 2642 (row, panel) pairs; with it
     # 1175 and 1790, all accepted in the first sweep
     @pytest.mark.parametrize(
         "method, unpruned, share", [("product_rule", 166_010, 0.6), ("sum", 171_730, 0.7)]
     )
-    def test_pruning_halves_per_pair_abscissas(self, method, unpruned, share, monkeypatch):
-        seen = self._abscissas(method, monkeypatch)
-        assert 510 * 65 < seen["abscissas"] <= share * unpruned
+    def test_pruning_halves_per_pair_abscissas(self, method, unpruned, share, work, route_rows):
+        # all 510 rows of ``method`` at (1021, 510)
+        route_rows(SpherePoint(1021, 510), method, skip=False).integrated
+        assert 510 * 65 < work.abscissas <= share * unpruned
         # a pruned pair is neither sampled nor counted as used, and no
         # sampled panel is bisected and so left uncounted
-        assert seen["abscissas"] == 65 * seen["panels_used"]
+        assert work.abscissas == 65 * work.panels_used
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("d", [3, 65, 385, 1021, 1025])
-    def test_diagonal_routes_accept_their_first_layout(self, method, d, monkeypatch):
+    def test_diagonal_routes_accept_their_first_layout(self, method, d, work):
         # the README's claim: on the diagonal every route accepts its first
         # layout whole, so its one quadrature call runs one sweep; from
         # d = 91 product_rule is refused before any sweep, and accepts its
         # first layout at k = 42 instead
-        seen = self._counting(monkeypatch)
         point = SpherePoint(d, (d - 1) // 2)
         if method == "product_rule" and d >= 91:
             with pytest.raises(UnsupportedArgumentError, match="round-off"):
                 logdet(point, method)
-            assert seen == {"abscissas": 0, "sweeps": 0, "panels_used": 0}
+            assert (work.abscissas, work.sweeps, work.panels_used) == (0, 0, 0)
             point = SpherePoint(d, 42)
         logdet(point, method)
-        assert seen["sweeps"] == 1
+        assert work.sweeps == 1
         # each panel used was sampled once, and no sampled panel went unused
-        assert seen["abscissas"] == 65 * seen["panels_used"] > 0
+        assert work.abscissas == 65 * work.panels_used > 0
 
-    def test_every_diagonal_sweep_is_one_integrand_call(self, monkeypatch):
+    def test_every_diagonal_sweep_is_one_integrand_call(self, work):
         # at the default tolerance no route call on the diagonal sweeps more
         # than _CHUNK_PANELS pairs, so each sweep is one integrand call
-        seen = {"calls": 0, "sweeps": 0}
-        sweep = quadrature._eval_panels
-
-        class Counting(spectral._LogIntegrand):
-            __slots__ = ()
-
-            def __call__(self, x, row):
-                seen["calls"] += 1
-                return super().__call__(x, row)
-
-        def counted_sweep(*args):
-            seen["sweeps"] += 1
-            return sweep(*args)
-
-        monkeypatch.setattr(spectral, "_LogIntegrand", Counting)
-        monkeypatch.setattr(quadrature, "_eval_panels", counted_sweep)
         for d in range(3, 1026, 2):
             for method in METHODS:
-                seen.update(calls=0, sweeps=0)
+                work.reset()
                 try:
                     logdet(SpherePoint(d, (d - 1) // 2), method)
                 except UnsupportedArgumentError:  # product_rule from d = 91
-                    assert (method, seen["sweeps"]) == ("product_rule", 0), d
+                    assert (method, work.sweeps) == ("product_rule", 0), d
                     continue
-                assert seen["calls"] == seen["sweeps"] == 1, (d, method)
+                assert work.calls == work.sweeps == 1, (d, method)
 
     def test_end_magnitude_is_the_end_nodes_max(self):
         # bit for bit the max over the fancy-indexed end columns, inf and NaN too
@@ -658,16 +582,15 @@ class TestSharedWork:
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_grid_and_scan_routes_accept_their_first_layout(self, method, monkeypatch):
+    def test_grid_and_scan_routes_accept_their_first_layout(self, method, work):
         # the same for every call of the 55-point grid (d = 3..21) and of
         # scan_k(35) at the default tolerance
-        seen = self._counting(monkeypatch)
         grid = [(d, k) for d in range(3, 22, 2) for k in range(1, (d - 1) // 2 + 1)]
         for d, k in grid + [(35, k) for k in range(1, 18)]:
-            seen.update(abscissas=0, sweeps=0, panels_used=0)
+            work.reset()
             logdet(SpherePoint(d, k), method)
-            assert seen["sweeps"] == 1, (d, k)
-            assert seen["abscissas"] == 65 * seen["panels_used"] > 0, (d, k)
+            assert work.sweeps == 1, (d, k)
+            assert work.abscissas == 65 * work.panels_used > 0, (d, k)
 
 
 # log 2^-(p-2) I(a, p) of the rows tests/_oracles.py BOUND_ROWS, from
@@ -736,11 +659,11 @@ class TestMassBound:
 
     @pytest.mark.parametrize("d,k", [(1021, 510), (385, 192)])
     @pytest.mark.parametrize("method", ["sum", "product_rule"])
-    def test_bounds_every_row_of_the_plan(self, d, k, method):
-        a, p, _, regrouped = spectral._plan(SpherePoint(d, k), method)
-        values, _, failed, _ = spectral._integrals(a, p, Tolerance(), regrouped)
+    def test_bounds_every_row_of_the_plan(self, d, k, method, route_rows):
+        rows = route_rows(SpherePoint(d, k), method, skip=False)
+        values, _, failed, _ = rows.integrated
         assert not failed.any()
-        assert np.all(np.log(values) <= spectral._log_mass_bound(a, p))
+        assert np.all(np.log(values) <= spectral._log_mass_bound(rows.a, rows.p))
 
 
 class TestRowSkipping:
@@ -748,59 +671,39 @@ class TestRowSkipping:
     negligible against the largest, and charges the skipped mass to the
     estimate (deterministic work counts)."""
 
-    @staticmethod
-    def _recording(monkeypatch):
-        """The list of the (a, p) rows ``_integrals`` integrates from here on."""
-        seen = []
-        integrals = spectral._integrals
-
-        def recording(a, p, *args):
-            seen.extend(zip(a.tolist(), p.tolist()))
-            return integrals(a, p, *args)
-
-        monkeypatch.setattr(spectral, "_integrals", recording)
-        return seen
-
-    def _integrated(self, point, method, monkeypatch):
-        """The result of ``logdet`` and the (a, p) rows it integrated."""
-        seen = self._recording(monkeypatch)
-        return logdet(point, method), seen
-
     @pytest.mark.parametrize("method, most", [("sum", 9), ("product_rule", 0.6 * 510)])
-    def test_diagonal_integrates_few_rows(self, method, most, monkeypatch):
+    def test_diagonal_integrates_few_rows(self, method, most, work, route_rows):
         point = SpherePoint(1021, 510)
         if method == "sum":
-            _, seen = self._integrated(point, method, monkeypatch)
-            assert 0 < len(seen) <= most
+            logdet(point, method)
+            assert 0 < len(work.rows) <= most
             return
         # product_rule is refused with no row integrated, and its plan's
         # skipping, run anyway, keeps few rows
-        seen = self._recording(monkeypatch)
         with pytest.raises(UnsupportedArgumentError, match="round-off"):
             logdet(point, method)
-        assert seen == []
-        kept = spectral._drop_negligible(*spectral._plan(point, method)[:3], Tolerance())[2]
+        assert work.rows == []
+        kept = route_rows(point, method).kept[2]
         assert 0 < kept.size <= most
 
     @pytest.mark.parametrize("d,k,method", [
         (1021, 510, "direct"), (1021, 510, "chebyshev"),
         (5, 1, "sum"), (5, 1, "product_rule"), (1025, 1, "sum"), (1025, 1, "product_rule"),
     ])
-    def test_one_row_plan_computes_no_bound(self, d, k, method, monkeypatch):
-        def unused(a, p):
-            raise AssertionError("a one-row plan needs no bound")
+    def test_one_row_plan_computes_no_bound(self, d, k, method, work):
+        # a one-row plan needs no bound
+        work.forbid(spectral, "_log_mass_bound")
+        logdet(SpherePoint(d, k), method)
+        assert len(work.rows) == 1
 
-        monkeypatch.setattr(spectral, "_log_mass_bound", unused)
-        _, seen = self._integrated(SpherePoint(d, k), method, monkeypatch)
-        assert len(seen) == 1
-
-    def test_nothing_skipped_on_the_grid_or_scan_k_35(self, monkeypatch):
+    def test_nothing_skipped_on_the_grid_or_scan_k_35(self, work):
         points = [(d, k) for d in range(3, 22, 2) for k in range(1, (d - 1) // 2 + 1)]
         points += [(35, k) for k in range(1, 18)]
         for d, k in points:
             for method in ("sum", "product_rule"):
-                _, seen = self._integrated(SpherePoint(d, k), method, monkeypatch)
-                assert len(seen) == k, (d, k, method)
+                work.reset()
+                logdet(SpherePoint(d, k), method)
+                assert len(work.rows) == k, (d, k, method)
 
     @pytest.mark.parametrize("d,k,method", [
         (1021, 510, "sum"), (1021, 510, "product_rule"), (385, 192, "sum"),
@@ -808,36 +711,35 @@ class TestRowSkipping:
         # skipped masses past the normal range: 3e-313 and 2e-311
         (1029, 178, "sum"), (1025, 42, "product_rule"),
     ])
-    def test_skipped_mass_is_charged_to_the_estimate(self, d, k, method, monkeypatch):
+    def test_skipped_mass_is_charged_to_the_estimate(self, d, k, method, work, route_rows):
         # the threshold eps max_s |w_s| B_s / n, recomputed here; a
         # product_rule plan refused on the diagonal is checked as run anyway,
         # and its estimate must then miss the target that refused it
         point = SpherePoint(d, k)
         refused = method == "product_rule" and k == (d - 1) // 2
-        seen = self._recording(monkeypatch)
         if refused:
             with pytest.raises(UnsupportedArgumentError, match="round-off"):
                 logdet(point, method)
-            assert seen == []
+            assert work.rows == []
         else:
             res = logdet(point, method)
-        a, p, weights, regrouped = spectral._plan(point, method)
-        mass = spectral._log_mass_bound(a, p) + np.log(np.abs(weights))
+        plan = route_rows(point, method)
+        mass = spectral._log_mass_bound(plan.a, plan.p) + np.log(np.abs(plan.weights))
         cut = mass.max() + math.log(sys.float_info.epsilon / k)
         skipped = mass <= cut
-        kept_a, kept_p, kept_w, charge = spectral._drop_negligible(a, p, weights, Tolerance())
+        (kept_a, kept_p, kept_w), charge = plan.kept, plan.skipped
         kept = list(zip(kept_a.tolist(), kept_p.tolist()))
-        rows = zip(a.tolist(), p.tolist())
+        rows = zip(plan.a.tolist(), plan.p.tolist())
         assert kept == [row for row, s in zip(rows, skipped.tolist()) if not s]
         if not refused:
-            assert seen == kept
+            assert work.rows == kept
         # the charge bounds the skipped masses' exact sum from above, and
         # tightly: within 4 n eps, plus the n 2^-1074 that the underflow
         # widening adds below the normal range
         n, exact = np.count_nonzero(skipped), math.fsum(np.exp(mass[skipped]).tolist())
         eps = sys.float_info.epsilon
         assert 0.0 < exact <= charge <= exact * (1 + 4 * n * eps) + n * math.ulp(0.0)
-        values, errs, failed, _ = spectral._integrals(kept_a, kept_p, Tolerance(), regrouped)
+        values, errs, failed, _ = plan.integrated
         assert not failed.any()
         terms = [abs(w) * e for w, e in zip(kept_w.tolist(), errs.tolist())]
         err = math.fsum([*terms, charge])
@@ -853,14 +755,12 @@ class TestRowSkipping:
           for method in ("sum", "product_rule")),
         (385, 192, "sum"), (1021, 510, "sum"),
     ])
-    def test_skipping_stays_within_the_estimate_of_every_row(self, d, k, method):
+    def test_skipping_stays_within_the_estimate_of_every_row(self, d, k, method, route_rows):
         # the skipped rows lie below what binary64 resolves in the largest,
         # so the value moves within the estimate of integrating every row,
         # and the estimate by far less than 1 %
         point = SpherePoint(d, k)
-        a, p, weights, regrouped = spectral._plan(point, method)
-        rows = spectral._integrals(a, p, Tolerance(), regrouped)
-        value, err = spectral._reduce("every row", point.sign, weights, rows)
+        value, err = route_rows(point, method, skip=False).reduced
         res = logdet(point, method)
         assert abs(res.value - value) <= err
         assert abs(res.err_estimate - err) <= 0.01 * err
@@ -869,7 +769,7 @@ class TestRowSkipping:
         (5, 2, "sum"), (21, 10, "product_rule"), (385, 192, "product_rule"),
         (1021, 510, "product_rule"),
     ])
-    def test_tiny_rel_tol_still_integrates(self, d, k, method):
+    def test_tiny_rel_tol_still_integrates(self, d, k, method, route_rows):
         # eps rel_tol / n underflows to zero here, so the cut is taken in log
         # space; product_rule from d = 91 is refused at both tolerances and
         # checked as run anyway
@@ -881,7 +781,7 @@ class TestRowSkipping:
             for tol in (tiny, None):
                 with pytest.raises(UnsupportedArgumentError, match="round-off"):
                     logdet(point, method, tol)
-            res, ref = _run_anyway(point, method, tiny), _run_anyway(point, method)
+            res, ref = route_rows(point, method, tiny).reduced, route_rows(point, method).reduced
         assert abs(res[0] - ref[0]) <= res[1] + ref[1]
 
     def test_tiny_rel_tol_fails_only_as_the_quadrature_does(self):
@@ -889,13 +789,15 @@ class TestRowSkipping:
         with pytest.raises(errors.AccuracyError):
             logdet(SpherePoint(21, 10), "sum", Tolerance(rel_tol=1e-310))
 
-    def test_underflowing_charge_stays_positive(self):
-        # the second row's mass, about 2^-2998, is far below binary64's range
-        a, p, weights, charge = spectral._drop_negligible(
-            np.ones(2), np.array([1022.0, 3000.0]), np.ones(2), Tolerance()
-        )
-        assert (a.tolist(), p.tolist(), weights.tolist()) == ([1.0], [1022.0], [1.0])
-        assert charge >= math.ulp(0.0)
+    def test_underflowing_charge_stays_positive(self, route_rows):
+        # the masses of the six rows skipped here, below e^-1435, are far
+        # below binary64's range: each one's exp underflows to zero
+        rows = route_rows(SpherePoint(2101, 42), "product_rule")
+        mass = spectral._log_mass_bound(rows.a, rows.p) + np.log(np.abs(rows.weights))
+        assert not np.exp(mass[:6]).any()
+        plan_tail = (rows.a[6:].tolist(), rows.p[6:].tolist(), rows.weights[6:].tolist())
+        assert tuple(v.tolist() for v in rows.kept) == plan_tail
+        assert rows.skipped >= math.ulp(0.0)
 
 
 class TestRoundOffRefusal:
@@ -903,13 +805,6 @@ class TestRoundOffRefusal:
     target max(abs_tol, rel_tol 2/(pi (d-2k))) is refused before any row is
     integrated; at the default tolerance that is product_rule on the
     diagonal from d = 91, and no point of the grid or of scan_k(35)."""
-
-    @staticmethod
-    def _no_quadrature(monkeypatch):
-        def unused(*args):
-            raise AssertionError("a refused plan integrates nothing")
-
-        monkeypatch.setattr(spectral, "_integrals", unused)
 
     def test_returns_where_binary64_resolves_the_weights(self):
         points = [(d, (d - 1) // 2) for d in range(3, 90, 2)]
@@ -919,8 +814,7 @@ class TestRoundOffRefusal:
             res = logdet(SpherePoint(d, k), "product_rule")
             assert math.isfinite(res.value) and math.isfinite(res.err_estimate), (d, k)
 
-    def test_refuses_where_the_floor_exceeds_the_target(self, monkeypatch):
-        self._no_quadrature(monkeypatch)
+    def test_refuses_where_the_floor_exceeds_the_target(self, work):
         points = [(d, (d - 1) // 2) for d in range(91, 1026, 2)] + [(1483, 741)]
         for d, k in points:
             with pytest.raises(UnsupportedArgumentError) as info:
@@ -928,10 +822,13 @@ class TestRoundOffRefusal:
             message = str(info.value)
             assert message.startswith(f"product_rule at d={d}, k={k}: binary64 round-off")
             assert "floor" in message and "target" in message
-        # the other routes of these points are not refused
+        # a refused plan integrates nothing
+        assert (work.rows, work.sweeps) == ([], 0)
+        # the other routes of these points are not refused: they integrate
         for method in ("direct", "sum", "chebyshev"):
-            with pytest.raises(AssertionError, match="integrates nothing"):
-                logdet(SpherePoint(301, 150), method)
+            work.reset()
+            logdet(SpherePoint(301, 150), method)
+            assert work.rows and work.sweeps, method
 
     @pytest.mark.parametrize("rel_tol, first", [(1e-8, 129), (1e-11, 91), (1e-12, 77)])
     def test_the_first_refusal_moves_with_the_tolerance(self, rel_tol, first):
@@ -944,24 +841,23 @@ class TestRoundOffRefusal:
                 with pytest.raises(UnsupportedArgumentError, match="round-off"):
                     logdet(point, "product_rule", tol)
 
-    def test_refused_results_would_miss_their_tolerance(self):
+    def test_refused_results_would_miss_their_tolerance(self, route_rows):
         # run anyway, each refused diagonal plan up to d = 301 returns an
         # estimate above the floor the refusal names (2 eps sum |w_r| L_r)
         # and above max(abs_tol, rel_tol |value|)
         tol = Tolerance()
         for d in range(91, 302, 2):
-            point = SpherePoint(d, (d - 1) // 2)
-            value, err = _run_anyway(point, "product_rule")
-            a, p, weights, _ = spectral._plan(point, "product_rule")
-            lower = np.exp(spectral._log_mass_lower(a, p)) * np.abs(weights)
+            rows = route_rows(SpherePoint(d, (d - 1) // 2), "product_rule")
+            value, err = rows.reduced
+            lower = np.exp(spectral._log_mass_lower(rows.a, rows.p)) * np.abs(rows.weights)
             assert err >= 2.0 * sys.float_info.epsilon * math.fsum(lower.tolist()), d
             assert err > max(tol.abs_tol, tol.rel_tol * abs(value)), d
 
-    def test_sum_is_not_refused_at_an_attainable_tolerance(self):
+    def test_sum_is_not_refused_at_an_attainable_tolerance(self, route_rows):
         # rows of ``sum`` have weights +-1: their floor stays below 1e-17
         for d in range(5, 1026, 2):
-            a, p, weights, _ = spectral._plan(SpherePoint(d, (d - 1) // 2), "sum")
-            lower = spectral._log_mass_lower(a, p) + np.log(np.abs(weights))
+            rows = route_rows(SpherePoint(d, (d - 1) // 2), "sum")
+            lower = spectral._log_mass_lower(rows.a, rows.p) + np.log(np.abs(rows.weights))
             assert math.log(sys.float_info.epsilon) + np.logaddexp.reduce(lower) < math.log(1e-17)
 
 
@@ -1050,7 +946,7 @@ class TestSignedZero:
 
 
 class TestPlanContract:
-    """``_plan`` is the one statement of a route's rows: a, p and the
+    """A route's plan is the one statement of its rows: a, p and the
     weights as float64 arrays of one length, 1 for ``direct`` and
     ``chebyshev`` and k for ``sum`` and ``product_rule``, holding the module
     docstring's table."""
@@ -1069,9 +965,10 @@ class TestPlanContract:
         return [(1, d - 2 * j + 1, (-1) ** (k - 1 + j) * powers[j]) for j in range(k)]
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_plan_is_the_route_table(self, method):
+    def test_plan_is_the_route_table(self, method, route_rows):
         for d, k in self.POINTS:
-            *fields, regrouped = spectral._plan(SpherePoint(d, k), method)
+            plan = route_rows(SpherePoint(d, k), method)
+            fields = plan.a, plan.p, plan.weights
             rows = self._table(d, k, method)
             assert len(rows) == (k if method in ("sum", "product_rule") else 1)
             for v in fields:
@@ -1080,16 +977,17 @@ class TestPlanContract:
             # each weight rounded once, as int * float rounds it
             want = [(float(a), float(p), w * 1.0) for a, p, w in rows]
             assert list(zip(*(v.tolist() for v in fields))) == want, (d, k)
-            assert regrouped is (method == "chebyshev")
+            assert plan.regrouped is (method == "chebyshev")
 
-    def test_every_row_has_the_envelope_integrate_staged_assumes(self):
-        # _integrals passes each plan's envelope unchecked: every row must
-        # have a rate of at least 1/2 and a finite log C
+    def test_every_row_has_the_envelope_its_quadrature_assumes(self, route_rows):
+        # the route quadrature takes each plan's envelope unchecked: every
+        # row must have a rate of at least 1/2 and a finite log C
         grid = [(d, k) for d in range(3, 22, 2) for k in range(1, (d - 1) // 2 + 1)]
         scan = [(35, k) for k in range(1, 18)]
         diagonal = [(d, (d - 1) // 2) for d in range(3, 1026, 2)]
-        plans = [spectral._plan(SpherePoint(d, k), method)[:2]
-                 for d, k in grid + scan + diagonal for method in METHODS]
+        plans = [(rows.a, rows.p) for rows in (route_rows(SpherePoint(d, k), method)
+                                               for d, k in grid + scan + diagonal
+                                               for method in METHODS)]
         # logdet_factor's rows, every valid j: a = j + 1/2 and p = d
         plans += [(np.arange((d - 1) // 2) + 0.5, np.full((d - 1) // 2, float(d)))
                   for d in (3, 5, 21, 35, 101, 1101)]
@@ -1133,15 +1031,16 @@ class TestToleranceArgument:
 class TestReducer:
     """Every route is one weighted sum of batched rows."""
 
-    def test_plans_follow_the_route_table(self):
+    def test_plans_follow_the_route_table(self, route_rows):
         # (a_r, p_r, w_r, regrouped) at d = 9, k = 4; v(4) = (4, 10, 6, 1);
         # a, p and the weights are binary64 arrays of one length
         point = SpherePoint(9, 4)
 
         def plan(method):
-            *rows, regrouped = spectral._plan(point, method)
+            route = route_rows(point, method)
+            rows = route.a, route.p, route.weights
             assert all(v.dtype == np.float64 and v.shape == rows[2].shape for v in rows)
-            return (*(v.tolist() for v in rows), regrouped)
+            return (*(v.tolist() for v in rows), route.regrouped)
 
         assert plan("direct") == ([4], [10], [1], False)
         assert plan("chebyshev") == ([4], [10], [1], True)
@@ -1152,7 +1051,7 @@ class TestReducer:
         ("sum", 529, 264), ("sum", 1015, 507), ("product_rule", 529, 264),
         ("product_rule", 1015, 507), ("product_rule", 1025, 42),
     ])
-    def test_float_weights_reduce_as_integer_weights(self, method, d, k):
+    def test_float_weights_reduce_as_integer_weights(self, method, d, k, route_rows):
         # the reducer of integer weights w_r (each rounded to binary64 by
         # int * float), on the rows that survive the skipping, gives the
         # route's value and estimate bit for bit; product_rule on the
@@ -1163,33 +1062,32 @@ class TestReducer:
         else:
             ints = [(-1) ** (k - 1 + j) * v for j, v in enumerate(spectral.v_coefficients(k).v)]
             assert max(ints) > 2**53  # weights that binary64 rounds
-        a, p, weights, regrouped = spectral._plan(point, method)
-        kept_a, kept_p, _, skipped = spectral._drop_negligible(a, p, weights, Tolerance())
-        rows = list(zip(a.tolist(), p.tolist()))
+        route = route_rows(point, method)
+        (kept_a, kept_p, _), skipped = route.kept, route.skipped
+        rows = list(zip(route.a.tolist(), route.p.tolist()))
         kept = list(zip(kept_a.tolist(), kept_p.tolist()))
         assert 0 < len(kept) < k and skipped > 0.0
         kept_ints = [ints[rows.index(row)] for row in kept]
-        values, errs, failed, _ = spectral._integrals(kept_a, kept_p, Tolerance(), regrouped)
+        values, errs, failed, _ = route.integrated
         assert not failed.any()
         value = point.sign * math.fsum(w * v for w, v in zip(kept_ints, values.tolist()))
         err = math.fsum([*(abs(w) * e for w, e in zip(kept_ints, errs.tolist())), skipped])
         if method == "product_rule" and k == (d - 1) // 2:
             with pytest.raises(UnsupportedArgumentError, match="round-off"):
                 logdet(point, method)
-            assert _run_anyway(point, method) == (value, err)
+            assert route.reduced == (value, err)
         else:
             res = logdet(point, method)
             assert (res.value, res.err_estimate) == (value, err)
 
     @pytest.mark.parametrize("d,k", [(9, 4), (21, 10), (65, 32)])
-    def test_product_rule_weights_bit_for_bit(self, d, k):
+    def test_product_rule_weights_bit_for_bit(self, d, k, route_rows):
         # batched rows equal lone calls, so the weighted sum over the k = 1
         # direct results of the rows that survive the skipping, plus the
         # skipped rows' charge, reproduces the route exactly
         point = SpherePoint(d, k)
-        kept_p, skipped = spectral._drop_negligible(
-            *spectral._plan(point, "product_rule")[:3], Tolerance()
-        )[1::2]
+        route = route_rows(point, "product_rule")
+        kept_p, skipped = route.kept[1], route.skipped
         kept = [(d + 1 - int(p)) // 2 for p in kept_p.tolist()]  # p = d - 2j + 1
         assert (len(kept) < k) == (skipped > 0.0) == (d == 65)
         res = logdet_product_rule(point)
@@ -1236,31 +1134,29 @@ class TestRouteErrors:
         )
         return exc
 
-    def _route(self, d, k, rel_tol, method):
+    def _route(self, d, k, rel_tol, method, route_rows):
         point, tol = SpherePoint(d, k), Tolerance(rel_tol=rel_tol)
         exc = self._raised(
             lambda: logdet(point, method, tol), f"{method} at d={d}, k={k}", logdet(point).value
         )
         # the fields are the reducer's sums over the integrated rows, bit for
         # bit, and the panels those rows sampled
-        a, p, weights, regrouped = spectral._plan(point, method)
-        skipped = 0.0
-        if weights.size > 1:
-            a, p, weights, skipped = spectral._drop_negligible(a, p, weights, tol)
-        values, errs, failed, panels = spectral._integrals(a, p, tol, regrouped)
+        route = route_rows(point, method, tol)
+        weights = route.kept[2]
+        values, errs, failed, panels = route.integrated
         assert failed.any()
         assert exc.value == point.sign * math.fsum((weights * values).tolist())
-        assert exc.err_estimate == math.fsum([*(np.abs(weights) * errs).tolist(), skipped])
+        assert exc.err_estimate == math.fsum([*(np.abs(weights) * errs).tolist(), route.skipped])
         assert exc.panels_used == panels.sum()
 
     @pytest.mark.parametrize("method", ["direct", "chebyshev"])
-    def test_one_row_plan_reports_log_det_units(self, method):
-        self._route(21, 10, 1e-15, method)
+    def test_one_row_plan_reports_log_det_units(self, method, route_rows):
+        self._route(21, 10, 1e-15, method, route_rows)
 
     @pytest.mark.parametrize("d,k,rel_tol", [(21, 10, 5e-16), (1023, 511, 1e-13)])
-    def test_multi_row_plan_reports_log_det_units(self, d, k, rel_tol):
+    def test_multi_row_plan_reports_log_det_units(self, d, k, rel_tol, route_rows):
         # the failing row's unscaled integral was reported: 850.1 and 8.39e276
-        self._route(d, k, rel_tol, "sum")
+        self._route(d, k, rel_tol, "sum", route_rows)
 
     def test_product_rule_meets_the_tight_tolerance(self):
         # one of the two routes of the four that (21, 10) at rel_tol 1e-15
@@ -1284,7 +1180,7 @@ class TestRouteErrors:
             "factor j=9 at d=21", want,
         )
 
-    def test_first_layout_is_sampled_whatever_the_budget(self):
+    def test_first_layout_is_sampled_whatever_the_budget(self, route_rows):
         # max_panels 4 is below the 12 panels of the first layout, which are
         # sampled all the same; each is accepted at that sampling, so no
         # bisection is asked for and the value stands (it once raised, as
@@ -1293,7 +1189,7 @@ class TestRouteErrors:
         res = logdet(SpherePoint(1023, 511), "direct", tol)
         ref = Fraction("0.00218732879529453388428623819942")  # perfbench/oracle.json
         assert abs(Fraction(res.value) - ref) <= Fraction(res.err_estimate)
-        _, _, failed, panels = spectral._integrals(np.full(1, 511.0), np.full(1, 1024.0), tol)
+        _, _, failed, panels = route_rows(SpherePoint(1023, 511), "direct", tol).integrated
         assert (failed.tolist(), panels.tolist()) == ([False], [12])
 
 

@@ -36,8 +36,9 @@ With ``--record LABEL`` it loads the one tree, times each case
 writes ``BENCH_<LABEL>.json`` to the working directory: each case's
 median and quartiles in ms per run, and the provenance of the numbers
 (the tree's git commit and whether its ``src`` differs from it, a SHA-256
-of its ``src/gjmsdet`` sources, the Python and numpy versions, the
-machine and its CPU count).
+of its ``src/gjmsdet`` sources, the Python and numpy versions, the SIMD
+targets numpy runs (``numpy_simd.simd_targets``), the machine and its CPU
+count).
 
 With ``--fuzz N`` it times nothing: it makes N random calls, drawn from
 ``--seed``, on both trees and compares what each returns or raises, every
@@ -75,6 +76,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
+from numpy_simd import simd_targets
 
 DIAGONAL = (65, 225, 385, 545, 705, 865, 1015)
 SAMPLE_S = 0.005
@@ -222,6 +224,7 @@ def provenance(tree: Path) -> dict:
         "src_sha256": digest.hexdigest(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "simd_targets": simd_targets(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
     }

@@ -1,10 +1,12 @@
 """Print one line per outcome of a fixed set of route and quadrature calls.
 
-A line names the call (the point and route, or the batch and its row), the
-tolerance, then either ``float.hex`` of the value and the estimate and the
-panel count, or the error's type and message.  Run it on two checkouts and
-``diff`` the outputs to see every value, estimate, panel count and error a
-change moves:
+The first line names numpy's version and the SIMD targets it runs
+(``numpy_simd.header``), as some outcomes differ between those code paths.
+Every other line names the call (the point and route, or the batch and its
+row), the tolerance, then either ``float.hex`` of the value and the
+estimate and the panel count, or the error's type and message.  Run it on
+two checkouts and ``diff`` the outputs to see every value, estimate, panel
+count and error a change moves:
 
     PYTHONPATH=src python tools/outcomes.py > outcomes.txt
 
@@ -47,6 +49,7 @@ import numpy as np
 
 from gjmsdet import METHODS, FactorIndex, SpherePoint, cli, spectral
 from gjmsdet.quadrature import Envelopes, Tolerance, _PlainIntegrand, integrate_staged
+from numpy_simd import header
 
 
 def points():
@@ -238,6 +241,7 @@ def main() -> None:
         return rows
 
     spectral._integrals = counted
+    print(header())
     for line in chain(route_lines(panels), factor_lines(panels), integrand_lines(), batch_lines(),
                       cli_lines()):
         print(line)

@@ -3,7 +3,10 @@
     python tools/outcomes_diff.py PARENT.txt CHANGE.txt
 
 The listings must hold the same calls in the same order.  The tool prints
-the changed outcomes per route (a route line's method; ``factor``,
+each listing's header line (numpy's version and SIMD targets), or that it
+has none, as a listing of an older ``tools/outcomes.py`` does; the header
+is not an outcome and is left out of the counts.  Then it prints the
+changed outcomes per route (a route line's method; ``factor``,
 ``integrand_direct``, the ``integrate_staged`` batch name or ``cli`` for
 the others) with the range of d of the changed route lines; the largest
 |change of value| as a multiple of the parent's estimate and where it is;
@@ -19,18 +22,21 @@ import sys
 from collections import defaultdict
 
 
-def outcomes(path: str) -> list:
-    """(call, outcome) of each outcome of the listing at ``path``; a
-    command-line outcome runs from its ``cli`` line to the next."""
+def outcomes(path: str) -> tuple:
+    """The header line of the listing at ``path`` (None where it has none)
+    and the (call, outcome) of each of its outcomes; a command-line outcome
+    runs from its ``cli`` line to the next."""
     found = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh.read().splitlines():
-            if found and found[-1][0].startswith("cli ") and not line.startswith("cli "):
-                found[-1][1].append(line)
-            else:
-                call, _, out = line.partition(": ")
-                found.append((call, [out]))
-    return [(call, "\n".join(out)) for call, out in found]
+        lines = fh.read().splitlines()
+    header = lines.pop(0) if lines and lines[0].startswith("numpy ") else None
+    for line in lines:
+        if found and found[-1][0].startswith("cli ") and not line.startswith("cli "):
+            found[-1][1].append(line)
+        else:
+            call, _, out = line.partition(": ")
+            found.append((call, [out]))
+    return header, [(call, "\n".join(out)) for call, out in found]
 
 
 def route(call: str) -> tuple:
@@ -62,7 +68,9 @@ def kind(call: str, out: str) -> str:
 
 def main(argv=None) -> int:
     parent_path, change_path = (argv if argv is not None else sys.argv[1:])
-    parent, change = outcomes(parent_path), outcomes(change_path)
+    (parent_header, parent), (change_header, change) = map(outcomes, (parent_path, change_path))
+    print(f"parent: {parent_header or 'no header line'}")
+    print(f"change: {change_header or 'no header line'}")
     if [c for c, _ in parent] != [c for c, _ in change]:
         print("the listings hold different calls")
         return 1
