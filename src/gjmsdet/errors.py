@@ -56,29 +56,37 @@ class AccuracyError(RuntimeError):
 
 class MethodDisagreementError(AccuracyError):
     """Routes evaluated at one point disagree by more than the agreement
-    tolerance.  Carries the point (``d``, ``k``), the ``spread`` between
-    the routes, the ``allowed`` spread and each route's value as
-    ``(method, value)`` pairs in ``values``.  As an AccuracyError its
-    ``value`` is the midpoint of the routes' range and its ``err_estimate``
-    half that range, so the pair brackets every route; ``panels_used`` is
-    0, as no quadrature budget ran out."""
+    tolerance, or, with ``by_estimates``, two routes by more than the sum
+    of their estimates, which is then ``allowed``.  Carries the point
+    (``d``, ``k``), the ``spread`` between the routes, the ``allowed``
+    spread, ``by_estimates`` and each route's value as ``(method, value)``
+    pairs in ``values``.  As an AccuracyError its ``value`` is the midpoint
+    of the routes' range and its ``err_estimate`` half that range, so the
+    pair brackets every route; ``panels_used`` is 0, as no quadrature
+    budget ran out."""
 
-    def __init__(self, d: int, k: int, spread: float, allowed: float, values):
+    def __init__(self, d: int, k: int, spread: float, allowed: float, values,
+                 by_estimates: bool = False):
         self.values = tuple(values)
+        excess = f"exceeds the allowed {allowed:.3e}"
+        if by_estimates:
+            ratio = spread / allowed if allowed else float("inf")
+            excess = f"is {ratio:.3g} times the routes' summed estimates {allowed:.3e}"
         RuntimeError.__init__(
             self,
-            f"method disagreement at d={d}, k={k}: spread {spread:.3e} exceeds "
-            f"the allowed {allowed:.3e}; "
+            f"method disagreement at d={d}, k={k}: spread {spread:.3e} {excess}; "
             + ", ".join(f"{method} {value!r}" for method, value in self.values),
         )
         self.d = d
         self.k = k
         self.spread = spread
         self.allowed = allowed
+        self.by_estimates = by_estimates
         route_values = [value for _, value in self.values]
         self.value = 0.5 * min(route_values) + 0.5 * max(route_values)
         self.err_estimate = 0.5 * spread
         self.panels_used = 0
 
     def __reduce__(self):
-        return type(self), (self.d, self.k, self.spread, self.allowed, self.values)
+        return type(self), (self.d, self.k, self.spread, self.allowed, self.values,
+                            self.by_estimates)

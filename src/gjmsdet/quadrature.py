@@ -307,14 +307,17 @@ class QuadratureSpec(Record):
 
 class IntegralResult(Record):
     """``panels_used`` counts the panels sampled for the value (0 when the
-    envelope bounds the whole integral); malformed fields raise ParameterError."""
+    envelope bounds the whole integral); malformed fields raise ParameterError:
+    a value, estimate or truncation point that is not a real number
+    (``_is_real``), or out of range, or a count that is not an int."""
 
     __slots__ = ("value", "err_estimate", "panels_used", "truncation_point")
 
     def __init__(self, value: float, err_estimate: float, panels_used: int,
                  truncation_point: float) -> None:
         used = panels_used  # the comparisons reject NaN too
-        if not (-math.inf < value < math.inf and 0 <= err_estimate < math.inf
+        if not (all(map(_is_real, (value, err_estimate, truncation_point)))
+                and -math.inf < value < math.inf and 0 <= err_estimate < math.inf
                 and 0 < truncation_point < math.inf and type(used) is int and used >= 0):
             raise ParameterError("malformed integral result")
         super().__init__(value, err_estimate, panels_used, truncation_point)
@@ -343,11 +346,16 @@ def _finite_truncation(log_c, rate, log_tol):
 
 def truncation_point(c_bound: float, decay_rate: float, tol: float) -> float:
     """Smallest X with c_bound * e^(-decay_rate * X) / decay_rate <= tol,
-    clamped below at 10; DivergentIntegralError where X is not finite.
+    clamped below at 10; DivergentIntegralError where X is not finite or
+    ``decay_rate`` is not positive and finite, ParameterError where an
+    argument is not a real number (``_is_real``, as in ``Tolerance``) or
+    ``c_bound`` or ``tol`` is not positive and finite.
 
     The left side bounds the discarded tail of any integrand satisfying the
     envelope, so integrating on [0, X] loses at most ``tol``.
     """
+    if not all(map(_is_real, (c_bound, decay_rate, tol))):
+        raise ParameterError("c_bound, decay_rate and tol must be real numbers")
     if not 0 < decay_rate < math.inf:
         raise DivergentIntegralError("decay_rate must be positive and finite")
     if not (0 < c_bound < math.inf and 0 < tol < math.inf):
@@ -512,9 +520,10 @@ def integrate_rows(
     Raises DivergentIntegralError, before any sample, where a row's
     truncation point passes the binary64 range (``_finite_truncation``).
     ``envelopes`` that are not an Envelopes, a ``tolerance`` that is not a
-    Tolerance, or an ``f`` that does not return real arrays of the
-    abscissas' size raise ParameterError.
+    Tolerance, or an ``f`` that is not callable or does not return real
+    arrays of the abscissas' size raise ParameterError.
     """
+    require_type("f", f, Callable)
     require_type("envelopes", envelopes, Envelopes)
     require_type("tolerance", tolerance, Tolerance)
     tail_tol = max(tolerance.abs_tol, _TAIL_TOL_FLOOR)  # as integrate_staged takes it
@@ -648,7 +657,9 @@ def integrate_semi_infinite(f: LogIntegrand, spec: QuadratureSpec) -> IntegralRe
     estimate) when ``spec.max_panels`` runs out first, EvaluationError on
     a non-finite integrand sample or an overflowing panel sum,
     DivergentIntegralError where the truncation point is not finite, and
-    ParameterError for a ``spec`` that is not a QuadratureSpec.
+    ParameterError for an ``f`` that is not callable or a ``spec`` that is
+    not a QuadratureSpec.
     """
+    require_type("f", f, Callable)
     require_type("spec", spec, QuadratureSpec)
     return integrate_rows(lambda x, row: f(x), spec.envelope, spec.tolerance)[0]

@@ -15,15 +15,17 @@ per route.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import sys
+from fractions import Fraction
 from typing import Collection, Iterable, Optional, Sequence
 
 from .errors import MethodDisagreementError, ParameterError, UnsupportedArgumentError
-from .exact import (Record, _named, require_integer, require_point, require_real, require_type,
-                    select_methods)
-from .quadrature import Tolerance
+from .exact import (Record, _named, is_integer, require_integer, require_point, require_real,
+                    require_type, select_methods)
+from .quadrature import Tolerance, _is_real
 from .spectral import SpherePoint, logdet
 
 __all__ = [
@@ -50,7 +52,8 @@ CSV_HEADER = "d,k,method,value,err_estimate"
 MAX_SCAN_POINTS = 100_000
 
 # Agreement guard for --method all: pairwise spread must stay within
-# max(1e-9 absolute, 1e-8 relative to the largest magnitude).
+# max(1e-9 absolute, 1e-8 relative to the largest magnitude), and each pair
+# of routes within the sum of their estimates.
 _AGREE_ABS = 1e-9
 _AGREE_REL = 1e-8
 
@@ -63,19 +66,47 @@ def max_pairwise_discrepancy(values: Sequence[float]) -> float:
     return max(values) - min(values) if len(values) > 1 else 0.0
 
 
+def _checked(rows: Iterable[ScanRow]) -> Iterable[ScanRow]:
+    """The rows of ``rows``, each checked as it is reached: ParameterError
+    unless ``rows`` is an iterable of ScanRows with integer d and k, a str
+    method and a finite real value and estimate (an int, a float or a numpy
+    integer or float, not a bool)."""
+    require_type("rows", rows, Iterable)
+    for r in rows:
+        require_type("row", r, ScanRow)
+        # the comparisons refuse NaN and infinities, and ints past binary64
+        if not (is_integer(r.d) and is_integer(r.k) and isinstance(r.method, str)
+                and all(_is_real(v) and abs(v) <= sys.float_info.max
+                        for v in (r.value, r.err_estimate))):
+            raise ParameterError("a scan row needs integer d and k, a str method and a "
+                                 "finite real value and err_estimate")
+        yield r
+
+
 def check_method_agreement(rows: Sequence[ScanRow]) -> None:
     """Guard scans that computed several methods per point: raise
     MethodDisagreementError if any point's pairwise spread exceeds the
-    agreement tolerance."""
-    by_point: dict[tuple[int, int], list[tuple[str, float]]] = {}
-    for row in rows:
-        by_point.setdefault((row.d, row.k), []).append((row.method, row.value))
-    for (d, k), pairs in by_point.items():
-        values = [v for _, v in pairs]
+    agreement tolerance, or if two of its routes differ by more than the
+    sum of their estimates, compared exactly.  Raises ParameterError for
+    rows that ``format_csv`` refuses."""
+    by_point: dict[tuple[int, int], list[ScanRow]] = {}
+    for row in _checked(rows):
+        by_point.setdefault((row.d, row.k), []).append(row)
+    for (d, k), at in by_point.items():
+        values = [r.value for r in at]
         disc = max_pairwise_discrepancy(values)
         allowed = max(_AGREE_ABS, _AGREE_REL * max(abs(v) for v in values))
         if disc > allowed:
-            raise MethodDisagreementError(d, k, disc, allowed, pairs)
+            raise MethodDisagreementError(d, k, disc, allowed, [(r.method, r.value) for r in at])
+        for r, s in itertools.combinations(at, 2):
+            gap, bound = abs(r.value - s.value), r.err_estimate + s.err_estimate
+            # rounding moves neither float by 1 %, so only a pair near its
+            # bound needs the Fractions (a gap that overflows failed above)
+            if gap > 0.99 * bound and (abs(Fraction(r.value) - Fraction(s.value))
+                                       > Fraction(r.err_estimate) + Fraction(s.err_estimate)):
+                raise MethodDisagreementError(
+                    d, k, gap, bound, [(r.method, r.value), (s.method, s.value)],
+                    by_estimates=True)
 
 
 def compute_rows(
@@ -164,11 +195,10 @@ def scan_paneitz(
 
 def format_csv(rows: Sequence[ScanRow]) -> str:
     """The CSV text of ``rows``: the header, then one line a row.  Raises
-    ParameterError unless ``rows`` is an iterable of ScanRows."""
-    require_type("rows", rows, Iterable)
+    ParameterError unless ``rows`` is an iterable of well-formed ScanRows
+    (``_checked``)."""
     lines = [CSV_HEADER]
-    for r in rows:
-        require_type("row", r, ScanRow)
+    for r in _checked(rows):
         lines.append(f"{r.d},{r.k},{r.method},{r.value:.17g},{r.err_estimate:.17g}")
     return "\n".join(lines) + "\n"
 

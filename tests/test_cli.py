@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from gjmsdet import (
+    MethodDisagreementError,
     ParameterError,
     ScanRow,
     SpherePoint,
@@ -584,11 +585,72 @@ class TestCsvFormat:
         assert "panels" not in text and "best value" not in text
 
     def test_agreement_guard_passes_close_rows(self):
+        # within the fixed spread, and each route within the other's estimate
         rows = [
-            ScanRow(5, 2, "direct", 0.1, 0.0),
-            ScanRow(5, 2, "sum", 0.1 + 1e-10, 0.0),
+            ScanRow(5, 2, "direct", 0.1, 1e-10),
+            ScanRow(5, 2, "sum", 0.1 + 1e-10, 1e-10),
         ]
         check_method_agreement(rows)
+
+    def test_agreement_guard_trips_beyond_the_summed_estimates(self):
+        # within the fixed spread, yet 2.5e6 times the routes' summed estimates
+        rows = [ScanRow(5, 2, "direct", 1.0, 1e-16), ScanRow(5, 2, "sum", 1.0 + 5e-10, 1e-16),
+                ScanRow(5, 2, "chebyshev", 1.0, 1e-16)]
+        with pytest.raises(MethodDisagreementError) as info:
+            check_method_agreement(rows)
+        exc = info.value
+        assert (exc.d, exc.k, exc.by_estimates) == (5, 2, True)
+        assert exc.values == (("direct", 1.0), ("sum", 1.0 + 5e-10))
+        assert exc.allowed == 2e-16 and exc.spread == (1.0 + 5e-10) - 1.0
+        assert f"is {exc.spread / 2e-16:.3g} times the routes' summed estimates" in str(exc)
+        assert "direct 1.0, sum 1.0000000005" in str(exc)
+
+    @pytest.mark.parametrize("gap, estimates, trips", [
+        (2.0, (0.5, 0.5), True),  # twice the summed estimates
+        (1.0, (0.5, 0.5), False),  # exactly the summed estimates
+        # 2^-34 + (2^-34 - 2^-87) rounds up to the gap 2^-33, which the
+        # exact sum stays below
+        (1.0, (0.5, 0.5 - 2.0**-54), True),
+    ])
+    def test_agreement_guard_sums_estimates_exactly(self, gap, estimates, trips):
+        scale = 2.0**-33
+        rows = [ScanRow(5, 2, "direct", 1.0, estimates[0] * scale),
+                ScanRow(5, 2, "sum", 1.0 + gap * scale, estimates[1] * scale)]
+        if trips:
+            with pytest.raises(MethodDisagreementError):
+                check_method_agreement(rows)
+        else:
+            check_method_agreement(rows)
+
+    # ScanRows whose fields format_csv cannot write, or parse_csv read back:
+    # "x" once raised a raw ValueError, None a TypeError, and d = 5.5 wrote
+    # "5.5,2,..."; [1] raised a raw AttributeError in check_method_agreement
+    @pytest.mark.parametrize("row", [
+        ScanRow(5, 2, "direct", "x", 0.0),
+        ScanRow(5, 2, "direct", None, 0.0),
+        ScanRow(5, 2, "direct", 0.1, "0"),
+        ScanRow(5, 2, "direct", 0.1, True),
+        ScanRow(5, 2, "direct", math.nan, 0.0),
+        ScanRow(5, 2, "direct", 0.1, math.inf),
+        ScanRow(5, 2, "direct", 10**400, 0.0),
+        ScanRow(5.5, 2, "direct", 0.1, 0.0),
+        ScanRow(True, 2, "direct", 0.1, 0.0),
+        ScanRow(5, "2", "direct", 0.1, 0.0),
+        ScanRow(5, 2, None, 0.1, 0.0),
+        1,
+    ], ids=["value-str", "value-None", "estimate-str", "estimate-bool", "value-nan",
+            "estimate-inf", "value-10^400", "d-float", "d-bool", "k-str", "method-None",
+            "int"])
+    def test_malformed_rows_are_refused_and_keep_the_file(self, row, tmp_path):
+        path = tmp_path / "kept.csv"
+        path.write_bytes(b"12345678")
+        with pytest.raises(ParameterError):
+            write_csv(str(path), [ScanRow(5, 2, "direct", 0.1, 0.0), row])
+        assert path.read_bytes() == b"12345678"
+        with pytest.raises(ParameterError):
+            format_csv([row])
+        with pytest.raises(ParameterError):
+            check_method_agreement([ScanRow(5, 2, "sum", 0.1, 0.0), row])
 
     def test_parse_rejects_bad_header(self):
         from gjmsdet import ParameterError

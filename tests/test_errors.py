@@ -13,7 +13,11 @@ def test_data_carrying_errors_survive_pickling():
         (MethodDisagreementError(
             131, 65, 1.1e-9, 1e-9, [("direct", 0.0099), ("sum", 0.0099 + 1.1e-9)]),
          ("d", "k", "spread", "allowed", "values", "value", "err_estimate",
-          "panels_used")),
+          "panels_used", "by_estimates")),
+        (MethodDisagreementError(
+            21, 10, 5e-10, 2e-16, [("direct", 1.0), ("sum", 1.0 + 5e-10)], True),
+         ("d", "k", "spread", "allowed", "values", "value", "err_estimate",
+          "panels_used", "by_estimates")),
     ]
     for exc, fields in cases:
         copy = pickle.loads(pickle.dumps(exc))

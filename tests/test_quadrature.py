@@ -716,6 +716,29 @@ class TestIntegralResultValidation:
         assert res.panels_used == 0
 
 
+# each once raised a raw TypeError, or (a bool) returned 10.0
+@pytest.mark.parametrize("call", [
+    lambda: truncation_point("1", 1.0, 1e-3),
+    lambda: truncation_point(None, 1.0, 1e-3),
+    lambda: truncation_point(1j, 1.0, 1e-3),
+    lambda: truncation_point(True, 1.0, 1e-3),
+    lambda: truncation_point(1.0, "1", 1e-3),
+    lambda: truncation_point(1.0, None, 1e-3),
+    lambda: truncation_point(1.0, True, 1e-3),
+    lambda: truncation_point(1.0, 1.0, 1j),
+    lambda: IntegralResult("a", 0.0, 0, 1.0),
+    lambda: IntegralResult(1.0, None, 0, 1.0),
+    lambda: IntegralResult(1.0, 0.0, 0, "10"),
+    lambda: integrate_rows(None, Envelopes(0.0, 1.0), Tolerance()),
+    lambda: integrate_semi_infinite(None, QuadratureSpec(1.0)),
+], ids=["c_bound-str", "c_bound-None", "c_bound-complex", "c_bound-bool", "rate-str",
+        "rate-None", "rate-bool", "tol-complex", "result-value-str", "result-estimate-None",
+        "result-truncation-str", "integrate_rows-None", "integrate_semi_infinite-None"])
+def test_public_entries_refuse_malformed_arguments(call):
+    with pytest.raises(ParameterError):
+        call()
+
+
 class _Recording:
     """e^(-rate_r x) (integral 1/rate_r, its own envelope) as a row
     integrand that records every abscissa it is asked for, by row."""

@@ -1,9 +1,6 @@
-"""Time the package of two checkouts against each other, compare their
-results bit for bit, or record one checkout's timings:
+"""Time the package of two checkouts against each other:
 
-    python tools/ab.py PARENT_DIR CHANGE_DIR [--pairs 150]
-    python tools/ab.py PARENT_DIR CHANGE_DIR --fuzz 1500 [--seed 0]
-    python tools/ab.py TREE_DIR --record LABEL [--pairs 150]
+    python tools/ab.py PARENT_DIR CHANGE_DIR [--pairs 150] [--record]
 
 Each tree's ``src/gjmsdet`` is loaded under its own module name
 (``gjmsdet_parent`` and ``gjmsdet_change``), so both run on one
@@ -14,10 +11,10 @@ quartiles.  In each child every case is timed in interleaved pairs: in
 each pair both trees run it, the parent first in even pairs and the
 change first in odd ones, and the pair gives the ratio of their times,
 change/parent.  A sample repeats the case until it lasts about 5 ms (the
-count is fixed once, from the parent's warm-up).  For each case the tool
-prints the median ratio with its quartiles from each child, below 1 where
-the change is faster, the geometric mean of the two medians, and each
-tree's median time per run of the case over both children.
+count is fixed once per child, from the parent's warm-up).  For each case
+the tool prints the median ratio with its quartiles from each child, below
+1 where the change is faster, the geometric mean of the two medians, and
+each tree's median time per run of the case, pooled over both children.
 
 The cases:
 - ``diagonal``: every route called alone at k = (d-1)/2 for d in
@@ -31,29 +28,17 @@ The cases:
 - ``product_rule`` at (81, 40);
 - ``scan_k(35, "all")``.
 
-With ``--record LABEL`` it loads the one tree, times each case
-``--pairs`` times (the cases interleaved, each sample as above) and
-writes ``BENCH_<LABEL>.json`` to the working directory: each case's
-median and quartiles in ms per run, and the provenance of the numbers
-(the tree's git commit and whether its ``src`` differs from it, a SHA-256
-of its ``src/gjmsdet`` sources, the Python and numpy versions, the SIMD
-targets numpy runs (``numpy_simd.simd_targets``), the machine and its CPU
-count).
-
-With ``--fuzz N`` it times nothing: it makes N random calls, drawn from
-``--seed``, on both trees and compares what each returns or raises, every
-float by its hex form and every error by its class name, message and
-arguments.  It prints the first call whose outcomes differ, with both
-outcomes, and exits 1; else it exits 0.  The calls, each at a random
-``Tolerance`` (rel_tol log-uniform in 1e-17..1e-2, abs_tol in ``ABS_TOLS``,
-max_panels in ``MAX_PANELS``), are:
-- ``logdet`` by a random route at a random point with d <= 400;
-- ``logdet_factor`` at a random d <= 400 and valid j;
-- ``integrate_rows`` on a batch of 1 to 12 random rows, plain
-  (e^(s - L x) / (1 + x^2)^c) or signed (e^(s - L x) cos(w x));
-- ``integrate_staged`` on such a batch through ``_PlainIntegrand``, with
-  its ``failed`` flags.
-Only names that both trees define are used.
+With ``--record`` it also writes each tree's record of these samples to
+the working directory, as ``BENCH_parent-<commit>.json`` and
+``BENCH_change-<commit>.json`` (the first seven hex digits of the commit,
+or ``src-`` and those of the source digest for a tree that is no git
+checkout).  For each case a record holds the tree's median and quartiles
+in ms per run over both children (``pairs`` samples each), and each
+child's median and runs per sample, the parent-first child first; and the
+provenance: the tree's commit and whether its ``src`` differs from it, a
+SHA-256 of its ``src/gjmsdet`` sources, the Python and numpy versions,
+numpy's SIMD targets (``numpy_simd.simd_targets``), the machine and its
+CPU count.
 """
 
 from __future__ import annotations
@@ -67,7 +52,6 @@ import math
 import multiprocessing
 import os
 import platform
-import random
 import statistics
 import subprocess
 import sys
@@ -81,8 +65,7 @@ from numpy_simd import simd_targets
 DIAGONAL = (65, 225, 385, 545, 705, 865, 1015)
 SAMPLE_S = 0.005
 WARM_UP = 2
-ABS_TOLS = (0.0, 1e-300, 1e-30, 1e-15, 1e-8)
-MAX_PANELS = (4, 16, 64, 4096)
+SIDES = ("parent", "change")
 
 
 def load(tree: Path, name: str) -> dict:
@@ -95,7 +78,7 @@ def load(tree: Path, name: str) -> dict:
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
-    parts = ("spectral", "scans", "errors", "quadrature")
+    parts = ("spectral", "scans", "errors")
     return {part: importlib.import_module(f"{name}.{part}") for part in parts}
 
 
@@ -147,28 +130,23 @@ def repetitions(run) -> int:
     return max(1, math.ceil(SAMPLE_S / warm))
 
 
-def quartiles(values) -> list:
-    """The first quartile, the median and the third quartile of ``values``."""
-    return statistics.quantiles(values, n=4)
-
-
 def time_pairs(parent: str, change: str, parent_first: bool, pairs: int) -> dict:
     """Each case's pair ratios change/parent and each tree's seconds per
     run, timed in this process with the trees loaded in the order given."""
-    sides = [(Path(parent), "parent"), (Path(change), "change")]
-    loaded = {side: load(tree, f"gjmsdet_{side}")
-              for tree, side in (sides if parent_first else sides[::-1])}
-    trees = [cases(loaded["parent"]), cases(loaded["change"])]
+    trees = {side: Path(tree) for side, tree in zip(SIDES, (parent, change))}
+    loaded = {side: load(trees[side], f"gjmsdet_{side}")
+              for side in (SIDES if parent_first else SIDES[::-1])}
+    runs = [cases(loaded[side]) for side in SIDES]
     reps = {}
-    for name in trees[0]:
-        reps[name] = repetitions(trees[0][name])
-        repetitions(trees[1][name])  # warm the change up as much
+    for name in runs[0]:
+        reps[name] = repetitions(runs[0][name])
+        repetitions(runs[1][name])  # warm the change up as much
     times = {name: ([], []) for name in reps}
     for pair in range(pairs):
         order = (0, 1) if pair % 2 == 0 else (1, 0)
         for name, n in reps.items():
             for side in order:
-                times[name][side].append(sample(trees[side][name], n))
+                times[name][side].append(sample(runs[side][name], n))
     return {name: {"ratios": [c / p for p, c in zip(*times[name])], "times": times[name],
                    "reps": reps[name]} for name in reps}
 
@@ -179,23 +157,38 @@ def in_child(*args) -> dict:
         return pool.submit(time_pairs, *args).result()
 
 
-def compare(parent: Path, change: Path, pairs: int) -> int:
-    """Time both trees in two children, one per load order, and print each
-    case's ratios."""
+def pooled(runs: list, name: str, side: int) -> dict:
+    """One tree's record of case ``name``: its median and quartiles in ms
+    per run over the samples of both children, each child's median, and
+    each child's runs per sample."""
+    per_child = [run[name]["times"][side] for run in runs]
+    q1, median, q3 = (1e3 * v for v in statistics.quantiles(per_child[0] + per_child[1], n=4))
+    return {"median_ms": median, "q1_ms": q1, "q3_ms": q3,
+            "child_median_ms": [1e3 * statistics.median(times) for times in per_child],
+            "runs_per_sample": [run[name]["reps"] for run in runs]}
+
+
+def compare(parent: Path, change: Path, pairs: int, record: bool) -> int:
+    """Time both trees in two children, one per load order, print each
+    case's ratios and, with ``record``, write each tree's record."""
     runs = [in_child(str(parent), str(change), first, pairs) for first in (True, False)]
     print(f"{pairs} pairs in each of two processes; ratio change/parent: median [q1, q3] "
           "with the parent loaded first, then with the change loaded first; their "
           "geometric mean; median ms per run")
+    records = {side: {name: pooled(runs, name, i) for name in runs[0]}
+               for i, side in enumerate(SIDES)}
     for name in runs[0]:
         medians, shown = [], []
         for run in runs:
-            q1, median, q3 = quartiles(run[name]["ratios"])
+            q1, median, q3 = statistics.quantiles(run[name]["ratios"], n=4)
             medians.append(median)
             shown.append(f"{median:6.3f} [{q1:.3f}, {q3:.3f}]")
-        ms = [1e3 * statistics.median(runs[0][name]["times"][side] + runs[1][name]["times"][side])
-              for side in (0, 1)]
+        ms = [records[side][name]["median_ms"] for side in SIDES]
         print(f"{name:22} {shown[0]}  {shown[1]}  mean {math.sqrt(medians[0] * medians[1]):6.3f}"
               f"   parent {ms[0]:8.3f}   change {ms[1]:8.3f}   x{runs[0][name]['reps']}")
+    if record:
+        for side, tree in zip(SIDES, (parent, change)):
+            write_record(tree, side, pairs, records[side])
     return 0
 
 
@@ -230,138 +223,27 @@ def provenance(tree: Path) -> dict:
     }
 
 
-def record(tree: Path, label: str, pairs: int) -> int:
-    """Time each case of ``tree`` ``pairs`` times and write BENCH_<label>.json."""
-    runs = cases(load(tree, "gjmsdet_record"))
-    reps = {name: repetitions(run) for name, run in runs.items()}
-    times = {name: [] for name in runs}
-    for _ in range(pairs):
-        for name, run in runs.items():
-            times[name].append(sample(run, reps[name]))
-    out = {"label": label, "pairs": pairs, "sample_s": SAMPLE_S, **provenance(tree), "cases": {}}
-    for name, values in times.items():
-        q1, median, q3 = (1e3 * v for v in quartiles(values))
-        out["cases"][name] = {"median_ms": median, "q1_ms": q1, "q3_ms": q3,
-                              "runs_per_sample": reps[name]}
-        print(f"{name:22} {median:8.3f} ms [{q1:.3f}, {q3:.3f}]")
+def write_record(tree: Path, side: str, pairs: int, timings: dict) -> None:
+    """Write BENCH_<side>-<commit>.json: ``timings``, each case's record,
+    with the provenance of ``tree``."""
+    source = provenance(tree)
+    commit = source["commit"]
+    label = f"{side}-{commit[:7]}" if commit else f"{side}-src-{source['src_sha256'][:7]}"
+    out = {"label": label, "pairs": pairs, "sample_s": SAMPLE_S, **source, "cases": timings}
     path = Path(f"BENCH_{label}.json")
     path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {path}")
-    return 0
-
-
-def _hex(values) -> list:
-    """Each float of ``values`` (an array or a sequence) by its hex form."""
-    return [float(v).hex() for v in values]
-
-
-def _outcome(run) -> tuple:
-    """What ``run()`` returns, through ``_hex`` where it is floats, or the
-    class name, message and arguments of what it raises."""
-    try:
-        return ("=", run())
-    except Exception as exc:  # every error is an outcome to compare
-        return (type(exc).__name__, str(exc), repr(exc.args))
-
-
-def _rows(rng: random.Random):
-    """A batch of 1 to 12 random rows, plain or signed: the envelope's
-    (shift, rate, start) and ``f(x, row)`` of them."""
-    n = rng.randint(1, 12)
-    shift = [rng.uniform(-3.0, 3.0) for _ in range(n)]
-    rate = [math.exp(rng.uniform(math.log(0.3), math.log(30.0))) for _ in range(n)]
-    start = rng.choice((0.0, rng.uniform(0.0, 20.0)))
-    s, L = np.array(shift), np.array(rate)
-    if rng.random() < 0.5:
-        c = np.array([float(rng.randint(0, 2)) for _ in range(n)])
-
-        def f(x, row):
-            return s[row] - L[row] * x - c[row] * np.log1p(x * x), 1.0
-    else:
-        w = np.array([rng.uniform(0.0, 6.0) for _ in range(n)])
-
-        def f(x, row):
-            wave = np.cos(w[row] * x)
-            return s[row] - L[row] * x + np.log(np.abs(wave)), np.where(wave < 0.0, -1.0, 1.0)
-    return (shift, rate, start), f
-
-
-def fuzz_calls(count: int, seed: int) -> list:
-    """``count`` random calls, each a description and a function of one
-    tree's modules that makes the call and returns a comparable result."""
-    rng = random.Random(seed)
-    calls = []
-    for _ in range(count):
-        tol = (10.0 ** rng.uniform(-17.0, -2.0), rng.choice(ABS_TOLS), rng.choice(MAX_PANELS))
-        kind = rng.choice(("logdet", "logdet_factor", "integrate_rows", "integrate_staged"))
-        if kind == "logdet":
-            d = rng.randrange(3, 401, 2)
-            args = (d, rng.randint(1, (d - 1) // 2), rng.choice(("direct", "sum", "chebyshev",
-                                                                "product_rule")))
-
-            def call(pkg, args=args, tol=tol):
-                spectral = pkg["spectral"]
-                res = spectral.logdet(spectral.SpherePoint(*args[:2]), args[2],
-                                      pkg["quadrature"].Tolerance(*tol))
-                return _hex((res.value, res.err_estimate)) + [res.method]
-        elif kind == "logdet_factor":
-            d = rng.randrange(3, 401, 2)
-            args = (d, rng.randint(0, (d - 3) // 2))
-
-            def call(pkg, args=args, tol=tol):
-                spectral = pkg["spectral"]
-                factor = spectral.FactorIndex(args[1])
-                return _hex([spectral.logdet_factor(args[0], factor,
-                                                    pkg["quadrature"].Tolerance(*tol))])
-        else:
-            args, f = _rows(rng)
-
-            def call(pkg, kind=kind, args=args, f=f, tol=tol):
-                quad = pkg["quadrature"]
-                env, tolerance = quad.Envelopes(*args), quad.Tolerance(*tol)
-                if kind == "integrate_rows":
-                    return [_hex((r.value, r.err_estimate, r.truncation_point)) + [r.panels_used]
-                            for r in quad.integrate_rows(f, env, tolerance)]
-                rows = quad.integrate_staged(quad._PlainIntegrand(f), env.log_const, env.rate,
-                                             env.start, tolerance)
-                return [_hex(rows.value), _hex(rows.err_estimate), _hex(rows.truncation_point),
-                        rows.panels_used.tolist(), rows.failed.tolist()]
-        calls.append((f"{kind}{args} at Tolerance{tol}", call))
-    return calls
-
-
-def fuzz(pkgs: list, count: int, seed: int) -> int:
-    """Run ``count`` random calls on both trees; 1 at the first difference."""
-    for i, (name, call) in enumerate(fuzz_calls(count, seed)):
-        with np.errstate(all="ignore"):
-            parent, change = (_outcome(lambda: call(pkg)) for pkg in pkgs)
-        if parent != change:
-            print(f"call {i}: {name}\n  parent {parent}\n  change {change}")
-            return 1
-    print(f"{count} calls (seed {seed}): no difference")
-    return 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
-    parser.add_argument("change", type=Path, nargs="?")
+    parser.add_argument("change", type=Path)
     parser.add_argument("--pairs", type=int, default=150)
-    parser.add_argument("--fuzz", type=int, metavar="N", help="compare N random calls instead")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--record", metavar="LABEL", help="time the one tree PARENT instead")
+    parser.add_argument("--record", action="store_true",
+                        help="also write each tree's timings as BENCH_<side>-<commit>.json")
     args = parser.parse_args(argv)
-    if args.record is not None:
-        if args.change is not None:
-            parser.error("--record times one tree")
-        return record(args.parent, args.record, args.pairs)
-    if args.change is None:
-        parser.error("two trees are needed, unless --record is given")
-    if args.fuzz is not None:
-        pkgs = [load(tree, f"gjmsdet_{side}")
-                for tree, side in ((args.parent, "parent"), (args.change, "change"))]
-        return fuzz(pkgs, args.fuzz, args.seed)
-    return compare(args.parent, args.change, args.pairs)
+    return compare(args.parent, args.change, args.pairs, args.record)
 
 
 if __name__ == "__main__":

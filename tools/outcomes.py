@@ -1,4 +1,5 @@
-"""Print one line per outcome of a fixed set of route and quadrature calls.
+"""Print one line per outcome of a fixed set of route and quadrature calls
+and of a seeded set of random ones.
 
 The first line names numpy's version and the SIMD targets it runs
 (``numpy_simd.header``), as some outcomes differ between those code paths.
@@ -30,17 +31,30 @@ raised as errors, so a warning prints as its call's outcome.  A line names
 d = 10^400 + 1 and the j of ``HUGE_J`` by powers (``_named``), though an
 error message may spell one out.
 
-Last come the command-line outcomes: a fixed list of ``cli.main`` calls
+Then come the command-line outcomes: a fixed list of ``cli.main`` calls
 (``CLI_CALLS``), run in this process in an empty temporary working
 directory with ``COLUMNS=80``.  Each prints its argv, its exit code, its
 stdout and stderr, and the name and text of every file it wrote.
+
+Last come ``FUZZ_COUNT`` random calls drawn from each seed of
+``FUZZ_SEEDS``, each at a random ``Tolerance`` (rel_tol log-uniform in
+1e-17..1e-2, abs_tol in ``ABS_TOLS``, max_panels in ``MAX_PANELS``), each
+line opening with ``fuzz`` and the call: ``logdet`` by a random route and
+``logdet_factor`` at a random j, both at an odd d <= 400, each printed as
+above, and ``integrate_rows`` and ``integrate_staged`` (through
+``_PlainIntegrand``) on a batch of ``_random_rows``, a line a row with the
+value, the estimate, the panel count and the truncation point, and for
+``integrate_staged`` the ``failed`` flag.  A call that raises prints one
+line with the error.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import os
+import random
 import tempfile
 import warnings
 from itertools import chain
@@ -48,7 +62,8 @@ from itertools import chain
 import numpy as np
 
 from gjmsdet import METHODS, FactorIndex, SpherePoint, cli, spectral
-from gjmsdet.quadrature import Envelopes, Tolerance, _PlainIntegrand, integrate_staged
+from gjmsdet.quadrature import (Envelopes, Tolerance, _PlainIntegrand, integrate_rows,
+                                integrate_staged)
 from numpy_simd import header
 
 
@@ -94,6 +109,16 @@ def route_calls():
     yield from ((d, k, ("product_rule",)) for d, k in ((1485, 742), (40001, 20000)))
 
 
+def _route(d: int, k: int, method: str, tol: Tolerance, panels: list) -> str:
+    """One route call's value, estimate and panel count, or its error."""
+    panels.clear()
+    try:
+        res = spectral.logdet(SpherePoint(d, k), method, tol)
+        return f"{res.value.hex()} {res.err_estimate.hex()} {sum(panels)}"
+    except Exception as exc:  # every error is an outcome to compare
+        return _error(exc)
+
+
 def route_lines(panels: list):
     """The route outcomes; ``panels`` collects the panel counts of the
     quadrature calls of each route call."""
@@ -102,12 +127,7 @@ def route_lines(panels: list):
     for d, k, methods in route_calls():
         for tol in wide + (tight if d <= 301 else []):
             for method in methods:
-                panels.clear()
-                try:
-                    res = spectral.logdet(SpherePoint(d, k), method, tol)
-                    out = f"{res.value.hex()} {res.err_estimate.hex()} {sum(panels)}"
-                except Exception as exc:  # every error is an outcome to compare
-                    out = _error(exc)
+                out = _route(d, k, method, tol, panels)
                 yield f"({_named(d)}, {k}) {method} {_tol(tol)}: {out}"
 
 
@@ -120,15 +140,18 @@ def factor_calls():
     yield from ((3, j, Tolerance()) for j in HUGE_J)
 
 
+def _factor(d: int, j: int, tol: Tolerance, panels: list) -> str:
+    """One ``logdet_factor`` call's value and panel count, or its error."""
+    panels.clear()
+    try:
+        return f"{spectral.logdet_factor(d, FactorIndex(j), tol).hex()} {sum(panels)}"
+    except Exception as exc:
+        return _error(exc)
+
+
 def factor_lines(panels: list):
     for d, j, tol in factor_calls():
-        panels.clear()
-        try:
-            value = spectral.logdet_factor(d, FactorIndex(j), tol)
-            out = f"{value.hex()} {sum(panels)}"
-        except Exception as exc:
-            out = _error(exc)
-        yield f"factor j={_named(j)} at d={_named(d)} {_tol(tol)}: {out}"
+        yield f"factor j={_named(j)} at d={_named(d)} {_tol(tol)}: {_factor(d, j, tol, panels)}"
 
 
 def integrand_lines():
@@ -230,6 +253,71 @@ def cli_lines():
             os.chdir(cwd)
 
 
+FUZZ_SEEDS = (0, 1, 2)
+FUZZ_COUNT = 1500
+ABS_TOLS = (0.0, 1e-300, 1e-30, 1e-15, 1e-8)
+MAX_PANELS = (4, 16, 64, 4096)
+
+
+def _random_rows(rng: random.Random):
+    """A batch of 1 to 12 random rows, plain or signed: the envelope's
+    (shift, rate, start) and ``f(x, row)`` of them."""
+    n = rng.randint(1, 12)
+    shift = [rng.uniform(-3.0, 3.0) for _ in range(n)]
+    rate = [math.exp(rng.uniform(math.log(0.3), math.log(30.0))) for _ in range(n)]
+    start = rng.choice((0.0, rng.uniform(0.0, 20.0)))
+    s, L = np.array(shift), np.array(rate)
+    if rng.random() < 0.5:
+        c = np.array([float(rng.randint(0, 2)) for _ in range(n)])
+
+        def f(x, row):
+            return s[row] - L[row] * x - c[row] * np.log1p(x * x), 1.0
+    else:
+        w = np.array([rng.uniform(0.0, 6.0) for _ in range(n)])
+
+        def f(x, row):
+            wave = np.cos(w[row] * x)
+            return s[row] - L[row] * x + np.log(np.abs(wave)), np.where(wave < 0.0, -1.0, 1.0)
+    return (shift, rate, start), f
+
+
+def _batch(kind: str, args: tuple, f, tol: Tolerance) -> list:
+    """The line suffixes and outcomes of ``integrate_rows`` or
+    ``integrate_staged`` on a random batch: one a row, or one error."""
+    try:
+        env = Envelopes(*args)
+        if kind == "integrate_rows":
+            rows = [f"{r.value.hex()} {r.err_estimate.hex()} {r.panels_used} "
+                    f"{r.truncation_point.hex()}" for r in integrate_rows(f, env, tol)]
+        else:
+            staged = integrate_staged(_PlainIntegrand(f), env.log_const, env.rate, env.start, tol)
+            rows = [f"{v.hex()} {e.hex()} {n} {x.hex()} failed={failed}"
+                    for v, e, n, x, failed in zip(*(a.tolist() for a in staged))]
+    except Exception as exc:
+        return [f": {_error(exc)}"]
+    return [f" row {r}: {out}" for r, out in enumerate(rows)]
+
+
+def fuzz_lines(panels: list):
+    for seed in FUZZ_SEEDS:
+        rng = random.Random(seed)
+        for _ in range(FUZZ_COUNT):
+            tol = (10.0 ** rng.uniform(-17.0, -2.0), rng.choice(ABS_TOLS), rng.choice(MAX_PANELS))
+            kind = rng.choice(("logdet", "logdet_factor", "integrate_rows", "integrate_staged"))
+            if kind == "logdet":
+                d = rng.randrange(3, 401, 2)
+                args = (d, rng.randint(1, (d - 1) // 2), rng.choice(METHODS))
+                outs = [": " + _route(*args, Tolerance(*tol), panels)]
+            elif kind == "logdet_factor":
+                d = rng.randrange(3, 401, 2)
+                args = (d, rng.randint(0, (d - 3) // 2))
+                outs = [": " + _factor(*args, Tolerance(*tol), panels)]
+            else:
+                args, f = _random_rows(rng)
+                outs = _batch(kind, args, f, Tolerance(*tol))
+            yield from (f"fuzz {kind}{args} at Tolerance{tol}{out}" for out in outs)
+
+
 def main() -> None:
     warnings.simplefilter("error")  # so that a warning is an outcome, not a stray line
     panels = []
@@ -243,7 +331,7 @@ def main() -> None:
     spectral._integrals = counted
     print(header())
     for line in chain(route_lines(panels), factor_lines(panels), integrand_lines(), batch_lines(),
-                      cli_lines()):
+                      cli_lines(), fuzz_lines(panels)):
         print(line)
 
 

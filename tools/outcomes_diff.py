@@ -7,13 +7,13 @@ each listing's header line (numpy's version and SIMD targets), or that it
 has none, as a listing of an older ``tools/outcomes.py`` does; the header
 is not an outcome and is left out of the counts.  Then it prints the
 changed outcomes per route (a route line's method; ``factor``,
-``integrand_direct``, the ``integrate_staged`` batch name or ``cli`` for
-the others) with the range of d of the changed route lines; the largest
-|change of value| as a multiple of the parent's estimate and where it is;
-the range of the estimate ratios change/parent; and every outcome whose
-kind changed, a value that became an error, an error that became a value
-or an error of another type.  It exits 1 if the listings hold different
-calls, else 0.
+``integrand_direct``, the ``integrate_staged`` batch name, ``cli`` or
+``fuzz`` for the others) with the range of d of the changed route lines;
+the largest |change of value| as a multiple of the parent's estimate and
+where it is; the range of the estimate ratios change/parent; and every
+outcome whose kind changed: a value that became an error, an error that
+became a value or an error of another type.  It exits 1 if the listings
+hold different calls, else 0.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from collections import defaultdict
 def outcomes(path: str) -> tuple:
     """The header line of the listing at ``path`` (None where it has none)
     and the (call, outcome) of each of its outcomes; a command-line outcome
-    runs from its ``cli`` line to the next."""
+    runs from its ``cli`` line to the next ``cli`` or ``fuzz`` line."""
     found = []
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     header = lines.pop(0) if lines and lines[0].startswith("numpy ") else None
     for line in lines:
-        if found and found[-1][0].startswith("cli ") and not line.startswith("cli "):
+        if found and found[-1][0].startswith("cli ") and not line.startswith(("cli ", "fuzz ")):
             found[-1][1].append(line)
         else:
             call, _, out = line.partition(": ")
@@ -50,14 +50,14 @@ def route(call: str) -> tuple:
 
 def floats(call: str, out: str):
     """The value and the estimate of a value outcome, or None for an error.
-    Only route and batch lines carry an estimate, as their second word; it
-    is None for the others (a factor's second word is its panel count)."""
+    Only route, ``fuzz logdet`` and batch row lines carry an estimate, as
+    their second word; it is None for the others."""
     words = out.split()
     try:
         value = float.fromhex(words[0])
     except (IndexError, ValueError):
         return None
-    has_estimate = call.startswith("(") or " row " in call
+    has_estimate = call.startswith(("(", "fuzz logdet(")) or " row " in call
     return value, float.fromhex(words[1]) if has_estimate else None
 
 
