@@ -64,15 +64,15 @@ def test_outcomes_agree_without_the_dispatched_targets():
         pytest.skip(f"numpy dispatches to no target above its baseline "
                     f"{' '.join(_umath.__cpu_baseline__)} on this CPU")
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets)}
-    child = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-c", CHILD, str(Path(__file__).parent), SRC],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    try:
-        here = outcomes()
-        stdout, stderr = child.communicate(timeout=120)
-    finally:
-        child.kill()
+    ) as child:
+        try:  # the two halves run at once
+            here = outcomes()
+            stdout, stderr = child.communicate(timeout=120)
+        finally:
+            child.kill()
     assert child.returncode == 0, stderr
     child_targets, there = json.loads(stdout)
     assert child_targets == [], f"{child_targets} still dispatched"
